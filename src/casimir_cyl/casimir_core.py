@@ -12,21 +12,22 @@ proximity-force approximation is
        + \mathrm{Li}_{1/2}(r_\mathrm{TE}^2 e^{-v})\right],
 
 its gradient carries ``v**2.5`` against ``Li_{-1/2}``, and the parallel-plate
-pressure kernel is the geometric sum ``v**2 / (exp(mu) - 1)``.  The l = 0
-term (half weight) routes through the zero-frequency reflection behavior of
-the material model -- mandatory for Drude, whose permittivity diverges at
-zero frequency.  T = 0 replaces the primed sum by a continuous integral,
-evaluated as a nested double quadrature.
+pressure kernel ``v**2`` against ``Li_0``, the geometric sum
+``v**2 / (exp(mu) - 1)``.  The l = 0 term (half weight) routes through the
+zero-frequency reflection behavior of the material model -- mandatory for
+Drude, whose permittivity diverges at zero frequency.  T = 0 replaces the
+primed sum by a continuous integral, evaluated as a nested double quadrature.
 
-The Matsubara terms are independent; when ``workers > 1`` they are computed
-in a thread pool but always reduced in ascending-l order, so results are
-bit-identical to the serial path.
+Force and gradient are two rows of one observable table: they differ only in
+the kernel powers, the sign and the SI prefactor.  One function,
+:func:`_evaluate`, runs either row at finite T or T = 0, parallel or tilted
+(the length average of :mod:`casimir_cyl.tilt`).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,8 +70,9 @@ class Geometry:
     L: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.R <= 0.0 or self.L <= 0.0:
-            raise ValueError("a, R and L must all be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.a, self.R, self.L)):
+            raise ValueError("a, R and L must all be positive and finite, "
+                             f"got a={self.a}, R={self.R}, L={self.L}")
 
     @property
     def pfa_warning(self) -> bool:
@@ -84,6 +86,11 @@ def _tau(temperature: float, a: float) -> float:
         HBAR_J_S * SPEED_OF_LIGHT_M_S)
 
 
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
+
+
 @dataclass(frozen=True)
 class ThermalState:
     """Temperature paired with the derived dimensionless Matsubara scale tau."""
@@ -92,8 +99,9 @@ class ThermalState:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be nonnegative")
+        _check_temperature(self.temperature)
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if (self.tau == 0.0) != (self.temperature == 0.0):
             raise ValueError("tau vanishes exactly when T does")
 
@@ -101,6 +109,9 @@ class ThermalState:
     def at(cls, temperature: float, geometry: Geometry) -> "ThermalState":
         """Build the state for a geometry, deriving tau = 4 pi k_B T a/(hbar c)."""
         return cls(temperature=temperature, tau=_tau(temperature, geometry.a))
+
+
+_ZERO_T = ThermalState(temperature=0.0, tau=0.0)
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,13 @@ def _check_thermal(geometry: Geometry, thermal: ThermalState) -> None:
             "build it with ThermalState.at(T, geometry)")
 
 
-def _warn_pfa(geometry: Geometry) -> None:
+def _warn_pfa(geometry: Geometry, stacklevel: int = 3) -> None:
+    """Warn when a/R is past the PFA error model; stacklevel names the caller."""
     if geometry.pfa_warning:
         warnings.warn(
             f"a/R = {geometry.a / geometry.R:.3g} exceeds {PFA_WARN_RATIO}; "
             "the proximity-force approximation degrades",
-            PFAValidityWarning, stacklevel=3)
+            PFAValidityWarning, stacklevel=stacklevel)
 
 
 def _eps_lookup(model: PermittivityModel) -> Callable:
@@ -151,39 +163,70 @@ def _eps_lookup(model: PermittivityModel) -> Callable:
 
 
 # ---------------------------------------------------------------------------
+# the observable table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Observable:
+    """One PFA observable: the kernel ``v**p Li_s(r^2 e^-v)`` and its SI scale.
+
+    The prefactor is ``sign k_B T L / (4 sqrt(pi) a**a_power)`` at finite T
+    and ``sign hbar c L / (16 pi**1.5 a**(a_power + 1))`` at T = 0, both times
+    sqrt(R/2a).  The high-temperature asymptote of an ideal metal is
+    ``sign (num zeta(3) k_B T L / (den a**a_power)) sqrt(R/2a)`` with
+    ``high_t = (num, den)``; the plasma model multiplies it by
+    ``1 - c1 x + c2 x**2`` in the skin-depth ratio x, ``skin_depth = (c1, c2)``.
+    """
+
+    v_power: float
+    li_order: float
+    sign: float
+    a_power: int
+    high_t: tuple[float, float]
+    skin_depth: tuple[float, float]
+
+
+_FORCE = _Observable(1.5, 0.5, -1.0, 2, (3.0, 16.0), (2.5, 8.75))
+_GRADIENT = _Observable(2.5, -0.5, 1.0, 3, (15.0, 32.0), (3.5, 15.75))
+_OBSERVABLES = {"force": _FORCE, "gradient": _GRADIENT}
+
+
+# ---------------------------------------------------------------------------
 # integrand kernels
 # ---------------------------------------------------------------------------
 
-def _li_sum_integrand(v, zeta, eps, v_power: float, li_order: float):
-    """v**p * sum over polarizations of Li_s(r^2 e^-v), via stable exponents."""
-    v = np.asarray(v, dtype=float)
-    ln_rtm2, ln_rte2 = log_r2_pair(v, zeta, eps)
-    return v**v_power * (polylog_exp_neg(li_order, v - ln_rtm2)
-                         + polylog_exp_neg(li_order, v - ln_rte2))
+def _li_kernel(v, exps, p: float, s: float, a_theta: float):
+    """The kernel ``v**p Li_s(r^2 e^-v)`` summed over polarization channels.
+
+    At A = a_theta = 0, ``exps`` are the exponents mu = v - ln r^2 and the
+    kernel is ``v**p sum Li_s(e^-mu)``.  At A > 0 they are the offsets
+    m0 = mu - v, and the length average sinh(A n v)/(A n v) of each n-th
+    summand folds into ``(v**(p-1) / 2A) sum [Li_{s+1}(e^{-v(1-A)-m0})
+    - Li_{s+1}(e^{-v(1+A)-m0})]``.
+    """
+    A = a_theta
+    if A == 0.0:
+        terms = [polylog_exp_neg(s, mu) for mu in exps]
+        scale = v**p
+    else:
+        terms = [polylog_exp_neg(s + 1.0, v * (1.0 - A) + m0)
+                 - polylog_exp_neg(s + 1.0, v * (1.0 + A) + m0) for m0 in exps]
+        scale = v**(p - 1.0) / (2.0 * A)
+    return scale * sum(terms[1:], terms[0])
 
 
-def _li_sum_zero_freq(v, behavior: ZeroFreqBehavior, v_power: float, li_order: float):
-    v = np.asarray(v, dtype=float)
+def _li_finite(v, zeta, eps, p: float, s: float, a_theta: float):
+    """Kernel at a Matsubara frequency zeta > 0 with permittivity eps."""
+    ln_r2 = log_r2_pair(v, zeta, eps)
+    exps = [v - x for x in ln_r2] if a_theta == 0.0 else [-x for x in ln_r2]
+    return _li_kernel(v, exps, p, s, a_theta)
+
+
+def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: float):
+    """Kernel of the l = 0 term, from the model's zero-frequency behavior."""
     mus = zero_frequency_mu_terms(behavior, v)
-    total = polylog_exp_neg(li_order, mus[0])
-    for mu in mus[1:]:
-        total = total + polylog_exp_neg(li_order, mu)
-    return v**v_power * total
-
-
-def _pressure_integrand(v, zeta, eps):
-    v = np.asarray(v, dtype=float)
-    ln_rtm2, ln_rte2 = log_r2_pair(v, zeta, eps)
-    return v**2 * (1.0 / np.expm1(v - ln_rtm2) + 1.0 / np.expm1(v - ln_rte2))
-
-
-def _pressure_zero_freq(v, behavior: ZeroFreqBehavior):
-    v = np.asarray(v, dtype=float)
-    mus = zero_frequency_mu_terms(behavior, v)
-    total = 1.0 / np.expm1(mus[0])
-    for mu in mus[1:]:
-        total = total + 1.0 / np.expm1(mu)
-    return v**2 * total
+    exps = mus if a_theta == 0.0 else [mu - v for mu in mus]
+    return _li_kernel(v, exps, p, s, a_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -192,59 +235,33 @@ def _pressure_zero_freq(v, behavior: ZeroFreqBehavior):
 
 def matsubara_reduce(term_integral: Callable[[int, float], float],
                      zero_integral: Callable[[], float],
-                     tau: float, quad: QuadratureSpec,
-                     workers: int = 1) -> tuple[float, int, float]:
+                     tau: float, quad: QuadratureSpec) -> tuple[float, int, float]:
     """Primed Matsubara sum: 0.5 * I(0) + sum_{l>=1} I(tau l).
 
-    ``term_integral(l, zeta_l)`` returns the l-th v-integral.  Truncates once
-    the term magnitude stays below ``rel_tol`` of the partial sum for
-    ``consecutive_below`` successive l; terms are always accumulated in
-    ascending l so worker count never changes the result.
+    ``term_integral(l, zeta_l)`` returns the l-th v-integral.  Terms are
+    accumulated in ascending l; the sum truncates once the term magnitude
+    stays below ``rel_tol`` of the partial sum for ``consecutive_below``
+    successive l.
 
     Returns
     -------
     (sum, l_used, truncation_estimate)
     """
     total = 0.5 * zero_integral()
-    recent: list[float] = []
+    recent: deque[float] = deque(maxlen=quad.consecutive_below)
     below = 0
     l = 0
-
-    def accumulate(term: float) -> bool:
-        nonlocal total, below
+    while True:
+        l += 1
+        if l > quad.max_terms:
+            raise ConvergenceError(
+                f"Matsubara sum not converged after {quad.max_terms} terms")
+        term = term_integral(l, tau * l)
         total += term
         recent.append(abs(term))
-        if len(recent) > quad.consecutive_below:
-            recent.pop(0)
-        if abs(term) < quad.rel_tol * abs(total):
-            below += 1
-        else:
-            below = 0
-        return below >= quad.consecutive_below
-
-    if workers <= 1:
-        done = False
-        while not done:
-            l += 1
-            if l > quad.max_terms:
-                raise ConvergenceError(
-                    f"Matsubara sum not converged after {quad.max_terms} terms")
-            done = accumulate(term_integral(l, tau * l))
-    else:
-        chunk = max(4, 2 * workers)
-        done = False
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while not done:
-                if l + 1 > quad.max_terms:
-                    raise ConvergenceError(
-                        f"Matsubara sum not converged after {quad.max_terms} terms")
-                batch = range(l + 1, min(l + chunk, quad.max_terms) + 1)
-                futures = [pool.submit(term_integral, j, tau * j) for j in batch]
-                for j, fut in zip(batch, futures):
-                    l = j
-                    if accumulate(fut.result()):
-                        done = True
-                        break
+        below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
+        if below >= quad.consecutive_below:
+            break
     trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
     return total, l, trunc
 
@@ -281,133 +298,100 @@ def zero_temperature_reduce(kernel, quad: QuadratureSpec,
     return value, rel
 
 
-def _zero_freq_int(behavior: ZeroFreqBehavior, integrand, quad: QuadratureSpec) -> float:
-    """l = 0 v-integral with the v = w**2 substitution."""
-    span = quad.v_span()
-
-    def f(w: np.ndarray) -> np.ndarray:
-        v = w * w
-        return 2.0 * w * integrand(v, behavior)
-
-    val, _ = adaptive_quad(f, 0.0, math.sqrt(span), rel_tol=quad.rel_tol * 0.1)
+def _zero_freq_int(integrand, span: float, quad: QuadratureSpec) -> float:
+    """l = 0 v-integral of integrand(v) with the v = w**2 substitution."""
+    val, _ = adaptive_quad(lambda w: 2.0 * w * integrand(w * w), 0.0,
+                           math.sqrt(span), rel_tol=quad.rel_tol * 0.1)
     return val
 
 
-def _finite_l_int(integrand, zeta: float, eps: float, quad: QuadratureSpec) -> float:
-    span = quad.v_span()
-    val, _ = adaptive_quad(lambda v: integrand(v, zeta, eps),
-                           zeta, zeta + span, rel_tol=quad.rel_tol * 0.1,
-                           initial_panels=4)
-    return val
+def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
+            quad: QuadratureSpec, a_theta: float = 0.0) -> tuple[float, int, float]:
+    """Matsubara sum (tau > 0) or T = 0 integral of the kernel ``v**p Li_s``.
+
+    A tilt a_theta widens every window by 1/(1 - a_theta) for the slower
+    exp(-v(1 - a_theta)) decay.  Returns (total, l_used, error estimate).
+    """
+    omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
+    eps_fn = _eps_lookup(model)
+    if tau == 0.0:
+        total, rel = zero_temperature_reduce(
+            lambda v, zeta: _li_finite(v, zeta, eps_fn(zeta * omega_c_ev), p, s, a_theta),
+            quad, span_scale=1.0 / (1.0 - a_theta))
+        return total, 0, rel
+    behavior = zero_frequency_character(model, a)
+    span = quad.v_span() / (1.0 - a_theta)
+
+    def term(l: int, zeta: float) -> float:
+        eps = eps_fn(zeta * omega_c_ev)
+        val, _ = adaptive_quad(lambda v: _li_finite(v, zeta, eps, p, s, a_theta),
+                               zeta, zeta + span, rel_tol=quad.rel_tol * 0.1,
+                               initial_panels=4)
+        return val
+
+    def zero() -> float:
+        return _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta),
+                              span, quad)
+
+    return matsubara_reduce(term, zero, tau, quad)
+
+
+def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,
+              model: PermittivityModel, quad: QuadratureSpec | None,
+              a_theta: float = 0.0) -> ForceResult:
+    """One observable of the table, by Matsubara sum or, at T = 0, double integral.
+
+    ``a_theta`` > 0 averages the kernel over the length of a tilted cylinder.
+    """
+    quad = quad or QuadratureSpec()
+    _check_thermal(geometry, thermal)
+    _warn_pfa(geometry, stacklevel=4)
+    a, R, L = geometry.a, geometry.R, geometry.L
+    total, l_used, err = _reduce(obs.v_power, obs.li_order, model, a,
+                                 thermal.tau, quad, a_theta)
+    if thermal.temperature == 0.0:
+        scale = HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**(obs.a_power + 1))
+    else:
+        scale = (BOLTZMANN_J_PER_K * thermal.temperature * L
+                 / (4.0 * SQRT_PI * a**obs.a_power))
+    value = obs.sign * scale * math.sqrt(R / (2.0 * a)) * total
+    return ForceResult(value, value / L, l_used, err)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def _cylinder_sum(geometry: Geometry, thermal: ThermalState,
-                  model: PermittivityModel, quad: QuadratureSpec,
-                  v_power: float, li_order: float,
-                  workers: int) -> tuple[float, int, float]:
-    a_nm = geometry.a * 1e9
-    omega_c_ev = HBAR_C_EV_NM / (2.0 * a_nm)
-    eps_fn = _eps_lookup(model)
-    behavior = zero_frequency_character(model, geometry.a)
-
-    def term(l: int, zeta: float) -> float:
-        eps = eps_fn(zeta * omega_c_ev)
-        return _finite_l_int(
-            lambda v, z, e: _li_sum_integrand(v, z, e, v_power, li_order),
-            zeta, eps, quad)
-
-    def zero() -> float:
-        return _zero_freq_int(
-            behavior,
-            lambda v, b: _li_sum_zero_freq(v, b, v_power, li_order), quad)
-
-    return matsubara_reduce(term, zero, thermal.tau, quad, workers)
-
-
 def cylinder_force(geometry: Geometry, thermal: ThermalState,
                    model: PermittivityModel,
-                   quad: QuadratureSpec | None = None,
-                   workers: int = 1) -> ForceResult:
+                   quad: QuadratureSpec | None = None) -> ForceResult:
     """Casimir force (N, negative) on the cylinder at temperature T.
 
-    Dispatches to :func:`zero_temperature_force` when T = 0; otherwise runs
-    the primed Matsubara sum of polylogarithm v-integrals.  Temperatures so
-    low that the sum cannot truncate within ``quad.max_terms`` raise
+    At T = 0 this is :func:`zero_temperature_force`; otherwise it runs the
+    primed Matsubara sum of polylogarithm v-integrals.  Temperatures so low
+    that the sum cannot truncate within ``quad.max_terms`` raise
     ConvergenceError; the T = 0 limit should be requested exactly.
     """
-    quad = quad or QuadratureSpec()
-    _check_thermal(geometry, thermal)
-    if thermal.temperature == 0.0:
-        return zero_temperature_force(geometry, model, quad)
-    _warn_pfa(geometry)
-    total, l_used, trunc = _cylinder_sum(geometry, thermal, model, quad,
-                                         1.5, 0.5, workers)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    pref = -(BOLTZMANN_J_PER_K * thermal.temperature * L
-             / (4.0 * SQRT_PI * a**2)) * math.sqrt(R / (2.0 * a))
-    value = pref * total
-    return ForceResult(value, value / L, l_used, trunc)
+    return _evaluate(_FORCE, geometry, thermal, model, quad)
 
 
 def cylinder_force_gradient(geometry: Geometry, thermal: ThermalState,
                             model: PermittivityModel,
-                            quad: QuadratureSpec | None = None,
-                            workers: int = 1) -> ForceResult:
+                            quad: QuadratureSpec | None = None) -> ForceResult:
     """Force gradient dF/da (N/m, positive) at temperature T."""
-    quad = quad or QuadratureSpec()
-    _check_thermal(geometry, thermal)
-    if thermal.temperature == 0.0:
-        return zero_temperature_gradient(geometry, model, quad)
-    _warn_pfa(geometry)
-    total, l_used, trunc = _cylinder_sum(geometry, thermal, model, quad,
-                                         2.5, -0.5, workers)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    pref = (BOLTZMANN_J_PER_K * thermal.temperature * L
-            / (4.0 * SQRT_PI * a**3)) * math.sqrt(R / (2.0 * a))
-    value = pref * total
-    return ForceResult(value, value / L, l_used, trunc)
-
-
-def _zero_temperature_sum(geometry: Geometry, model: PermittivityModel,
-                          quad: QuadratureSpec,
-                          v_power: float, li_order: float) -> tuple[float, float]:
-    a_nm = geometry.a * 1e9
-    omega_c_ev = HBAR_C_EV_NM / (2.0 * a_nm)
-    eps_fn = _eps_lookup(model)
-
-    def kernel(v, zeta):
-        eps = eps_fn(zeta * omega_c_ev)
-        return _li_sum_integrand(v, zeta, eps, v_power, li_order)
-
-    return zero_temperature_reduce(kernel, quad)
+    return _evaluate(_GRADIENT, geometry, thermal, model, quad)
 
 
 def zero_temperature_force(geometry: Geometry, model: PermittivityModel,
                            quad: QuadratureSpec | None = None) -> ForceResult:
     """T = 0 force from the continuous-frequency double integral."""
-    quad = quad or QuadratureSpec()
-    _warn_pfa(geometry)
-    total, rel = _zero_temperature_sum(geometry, model, quad, 1.5, 0.5)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    pref = -(HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**3)) * math.sqrt(R / (2.0 * a))
-    value = pref * total
-    return ForceResult(value, value / L, 0, rel)
+    return _evaluate(_FORCE, geometry, _ZERO_T, model, quad)
 
 
 def zero_temperature_gradient(geometry: Geometry, model: PermittivityModel,
                               quad: QuadratureSpec | None = None) -> ForceResult:
     """T = 0 force gradient from the continuous-frequency double integral."""
-    quad = quad or QuadratureSpec()
-    _warn_pfa(geometry)
-    total, rel = _zero_temperature_sum(geometry, model, quad, 2.5, -0.5)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    pref = (HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**4)) * math.sqrt(R / (2.0 * a))
-    value = pref * total
-    return ForceResult(value, value / L, 0, rel)
+    return _evaluate(_GRADIENT, geometry, _ZERO_T, model, quad)
 
 
 def plate_pressure(a: float, temperature: float, model: PermittivityModel,
@@ -418,30 +402,14 @@ def plate_pressure(a: float, temperature: float, model: PermittivityModel,
     physical pressure and as an oracle surface (ideal metal at T = 0 must
     recover -pi^2 hbar c/(240 a^4)).
     """
-    if a <= 0.0:
-        raise ValueError("separation must be positive")
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"separation must be positive and finite, got {a}")
+    _check_temperature(temperature)
     quad = quad or QuadratureSpec()
-    a_nm = a * 1e9
-    omega_c_ev = HBAR_C_EV_NM / (2.0 * a_nm)
-    eps_fn = _eps_lookup(model)
-    behavior = zero_frequency_character(model, a)
-
+    # the geometric sum v**2 / (exp(mu) - 1) is the kernel with (p, s) = (2, 0)
+    total, _, _ = _reduce(2.0, 0.0, model, a, _tau(temperature, a), quad)
     if temperature == 0.0:
-        def kernel(v, zeta):
-            return _pressure_integrand(v, zeta, eps_fn(zeta * omega_c_ev))
-        total, _ = zero_temperature_reduce(kernel, quad)
         return -(HBAR_C_J_M / (32.0 * math.pi**2 * a**4)) * total
-
-    def term(l: int, zeta: float) -> float:
-        return _finite_l_int(_pressure_integrand, zeta, eps_fn(zeta * omega_c_ev), quad)
-
-    def zero() -> float:
-        return _zero_freq_int(behavior, _pressure_zero_freq, quad)
-
-    tau = _tau(temperature, a)
-    total, _, _ = matsubara_reduce(term, zero, tau, quad)
     return -(BOLTZMANN_J_PER_K * temperature / (8.0 * math.pi * a**3)) * total
 
 
@@ -461,9 +429,29 @@ def ideal_metal_gradient_t0(geometry: Geometry) -> float:
     return 7.0 * math.pi**3 * HBAR_C_J_M * L / (768.0 * a**4) * math.sqrt(R / (2.0 * a))
 
 
-def _skin_depth_ratio(behavior: ZeroFreqPlasmaLike) -> float:
-    # alpha = delta_0/(2a)  ->  delta_0/a = 2 alpha
-    return 2.0 * behavior.alpha
+def _high_temperature(obs: _Observable, geometry: Geometry, temperature: float,
+                      behavior: ZeroFreqBehavior) -> float:
+    _check_temperature(temperature)
+    a, R, L = geometry.a, geometry.R, geometry.L
+    num, den = obs.high_t
+    base = obs.sign * (num * ZETA_3 * BOLTZMANN_J_PER_K * temperature * L
+                       / (den * a**obs.a_power)) * math.sqrt(R / (2.0 * a))
+    if isinstance(behavior, ZeroFreqIdeal):
+        return base
+    if isinstance(behavior, ZeroFreqDrudeLike):
+        return 0.5 * base
+    if isinstance(behavior, ZeroFreqPlasmaLike):
+        x = 2.0 * behavior.alpha  # alpha = delta_0/(2a)
+        if x >= 0.5:
+            raise ValueError(
+                f"skin-depth expansion invalid: delta_0/a = {x} >= 0.5")
+        c1, c2 = obs.skin_depth
+        return base * (1.0 - c1 * x + c2 * x**2)
+    if isinstance(behavior, ZeroFreqDielectric):
+        return 0.5 * base * polylog(3.0, behavior.r0**2) / ZETA_3
+    if isinstance(behavior, ZeroFreqMixed):
+        return 0.5 * base * polylog(3.0, behavior.r0) / ZETA_3
+    raise TypeError(f"unknown behavior {type(behavior).__name__}")
 
 
 def high_temperature_force(geometry: Geometry, temperature: float,
@@ -474,70 +462,31 @@ def high_temperature_force(geometry: Geometry, temperature: float,
     skin-depth expansion through second order, static dielectric through
     Li_3(r0^2), and the metal-dielectric cross case through Li_3(r0).
     """
-    a, R, L = geometry.a, geometry.R, geometry.L
-    base = -(3.0 * ZETA_3 * BOLTZMANN_J_PER_K * temperature * L
-             / (16.0 * a**2)) * math.sqrt(R / (2.0 * a))
-    if isinstance(behavior, ZeroFreqIdeal):
-        return base
-    if isinstance(behavior, ZeroFreqDrudeLike):
-        return 0.5 * base
-    if isinstance(behavior, ZeroFreqPlasmaLike):
-        x = _skin_depth_ratio(behavior)
-        if x >= 0.5:
-            raise ValueError(
-                f"skin-depth expansion invalid: delta_0/a = {x} >= 0.5")
-        return base * (1.0 - 2.5 * x + 8.75 * x**2)
-    if isinstance(behavior, ZeroFreqDielectric):
-        return 0.5 * base * polylog(3.0, behavior.r0**2) / ZETA_3
-    if isinstance(behavior, ZeroFreqMixed):
-        return 0.5 * base * polylog(3.0, behavior.r0) / ZETA_3
-    raise TypeError(f"unknown behavior {type(behavior).__name__}")
+    return _high_temperature(_FORCE, geometry, temperature, behavior)
 
 
 def high_temperature_gradient(geometry: Geometry, temperature: float,
                               behavior: ZeroFreqBehavior) -> float:
     """Closed-form high-temperature gradient asymptote (N/m)."""
-    a, R, L = geometry.a, geometry.R, geometry.L
-    base = (15.0 * ZETA_3 * BOLTZMANN_J_PER_K * temperature * L
-            / (32.0 * a**3)) * math.sqrt(R / (2.0 * a))
-    if isinstance(behavior, ZeroFreqIdeal):
-        return base
-    if isinstance(behavior, ZeroFreqDrudeLike):
-        return 0.5 * base
-    if isinstance(behavior, ZeroFreqPlasmaLike):
-        x = _skin_depth_ratio(behavior)
-        if x >= 0.5:
-            raise ValueError(
-                f"skin-depth expansion invalid: delta_0/a = {x} >= 0.5")
-        return base * (1.0 - 3.5 * x + 15.75 * x**2)
-    if isinstance(behavior, ZeroFreqDielectric):
-        return 0.5 * base * polylog(3.0, behavior.r0**2) / ZETA_3
-    if isinstance(behavior, ZeroFreqMixed):
-        return 0.5 * base * polylog(3.0, behavior.r0) / ZETA_3
-    raise TypeError(f"unknown behavior {type(behavior).__name__}")
+    return _high_temperature(_GRADIENT, geometry, temperature, behavior)
 
 
 def thermal_correction(geometry: Geometry, model: PermittivityModel,
                        quad: QuadratureSpec | None = None,
                        which: str = "force",
-                       temperature: float = 300.0,
-                       workers: int = 1) -> float:
+                       temperature: float = 300.0) -> float:
     """Relative thermal correction [X(a,T) - X(a,0)] / X(a,T).
 
     ``which`` selects the force or its gradient; the reference temperature
     defaults to 300 K.  Negative for the Drude approach at short separations,
     positive for the plasma approach.
     """
-    if which not in ("force", "gradient"):
+    if which not in _OBSERVABLES:
         raise ValueError("which must be 'force' or 'gradient'")
     if temperature == 0.0:
         return 0.0
-    quad = quad or QuadratureSpec()
-    thermal = ThermalState.at(temperature, geometry)
-    if which == "force":
-        x_t = cylinder_force(geometry, thermal, model, quad, workers).value
-        x_0 = zero_temperature_force(geometry, model, quad).value
-    else:
-        x_t = cylinder_force_gradient(geometry, thermal, model, quad, workers).value
-        x_0 = zero_temperature_gradient(geometry, model, quad).value
+    obs = _OBSERVABLES[which]
+    x_t = _evaluate(obs, geometry, ThermalState.at(temperature, geometry),
+                    model, quad).value
+    x_0 = _evaluate(obs, geometry, _ZERO_T, model, quad).value
     return (x_t - x_0) / x_t

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,13 +45,6 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "a", "a_sweep", "R", "L", "T", "model", "omega_p", "gamma", "eps0",
-    "oscillators", "optical_data", "theta", "a_theta", "rel_tol", "format",
-    "plot", "out", "which", "workers", "L1",
-}
-
-
 @dataclass
 class RunConfig:
     """Resolved run parameters (CLI flags already merged over the file)."""
@@ -74,6 +68,7 @@ class RunConfig:
     which: str = "force"
     workers: int = 1
     L1_um: tuple[float, ...] = (25.0, 50.0)
+    path: str | None = None  # the file kk-ingest reads
     echo: list[str] = field(default_factory=list)
 
     @property
@@ -152,6 +147,7 @@ def _parse_oscillators(text: str) -> tuple[Oscillator, ...]:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Flat 'key = value' document; '#' comments and blank lines ignored."""
+    keys = set(vars(_option_parser().parse_args([]))) - {"config"}  # option dests
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -162,7 +158,7 @@ def read_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             values[key] = val.strip()
     return values
@@ -212,16 +208,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         out_format=str(pick("format", args.format) or "csv"),
         plot=pick("plot", args.plot),
         out=pick("out", args.out),
-        which=str(pick("which", args.which) or "force"),
+        which=("gradient" if args.command == "gradient"
+               else str(pick("which", args.which) or "force")),
         workers=int(fnum("workers", args.workers, 1)),
         L1_um=tuple(float(x) for x in str(pick("L1", args.L1) or "25,50").split(",")),
+        path=getattr(args, "path", None),
     )
     if cfg.out_format not in ("csv", "json"):
         raise ConfigError(f"unknown format '{cfg.out_format}'")
     if cfg.which not in ("force", "gradient"):
         raise ConfigError(f"which must be force or gradient, not '{cfg.which}'")
-    if cfg.T < 0:
-        raise ConfigError("temperature must be nonnegative")
+    if not (math.isfinite(cfg.T) and cfg.T >= 0):
+        raise ConfigError("temperature must be finite and nonnegative")
     cfg.echo = [
         f"model = {cfg.model_name} (omega_p = {cfg.omega_p} eV, gamma = {cfg.gamma} eV"
         + (f", eps0 = {cfg.eps0}" if cfg.eps0 is not None else "") + ")",
@@ -408,8 +406,7 @@ def cmd_table1(cfg: RunConfig, stream) -> None:
         vals = []
         for a_theta in _TABLE1_ATHETA:
             tilt = TiltParams.from_a_theta(a_theta, geom)
-            vals.append(kappa_nm(geom, thermal, model, tilt, quad,
-                                 workers=cfg.workers))
+            vals.append(kappa_nm(geom, thermal, model, tilt, quad))
         rows.append((a_nm, *vals))
     if cfg.out_format == "json":
         emit_table(cfg, "table1",
@@ -454,13 +451,13 @@ def cmd_edge_error(cfg: RunConfig, stream) -> None:
         stream.write(f"{a_nm:.6g},{which},{_FMT.format(err)}\n")
 
 
-def cmd_kk_ingest(cfg: RunConfig, stream, path: str) -> None:
+def cmd_kk_ingest(cfg: RunConfig, stream) -> None:
     """Validate an optical-data file and report the resulting model."""
-    table = load_optical_table(path)
+    table = load_optical_table(cfg.path)
     tail = Drude(cfg.omega_p, cfg.gamma)
     model = Tabulated(table=table, tail=tail)
     stream.write("# casimir-cyl kk-ingest\n")
-    stream.write(f"# file = {path}\n")
+    stream.write(f"# file = {cfg.path}\n")
     stream.write(f"# rows = {table.omega.size}\n")
     stream.write(f"# omega_range_eV = [{table.omega_min:g}, {table.omega_max:g}]\n")
     stream.write(f"# tail: omega_p = {tail.omega_p} eV, gamma = {tail.gamma} eV\n")
@@ -487,49 +484,59 @@ def cmd_asymptote(cfg: RunConfig, stream) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "force": (cmd_force, "Casimir force over a separation or sweep"),
+    "gradient": (cmd_force, "force gradient over a separation or sweep"),
+    "thermal-correction": (cmd_thermal_correction, "relative thermal correction delta_T"),
+    "table1": (cmd_table1, "nonmultiplicative tilt-factor grid"),
+    "edge-error": (cmd_edge_error, "PFA + finite-length error budget"),
+    "kk-ingest": (cmd_kk_ingest, "validate optical data and report eps(i xi)"),
+    "asymptote": (cmd_asymptote, "high-temperature closed forms"),
+}
+
+
+def _option_parser() -> argparse.ArgumentParser:
+    """The options every command shares; a config file may set the same keys."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--config", help="flat key = value configuration file")
+    p.add_argument("--a", help="separation in nm")
+    p.add_argument("--a-sweep", dest="a_sweep",
+                   help="separation sweep MIN:MAX:N[:log] in nm")
+    p.add_argument("--R", help="cylinder radius in um")
+    p.add_argument("--L", help="cylinder length in um")
+    p.add_argument("--T", help="temperature in K")
+    p.add_argument("--model",
+                   choices=["ideal", "drude", "plasma", "dielectric",
+                            "tabulated"])
+    p.add_argument("--omega-p", dest="omega_p", help="plasma frequency, eV")
+    p.add_argument("--gamma", help="relaxation parameter, eV")
+    p.add_argument("--eps0", help="static permittivity (dielectric model)")
+    p.add_argument("--oscillators",
+                   help="semicolon-separated g:omega:gamma triples (eV)")
+    p.add_argument("--optical-data", dest="optical_data",
+                   help="optical data file (tabulated model)")
+    p.add_argument("--theta", help="tilt angle, rad")
+    p.add_argument("--a-theta", dest="a_theta",
+                   help="dimensionless tilt parameter theta L/(2a)")
+    p.add_argument("--rel-tol", dest="rel_tol", help="quadrature tolerance")
+    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--plot", help="write an SVG line chart here")
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--which", choices=["force", "gradient"])
+    p.add_argument("--workers", help="concurrent sweep points "
+                   "(force, gradient and thermal-correction)")
+    p.add_argument("--L1", help="overhang distances in um, comma separated")
+    return p
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-cyl",
         description="Thermal Casimir force for a coated cylinder above a plate")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "force": "Casimir force over a separation or sweep",
-        "gradient": "force gradient over a separation or sweep",
-        "thermal-correction": "relative thermal correction delta_T",
-        "table1": "nonmultiplicative tilt-factor grid",
-        "edge-error": "PFA + finite-length error budget",
-        "kk-ingest": "validate optical data and report eps(i xi)",
-        "asymptote": "high-temperature closed forms",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--a", help="separation in nm")
-        p.add_argument("--a-sweep", dest="a_sweep",
-                       help="separation sweep MIN:MAX:N[:log] in nm")
-        p.add_argument("--R", help="cylinder radius in um")
-        p.add_argument("--L", help="cylinder length in um")
-        p.add_argument("--T", help="temperature in K")
-        p.add_argument("--model",
-                       choices=["ideal", "drude", "plasma", "dielectric",
-                                "tabulated"])
-        p.add_argument("--omega-p", dest="omega_p", help="plasma frequency, eV")
-        p.add_argument("--gamma", help="relaxation parameter, eV")
-        p.add_argument("--eps0", help="static permittivity (dielectric model)")
-        p.add_argument("--oscillators",
-                       help="semicolon-separated g:omega:gamma triples (eV)")
-        p.add_argument("--optical-data", dest="optical_data",
-                       help="optical data file (tabulated model)")
-        p.add_argument("--theta", help="tilt angle, rad")
-        p.add_argument("--a-theta", dest="a_theta",
-                       help="dimensionless tilt parameter theta L/(2a)")
-        p.add_argument("--rel-tol", dest="rel_tol", help="quadrature tolerance")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--plot", help="write an SVG line chart here")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--which", choices=["force", "gradient"])
-        p.add_argument("--workers", help="concurrent sweep evaluations")
-        p.add_argument("--L1", help="overhang distances in um, comma separated")
+    options = _option_parser()
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, parents=[options])
         if name == "kk-ingest":
             p.add_argument("path", help="optical data file to ingest")
     return parser
@@ -550,20 +557,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cfg.out:
             stream = open(cfg.out, "w", encoding="utf-8")
             close_stream = True
-        if args.command in ("force", "gradient"):
-            if args.command == "gradient":
-                cfg.which = "gradient"
-            cmd_force(cfg, stream)
-        elif args.command == "thermal-correction":
-            cmd_thermal_correction(cfg, stream)
-        elif args.command == "table1":
-            cmd_table1(cfg, stream)
-        elif args.command == "edge-error":
-            cmd_edge_error(cfg, stream)
-        elif args.command == "kk-ingest":
-            cmd_kk_ingest(cfg, stream, args.path)
-        elif args.command == "asymptote":
-            cmd_asymptote(cfg, stream)
+        _COMMANDS[args.command][0](cfg, stream)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

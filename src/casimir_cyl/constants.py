@@ -7,28 +7,13 @@ only at the SI boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 BOLTZMANN_J_PER_K = 1.380649e-23        # k_B, exact (SI 2019)
 HBAR_J_S = 1.054571817e-34              # reduced Planck constant
 SPEED_OF_LIGHT_M_S = 299792458.0        # exact
 EV_J = 1.602176634e-19                  # electron volt, exact
 HBAR_C_EV_NM = 197.3269804              # hbar*c in eV nm
-KB_300K_EV = 0.0258520                  # k_B * 300 K in eV
 HBAR_C_J_M = HBAR_C_EV_NM * EV_J * 1e-9  # hbar*c in J m
 
 SQRT_PI = math.sqrt(math.pi)
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable constant set; a frozen instance is exposed as ``CONSTANTS``."""
-
-    k_B: float = BOLTZMANN_J_PER_K       # J/K
-    hbar: float = HBAR_J_S               # J s
-    c: float = SPEED_OF_LIGHT_M_S        # m/s
-    hbar_c_ev_nm: float = HBAR_C_EV_NM   # eV nm
-    k_B_300K_ev: float = KB_300K_EV      # eV
-
-
-CONSTANTS = PhysicalConstants()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir_core import (Geometry, PFAValidityWarning, ideal_metal_force_t0,
+from .casimir_core import (Geometry, _warn_pfa, ideal_metal_force_t0,
                            ideal_metal_gradient_t0)
 from .constants import HBAR_C_J_M
 
@@ -136,12 +136,6 @@ def edge_corrected_gradient(geometry: Geometry) -> float:
     _warn_pfa(geometry)
     return ideal_metal_gradient_t0(geometry) * (
         1.0 + EDGE_GRADIENT_COEFF * geometry.a / geometry.L)
-
-
-def _warn_pfa(geometry: Geometry) -> None:
-    if geometry.pfa_warning:
-        warnings.warn("a/R exceeds 0.05; edge estimates assume a << R, L",
-                      PFAValidityWarning, stacklevel=3)
 
 
 def total_pfa_error(geometry: Geometry, which: str = "force") -> float:

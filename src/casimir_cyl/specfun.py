@@ -146,7 +146,7 @@ def polylog_exp_neg(s: float, mu):
     ----------
     s : float
         Order, ``s > -1`` (any real; positive integers use the log-variant
-        expansion).
+        expansion, s = 0 the closed form).
     mu : float or ndarray
         Nonnegative exponent.
     """
@@ -157,6 +157,9 @@ def polylog_exp_neg(s: float, mu):
         raise ValueError("mu must be nonnegative")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    if s == 0.0:  # closed form Li_0(e^-mu) = 1/(e^mu - 1)
+        out = 1.0 / np.expm1(arr)
+        return float(out[0]) if scalar else out
     out = np.empty_like(arr)
     small = arr < _MU_CROSS
     if np.any(~small):

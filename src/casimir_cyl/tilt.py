@@ -11,7 +11,8 @@ n-th Matsubara summand by ``sinh(A n v)/(A n v)`` with the tilt parameter
 restores a polylogarithm structure: the n-sum of the force kernel collapses
 to ``[Li_{3/2}(r^2 e^{-v(1-A)}) - Li_{3/2}(r^2 e^{-v(1+A)})]/(2Av)`` (order
 1/2 for the gradient), evaluated with the same stable exponents as the
-parallel case.  The multiplicative ideal-metal factor
+parallel case by the kernel in :mod:`casimir_cyl.casimir_core`.  The
+multiplicative ideal-metal factor
 
 .. math::
    \kappa(A) = \frac{1}{5A}\left[(1-A)^{-5/2} - (1+A)^{-5/2}\right]
@@ -25,17 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .casimir_core import (_FORCE, _GRADIENT, ForceResult, Geometry,
+                           ThermalState, _evaluate, cylinder_force)
+from .dielectric import PermittivityModel
+from .quadrature import QuadratureSpec
 
-from .casimir_core import (ForceResult, Geometry, ThermalState, _check_thermal,
-                           _eps_lookup, _warn_pfa, cylinder_force,
-                           cylinder_force_gradient, matsubara_reduce,
-                           zero_temperature_reduce)
-from .constants import (BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M, SQRT_PI)
-from .dielectric import PermittivityModel, zero_frequency_character
-from .quadrature import QuadratureSpec, adaptive_quad
-from .reflection import log_r2_pair, zero_frequency_mu_terms
-from .specfun import polylog_exp_neg
+# Unused here: bench/tracer.py wraps these names as attributes of this module
+# and fails on a missing one.
+from .casimir_core import (adaptive_quad, cylinder_force_gradient, log_r2_pair,  # noqa: F401
+                           matsubara_reduce, polylog_exp_neg, zero_frequency_character,
+                           zero_frequency_mu_terms, zero_temperature_reduce)
 
 __all__ = ["TiltParams", "kappa", "kappa_nm", "tilted_force",
            "tilted_gradient", "multiplicative_force"]
@@ -53,8 +53,9 @@ class TiltParams:
     a_theta: float
 
     def __post_init__(self) -> None:
-        if self.theta < 0.0 or self.a_theta < 0.0:
-            raise ValueError("tilt angle must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0.0 for x in (self.theta, self.a_theta)):
+            raise ValueError("tilt must be finite and nonnegative, "
+                             f"got theta={self.theta}, a_theta={self.a_theta}")
         if self.a_theta >= 1.0:
             raise ValueError(
                 f"a_theta = {self.a_theta} >= 1: cylinder end reaches the plate")
@@ -89,156 +90,47 @@ def kappa(a_theta: float) -> float:
     return ((1.0 - a_theta)**-2.5 - (1.0 + a_theta)**-2.5) / (5.0 * a_theta)
 
 
-def _tilt_integrand(v, zeta, eps, a_theta: float, v_power: float, li_order: float):
-    """(v**p / 2A) * sum_pol [Li_s(e^{-mu-}) - Li_s(e^{-mu+})].
-
-    mu(-/+) = v (1 -/+ A) + m0 with m0 = -ln r^2; v_power already includes
-    the 1/v from the factorization (3/2 -> 1/2 for the force kernel).
-    """
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    for m0 in _m0_terms(v, zeta, eps):
-        out += (polylog_exp_neg(li_order, v * (1.0 - a_theta) + m0)
-                - polylog_exp_neg(li_order, v * (1.0 + a_theta) + m0))
-    return v**v_power / (2.0 * a_theta) * out
-
-
-def _m0_terms(v, zeta, eps):
-    ln_rtm2, ln_rte2 = log_r2_pair(v, zeta, eps)
-    return [-ln_rtm2, -ln_rte2]
-
-
-def _tilt_zero_freq(v, behavior, a_theta: float, v_power: float, li_order: float):
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    for mu in zero_frequency_mu_terms(behavior, v):
-        m0 = mu - v
-        out += (polylog_exp_neg(li_order, v * (1.0 - a_theta) + m0)
-                - polylog_exp_neg(li_order, v * (1.0 + a_theta) + m0))
-    return v**v_power / (2.0 * a_theta) * out
-
-
-def _tilted_sum(geometry: Geometry, thermal: ThermalState,
-                model: PermittivityModel, tilt: TiltParams,
-                quad: QuadratureSpec, v_power: float, li_order: float,
-                workers: int) -> tuple[float, int, float]:
-    A = tilt.a_theta
-    a_nm = geometry.a * 1e9
-    omega_c_ev = HBAR_C_EV_NM / (2.0 * a_nm)
-    eps_fn = _eps_lookup(model)
-    behavior = zero_frequency_character(model, geometry.a)
-    span = quad.v_span() / (1.0 - A)  # tail now decays like exp(-v(1-A))
-
-    def term(l: int, zeta: float) -> float:
-        eps = eps_fn(zeta * omega_c_ev)
-        val, _ = adaptive_quad(
-            lambda v: _tilt_integrand(v, zeta, eps, A, v_power, li_order),
-            zeta, zeta + span, rel_tol=quad.rel_tol * 0.1, initial_panels=4)
-        return val
-
-    def zero() -> float:
-        val, _ = adaptive_quad(
-            lambda w: 2.0 * w * _tilt_zero_freq(w * w, behavior, A, v_power, li_order),
-            0.0, math.sqrt(span), rel_tol=quad.rel_tol * 0.1)
-        return val
-
-    return matsubara_reduce(term, zero, thermal.tau, quad, workers)
-
-
-def _tilted_zero_temperature(geometry: Geometry, model: PermittivityModel,
-                             tilt: TiltParams, quad: QuadratureSpec,
-                             v_power: float, li_order: float) -> tuple[float, float]:
-    A = tilt.a_theta
-    a_nm = geometry.a * 1e9
-    omega_c_ev = HBAR_C_EV_NM / (2.0 * a_nm)
-    eps_fn = _eps_lookup(model)
-
-    def kernel(v, zeta):
-        eps = eps_fn(zeta * omega_c_ev)
-        return _tilt_integrand(v, zeta, eps, A, v_power, li_order)
-
-    # window widened for the slower exp(-v(1-A)) decay
-    return zero_temperature_reduce(kernel, quad, span_scale=1.0 / (1.0 - A))
-
-
 def tilted_force(geometry: Geometry, thermal: ThermalState,
                  model: PermittivityModel, tilt: TiltParams,
-                 quad: QuadratureSpec | None = None,
-                 workers: int = 1) -> ForceResult:
+                 quad: QuadratureSpec | None = None) -> ForceResult:
     """Casimir force with the cylinder tilted by tilt.theta (N, negative).
 
     theta = 0 reduces identically to :func:`cylinder_force`; the separation
     in the geometry is the mean minimum separation.
     """
-    quad = quad or QuadratureSpec()
-    if tilt.a_theta == 0.0:
-        return cylinder_force(geometry, thermal, model, quad, workers)
-    _check_thermal(geometry, thermal)
-    _warn_pfa(geometry)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    if thermal.temperature == 0.0:
-        total, rel = _tilted_zero_temperature(geometry, model, tilt, quad, 0.5, 1.5)
-        pref = -(HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**3)) * math.sqrt(R / (2.0 * a))
-        value = pref * total
-        return ForceResult(value, value / L, 0, rel)
-    total, l_used, trunc = _tilted_sum(geometry, thermal, model, tilt, quad,
-                                       0.5, 1.5, workers)
-    pref = -(BOLTZMANN_J_PER_K * thermal.temperature * L
-             / (4.0 * SQRT_PI * a**2)) * math.sqrt(R / (2.0 * a))
-    value = pref * total
-    return ForceResult(value, value / L, l_used, trunc)
+    return _evaluate(_FORCE, geometry, thermal, model, quad, tilt.a_theta)
 
 
 def tilted_gradient(geometry: Geometry, thermal: ThermalState,
                     model: PermittivityModel, tilt: TiltParams,
-                    quad: QuadratureSpec | None = None,
-                    workers: int = 1) -> ForceResult:
+                    quad: QuadratureSpec | None = None) -> ForceResult:
     """Force gradient with tilt (N/m, positive); v**2.5 sqrt(n) kernel.
 
     Consistent with differentiating :func:`tilted_force` at fixed physical
     angle, i.e. through the separation dependence of a_theta.
     """
-    quad = quad or QuadratureSpec()
-    if tilt.a_theta == 0.0:
-        return cylinder_force_gradient(geometry, thermal, model, quad, workers)
-    _check_thermal(geometry, thermal)
-    _warn_pfa(geometry)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    if thermal.temperature == 0.0:
-        total, rel = _tilted_zero_temperature(geometry, model, tilt, quad, 1.5, 0.5)
-        pref = (HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**4)) * math.sqrt(R / (2.0 * a))
-        value = pref * total
-        return ForceResult(value, value / L, 0, rel)
-    total, l_used, trunc = _tilted_sum(geometry, thermal, model, tilt, quad,
-                                       1.5, 0.5, workers)
-    pref = (BOLTZMANN_J_PER_K * thermal.temperature * L
-            / (4.0 * SQRT_PI * a**3)) * math.sqrt(R / (2.0 * a))
-    value = pref * total
-    return ForceResult(value, value / L, l_used, trunc)
+    return _evaluate(_GRADIENT, geometry, thermal, model, quad, tilt.a_theta)
 
 
 def kappa_nm(geometry: Geometry, thermal: ThermalState,
              model: PermittivityModel, tilt: TiltParams,
-             quad: QuadratureSpec | None = None,
-             workers: int = 1) -> float:
+             quad: QuadratureSpec | None = None) -> float:
     """Nonmultiplicative tilt ratio tilted_force/cylinder_force (same quad)."""
-    quad = quad or QuadratureSpec()
-    tilted = tilted_force(geometry, thermal, model, tilt, quad, workers).value
-    plain = cylinder_force(geometry, thermal, model, quad, workers).value
+    tilted = tilted_force(geometry, thermal, model, tilt, quad).value
+    plain = cylinder_force(geometry, thermal, model, quad).value
     return tilted / plain
 
 
 def multiplicative_force(geometry: Geometry, thermal: ThermalState,
                          model: PermittivityModel, tilt: TiltParams,
-                         quad: QuadratureSpec | None = None,
-                         workers: int = 1) -> ForceResult:
+                         quad: QuadratureSpec | None = None) -> ForceResult:
     """Approximate tilted force kappa(a_theta) * F(a,T).
 
     Exact for ideal metals at T = 0; elsewhere it ignores the correlation
     between material dispersion and the tilt geometry that
     :func:`tilted_force` retains.
     """
-    base = cylinder_force(geometry, thermal, model, quad, workers)
+    base = cylinder_force(geometry, thermal, model, quad)
     k = kappa(tilt.a_theta)
     return ForceResult(k * base.value, k * base.per_length,
                        base.l_used, base.truncation_estimate)

@@ -122,6 +122,20 @@ def test_conflicting_a_and_sweep_exit_2(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ("force", "--a", "500", "--T", "nan"),
+    ("force", "--a", "nan"),
+    ("force", "--a", "500", "--R", "inf"),
+    ("gradient", "--a", "500", "--a-theta", "nan"),
+    ("asymptote", "--a", "500", "--T", "inf"),
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "finite" in err
+
+
 def test_dielectric_requires_eps0(capsys):
     code, _, err = run_cli(capsys, "force", "--a", "300", "--model",
                            "dielectric")

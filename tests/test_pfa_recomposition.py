@@ -8,7 +8,8 @@ wrong prefactor.
 """
 import pytest
 
-from casimir_cyl import (PlasmaOscillators, QuadratureSpec,
+from casimir_cyl import (PlasmaOscillators, QuadratureSpec, ThermalState,
+                         cylinder_force, cylinder_force_gradient,
                          zero_temperature_force, zero_temperature_gradient)
 from conftest import geometry_at
 from pfa_recomposition import cylinder_force_and_gradient, thermal_corrections
@@ -34,3 +35,21 @@ def test_zero_temperature_plasma_matches_recomposition(a_nm):
         force, rel=rel_tol, abs=0.0)
     assert zero_temperature_gradient(geom, model, quad).value == pytest.approx(
         gradient, rel=rel_tol, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "tau = 4 pi k_B T a/(hbar c) is built from HBAR_J_S * SPEED_OF_LIGHT_M_S "
+    "(197.32698034 eV nm), every other hbar c from HBAR_C_EV_NM "
+    "(197.3269804 eV nm): 3.1e-10 apart, which is the finite-T floor; with "
+    "tau built from HBAR_C_J_M the agreement is 2e-12"))
+def test_finite_temperature_plasma_matches_recomposition():
+    """Finite-T force and gradient at 150 nm agree to 1e-11 at rel_tol 1e-12."""
+    geom = geometry_at(150.0)
+    model = PlasmaOscillators(omega_p=9.0)
+    quad = QuadratureSpec(1e-12)
+    thermal = ThermalState.at(300.0, geom)
+    force, gradient = cylinder_force_and_gradient(geom.a, 300.0)
+    assert cylinder_force(geom, thermal, model, quad).value == pytest.approx(
+        force, rel=1e-11, abs=0.0)
+    assert cylinder_force_gradient(geom, thermal, model, quad).value == pytest.approx(
+        gradient, rel=1e-11, abs=0.0)

@@ -8,8 +8,7 @@ from casimir_cyl import (Geometry, IdealMetal, QuadratureSpec, ThermalState,
                          TiltParams, cylinder_force, cylinder_force_gradient,
                          gold_drude, kappa, kappa_nm, multiplicative_force,
                          tilted_force, tilted_gradient)
-from casimir_cyl.casimir_core import ideal_metal_force_t0
-from casimir_cyl.tilt import _tilt_integrand
+from casimir_cyl.casimir_core import _li_finite, ideal_metal_force_t0
 from conftest import geometry_at
 
 AU = gold_drude()
@@ -178,6 +177,5 @@ def test_factorized_integrand_matches_naive_sinh_sum():
             if term < 1e-18 * total:
                 break
         naive = v**1.5 * total
-        factorized = float(_tilt_integrand(np.array([v]), zeta, eps, A,
-                                           0.5, 1.5)[0])
+        factorized = float(_li_finite(np.array([v]), zeta, eps, 1.5, 0.5, A)[0])
         assert factorized == pytest.approx(naive, rel=1e-12)
