@@ -276,21 +276,23 @@ def zero_temperature_reduce(kernel, quad: QuadratureSpec,
     stretches the integration window for kernels with slower exponential
     decay than exp(-v).
 
+    The inner integrals of all outer nodes t pending at one outer refinement
+    level are one vector-valued quadrature: ``kernel`` receives v of shape
+    (n,) and zeta = t[:, None] * v of shape (m, n), and returns (m, n), one
+    row per outer node, each row held to its own tolerance.
+
     Returns (J, relative error estimate).
     """
     span = quad.v_span() * span_scale
     w_hi = math.sqrt(span)
 
-    def inner(t: float) -> float:
+    def outer(t: np.ndarray) -> np.ndarray:
         def f(w: np.ndarray) -> np.ndarray:
             v = w * w
-            return 2.0 * w * v * kernel(v, t * v)
-        val, _ = adaptive_quad(f, 0.0, w_hi, rel_tol=quad.rel_tol * 0.1,
-                               initial_panels=6)
-        return val
-
-    def outer(ts: np.ndarray) -> np.ndarray:
-        return np.array([inner(float(t)) for t in np.atleast_1d(ts)])
+            return 2.0 * w * v * kernel(v, t[:, None] * v)
+        vals, _ = adaptive_quad(f, 0.0, w_hi, rel_tol=quad.rel_tol * 0.1,
+                                initial_panels=6)
+        return vals
 
     value, err = adaptive_quad(outer, 0.0, 1.0, rel_tol=quad.rel_tol,
                                initial_panels=4)

@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Drude:
     """Drude metal: plasma frequency and relaxation parameter in eV."""
@@ -52,8 +57,8 @@ class Drude:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.omega_p <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("Drude parameters omega_p and gamma must be positive")
+        _check_positive("Drude omega_p", self.omega_p)
+        _check_positive("Drude gamma", self.gamma)
 
 
 def gold_drude() -> Drude:
@@ -70,10 +75,12 @@ class Oscillator:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise ValueError("oscillator resonance energies must be nonzero")
-        if self.gamma < 0.0:
-            raise ValueError("oscillator widths must be nonnegative")
+        if not math.isfinite(self.g):
+            raise ValueError(f"oscillator strength g must be finite, got {self.g}")
+        _check_positive("oscillator resonance omega", self.omega)
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError("oscillator width gamma must be finite and nonnegative, "
+                             f"got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,7 @@ class PlasmaOscillators:
     oscillators: tuple[Oscillator, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.omega_p <= 0.0:
-            raise ValueError("plasma frequency must be positive")
+        _check_positive("plasma frequency omega_p", self.omega_p)
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
 
 
@@ -101,8 +107,9 @@ class Dielectric:
     eps0: float
 
     def __post_init__(self) -> None:
-        if self.eps0 <= 1.0:
-            raise ValueError("static permittivity must exceed 1")
+        if not (math.isfinite(self.eps0) and self.eps0 > 1.0):
+            raise ValueError(f"static permittivity eps0 must be finite and exceed 1, "
+                             f"got {self.eps0}")
 
     @property
     def r0(self) -> float:
@@ -186,17 +193,32 @@ class OpticalTable:
         self._om4, self._wt4 = half[0], half[1]
 
     def dispersion_integral(self, xi) -> np.ndarray:
-        """In-range part of (2/pi) * integral omega ImEps / (omega^2 + xi^2)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        val = (2.0 / math.pi) * np.sum(
-            self._wt[None, :] / (self._om[None, :]**2 + xi[:, None]**2), axis=1)
-        return val
+        """In-range part of (2/pi) * integral omega ImEps / (omega^2 + xi^2).
+
+        Returns a 1-D array, one value per element of ``xi`` (flattened).
+        """
+        return _node_sum(self._om, self._wt, xi)
 
     def dispersion_integral_coarse(self, xi) -> np.ndarray:
         """Half-order companion of :meth:`dispersion_integral` (error probe)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return (2.0 / math.pi) * np.sum(
-            self._wt4[None, :] / (self._om4[None, :]**2 + xi[:, None]**2), axis=1)
+        return _node_sum(self._om4, self._wt4, xi)
+
+
+# xi values per block of the dispersion sums: bounds the (block x nodes)
+# temporaries, so the memory held does not grow with the batch
+_XI_BLOCK = 16
+
+
+def _node_sum(om: np.ndarray, wt: np.ndarray, xi) -> np.ndarray:
+    """(2/pi) * sum_j wt_j / (om_j^2 + xi^2) for each element of xi, flattened."""
+    xi = np.asarray(xi, dtype=float).ravel()
+    out = np.empty(xi.size)
+    om2 = om[None, :]**2
+    for i in range(0, xi.size, _XI_BLOCK):
+        x = xi[i:i + _XI_BLOCK]
+        out[i:i + _XI_BLOCK] = (2.0 / math.pi) * np.sum(
+            wt[None, :] / (om2 + x[:, None]**2), axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,7 +277,7 @@ ZeroFreqBehavior = Union[ZeroFreqIdeal, ZeroFreqDrudeLike, ZeroFreqPlasmaLike,
 # ---------------------------------------------------------------------------
 
 def eps_imag_axis(model: PermittivityModel, xi):
-    """Permittivity eps(i xi) for xi > 0 in eV; scalar or ndarray.
+    """Permittivity eps(i xi) for xi > 0 in eV; scalar or ndarray of any shape.
 
     ``IdealMetal`` and ``Dielectric`` have no finite-frequency response in
     scope and are rejected; the force engine handles them through their
@@ -273,7 +295,6 @@ def eps_imag_axis(model: PermittivityModel, xi):
             out = out + osc.g / (osc.omega**2 + xi**2 + osc.gamma * xi)
     elif isinstance(model, Tabulated):
         out = kk_transform(model.table, model.tail, xi)
-        out = np.atleast_1d(out)
     else:
         raise ValueError(
             f"{type(model).__name__} has no finite-frequency permittivity in scope")
@@ -308,17 +329,16 @@ def kk_transform(table: OpticalTable, tail: Drude, xi):
     low-frequency extrapolation matters in practice).  Relative quadrature
     error is verified against a half-order rule and kept below 1e-8.
     """
-    scalar = np.ndim(xi) == 0
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi <= 0.0):
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.ravel()
+    if np.any(flat <= 0.0):
         raise ValueError("xi must be positive")
-    low = _drude_tail_integral(tail, table.omega_min, xi)
-    mid = table.dispersion_integral(xi)
-    result = 1.0 + low + mid
-    probe = 1.0 + low + table.dispersion_integral_coarse(xi)
+    low = _drude_tail_integral(tail, table.omega_min, flat)
+    result = 1.0 + low + table.dispersion_integral(flat)
+    probe = 1.0 + low + table.dispersion_integral_coarse(flat)
     if np.any(np.abs(result - probe) > 1e-8 * np.abs(result)):
         raise OpticalTableError("dispersion integral failed its accuracy check")
-    return float(result[0]) if scalar else result
+    return float(result[0]) if xi.ndim == 0 else result.reshape(xi.shape)
 
 
 def zero_frequency_character(model: PermittivityModel, a: float) -> ZeroFreqBehavior:

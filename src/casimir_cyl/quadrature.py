@@ -3,7 +3,10 @@
 The force integrands are smooth and exponentially decaying, so a (G7, K15)
 pair with batched panel refinement converges quickly; integrand callbacks
 receive the abscissae of every pending panel as one ndarray, which keeps the
-polylogarithm evaluations vectorized.
+polylogarithm evaluations vectorized.  A vector-valued integrand, one row per
+integral, carries that batching across integrals: many integrals over the same
+interval share one callback per refinement level, each row under its own
+error control (QUADPACK's G7/K15 estimate, Piessens et al. 1983).
 """
 from __future__ import annotations
 
@@ -82,28 +85,41 @@ _MAX_REFINEMENTS = 64
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                   rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                  max_panels: int = 4096, initial_panels: int = 8) -> tuple[float, float]:
+                  max_panels: int = 4096, initial_panels: int = 8):
     """Integrate ``f`` over ``[a, b]`` with batched adaptive (G7, K15) panels.
+
+    The integrand may be scalar- or vector-valued; the mode is read from the
+    shape of what ``f`` returns.  For a 1-D array of ``n`` abscissae a scalar
+    integrand returns ``n`` values, a vector-valued one an ``(m, n)`` array,
+    one row per integral.  The rows share their panels but not their error
+    budgets: each row must meet ``max(abs_tol, rel_tol * |row total|)``, and a
+    panel is bisected when some row not yet converged has more than its share
+    of that row's budget on it.  One call therefore evaluates every pending
+    panel of every row in one ``f`` call per refinement level.
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand mapping an ndarray of abscissae to values.
+        Vectorized integrand mapping a 1-D ndarray of abscissae to values of
+        shape ``(n,)`` (scalar) or ``(m, n)`` (``m`` integrals at once).
     a, b : float
         Finite integration limits (callers cut exponential tails themselves).
+        An empty interval returns ``(0.0, 0.0)`` without calling ``f``.
     rel_tol, abs_tol : float
-        Convergence when the summed panel error estimate drops below
-        ``max(abs_tol, rel_tol * |integral|)``.
+        Convergence when the summed panel error estimate of every row drops
+        below ``max(abs_tol, rel_tol * |integral|)``.
 
     Returns
     -------
-    (value, error_estimate) : tuple of float
+    (value, error_estimate)
+        Floats for a scalar integrand, arrays of shape ``(m,)`` for a
+        vector-valued one.
 
     Raises
     ------
     ConvergenceError
-        If the error estimate is still more than 10x the target after the
-        panel budget is exhausted.
+        If the error estimate of any row is still more than 10x its target
+        after the panel budget is exhausted.
     """
     if not b > a:
         return 0.0, 0.0
@@ -111,35 +127,46 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     lo, hi = edges[:-1], edges[1:]
 
     def eval_panels(plo: np.ndarray, phi: np.ndarray):
+        # rows x panels arrays; a scalar integrand is the single-row case
         center = 0.5 * (plo + phi)
         half = 0.5 * (phi - plo)
         nodes = center[:, None] + half[:, None] * _XK[None, :]
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        k15 = half * (vals @ _WK)
-        g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
-        return k15, np.abs(k15 - g7)
+        out = f(nodes.ravel())
+        vector = np.ndim(out) == 2
+        shape = (len(out) if vector else 1, plo.size)
+        vals = np.reshape(out, (-1, _XK.size))
+        k15 = half * (vals @ _WK).reshape(shape)
+        g7 = half * (vals[:, _GAUSS_IDX] @ _WG).reshape(shape)
+        return k15, np.abs(k15 - g7), vector
 
-    val, err = eval_panels(lo, hi)
+    val, err, vector = eval_panels(lo, hi)
     for _ in range(_MAX_REFINEMENTS):
-        total = float(np.sum(val))
-        tol = max(abs_tol, rel_tol * abs(total))
-        if float(np.sum(err)) <= tol or lo.size >= max_panels:
+        tol = np.maximum(abs_tol, rel_tol * np.abs(np.sum(val, axis=1)))
+        open_rows = ~(np.sum(err, axis=1) <= tol)  # a NaN estimate stays open
+        if not np.any(open_rows) or lo.size >= max_panels:
             break
-        # bisect every panel that exceeds its share of the error budget
-        bad = err > 0.5 * tol / max(lo.size, 1)
+        # bisect every panel on which an open row exceeds its share of the budget
+        row_err = err[open_rows]
+        bad = np.any(row_err > 0.5 * tol[open_rows, None] / max(lo.size, 1), axis=0)
         if not np.any(bad):
-            bad = err >= np.max(err)
+            bad = np.any(row_err >= np.max(row_err, axis=1, keepdims=True), axis=0)
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
-        new_val, new_err = eval_panels(new_lo, new_hi)
+        new_val, new_err, _ = eval_panels(new_lo, new_hi)
         lo = np.concatenate([lo[~bad], new_lo])
         hi = np.concatenate([hi[~bad], new_hi])
-        val = np.concatenate([val[~bad], new_val])
-        err = np.concatenate([err[~bad], new_err])
-    total = float(np.sum(val))
-    total_err = float(np.sum(err))
-    if total_err > max(abs_tol, 10.0 * rel_tol * abs(total)) and total_err > 1e-300:
+        val = np.concatenate([val[:, ~bad], new_val], axis=1)
+        err = np.concatenate([err[:, ~bad], new_err], axis=1)
+    total = np.sum(val, axis=1)
+    total_err = np.sum(err, axis=1)
+    stalled = ((total_err > np.maximum(abs_tol, 10.0 * rel_tol * np.abs(total)))
+               & (total_err > 1e-300))
+    if np.any(stalled):
+        i = int(np.argmax(stalled))
+        row = f" (row {i})" if vector else ""
         raise ConvergenceError(
-            f"quadrature stalled: error {total_err:.3e} on integral {total:.3e}")
-    return total, total_err
+            f"quadrature stalled{row}: error {total_err[i]:.3e} on integral {total[i]:.3e}")
+    if vector:
+        return total, total_err
+    return float(total[0]), float(total_err[0])

@@ -87,21 +87,23 @@ def _zeta_table(s: float) -> np.ndarray:
     return tab
 
 
-def _series_terms_needed(s: float, x: float) -> int:
-    """Term count putting the series tail below 1e-16 relative to the x^1 term."""
-    if x <= 0.0:
-        return 1
-    decay = -math.log(x)
+def _series_terms(s: float, x: np.ndarray) -> np.ndarray:
+    """Per-element term counts putting the series tail below 1e-16 of the x^1 term.
+
+    n = (36.9 + 3|s|) / decay, refined once to (36.9 + |s| ln n) / decay when
+    above 3, with decay = -ln x; at least 3 terms, and 1 for x = 0.
+    """
+    with np.errstate(divide="ignore"):
+        decay = -np.log(x)
     n = (36.9 + abs(s) * 3.0) / decay
-    if n > 3.0:
-        n = (36.9 + abs(s) * math.log(n)) / decay
-    return max(3, int(n) + 1)
+    refine = n > 3.0
+    n[refine] = (36.9 + abs(s) * np.log(n[refine])) / decay[refine]
+    return np.where(x <= 0.0, 1, np.maximum(3, n.astype(np.int64) + 1))
 
 
 def _series(s: float, x: np.ndarray) -> np.ndarray:
     """Direct series, element-wise term counts so batching never changes bits."""
-    nterms = np.array([_series_terms_needed(s, float(v)) for v in x.ravel()],
-                      dtype=np.int64).reshape(x.shape)
+    nterms = _series_terms(s, x)
     out = np.zeros_like(x)
     xn = np.ones_like(x)
     for n in range(1, int(nterms.max(initial=1)) + 1):

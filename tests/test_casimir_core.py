@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
@@ -15,8 +16,11 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          ideal_metal_force_t0, ideal_metal_gradient_t0,
                          plate_pressure, thermal_correction,
                          zero_temperature_force, zero_temperature_gradient)
-from casimir_cyl.constants import (BOLTZMANN_J_PER_K, HBAR_C_J_M)
-from casimir_cyl.specfun import ZETA_3, polylog
+from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
+from casimir_cyl.dielectric import eps_imag_axis
+from casimir_cyl.quadrature import adaptive_quad
+from casimir_cyl.reflection import log_r2_pair
+from casimir_cyl.specfun import ZETA_3, polylog, polylog_exp_neg
 from conftest import geometry_at
 
 AU = gold_drude()
@@ -359,3 +363,46 @@ def test_thermal_correction_signs():
 def test_thermal_correction_which_validation():
     with pytest.raises(ValueError):
         thermal_correction(geometry_at(500.0), AU, which="pressure")
+
+
+# ------------------------------------------------ T = 0 batched quadrature
+
+
+def _nested_t0(obs: str, model, geom: Geometry) -> float:
+    """T = 0 force or gradient with one scalar inner quadrature per outer node.
+
+    The structure the engine batches: the same strip integral
+    int_0^1 dt int_0^inf dv v K(v, t v) with v = w**2 and the same
+    tolerances, but each inner integral is its own ``adaptive_quad`` call.
+    """
+    p, s, sign, power = {"force": (1.5, 0.5, -1.0, 3),
+                         "gradient": (2.5, -0.5, 1.0, 4)}[obs]
+    quad = QuadratureSpec()
+    omega_c = HBAR_C_EV_NM / (2.0 * geom.a * 1e9)
+    w_hi = math.sqrt(quad.v_span())
+
+    def inner(t: float) -> float:
+        def f(w):
+            v = w * w
+            zeta = t * v
+            ln_r2 = log_r2_pair(v, zeta, eps_imag_axis(model, zeta * omega_c))
+            kernel = v**p * sum(polylog_exp_neg(s, v - x) for x in ln_r2)
+            return 2.0 * w * v * kernel
+        return adaptive_quad(f, 0.0, w_hi, rel_tol=quad.rel_tol * 0.1,
+                             initial_panels=6)[0]
+
+    total, _ = adaptive_quad(lambda ts: np.array([inner(float(t)) for t in ts]),
+                             0.0, 1.0, rel_tol=quad.rel_tol, initial_panels=4)
+    a, R, L = geom.a, geom.R, geom.L
+    return (sign * HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**power)
+            * math.sqrt(R / (2.0 * a)) * total)
+
+
+@pytest.mark.parametrize("a_nm", [150.0, 500.0])
+@pytest.mark.parametrize("model", [AU, PLASMA], ids=["drude", "plasma"])
+def test_t0_batched_matches_nested_quadrature(model, a_nm):
+    geom = geometry_at(a_nm)
+    for obs, fn in (("force", zero_temperature_force),
+                    ("gradient", zero_temperature_gradient)):
+        want = _nested_t0(obs, model, geom)
+        assert fn(geom, model).value == pytest.approx(want, rel=1e-12, abs=0.0)

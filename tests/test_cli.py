@@ -136,6 +136,19 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("force", "--a", "500", "--omega-p", "nan"), "omega_p"),
+    (("force", "--a", "500", "--gamma", "inf"), "gamma"),
+    (("force", "--a", "500", "--model", "dielectric", "--eps0", "inf"), "eps0"),
+    (("force", "--a", "500", "--model", "plasma", "--omega-p", "inf"), "omega_p"),
+])
+def test_non_finite_model_parameter_exits_2(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert name in err and "finite" in err
+
+
 def test_dielectric_requires_eps0(capsys):
     code, _, err = run_cli(capsys, "force", "--a", "300", "--model",
                            "dielectric")

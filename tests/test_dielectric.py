@@ -84,6 +84,37 @@ def test_parameter_validation():
         PlasmaOscillators(omega_p=-9.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Drude(omega_p=float("nan"), gamma=0.035), "omega_p"),
+    (lambda: Drude(omega_p=float("inf"), gamma=0.035), "omega_p"),
+    (lambda: Drude(omega_p=9.0, gamma=float("inf")), "gamma"),
+    (lambda: Drude(omega_p=9.0, gamma=float("nan")), "gamma"),
+    (lambda: Oscillator(g=float("nan"), omega=3.0), "g"),
+    (lambda: Oscillator(g=1.0, omega=float("inf")), "omega"),
+    (lambda: Oscillator(g=1.0, omega=3.0, gamma=float("nan")), "gamma"),
+    (lambda: PlasmaOscillators(omega_p=float("nan")), "omega_p"),
+    (lambda: PlasmaOscillators(omega_p=float("inf")), "omega_p"),
+    (lambda: Dielectric(eps0=float("inf")), "eps0"),
+    (lambda: Dielectric(eps0=float("nan")), "eps0"),
+])
+def test_non_finite_parameters_rejected(make, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*finite"):
+        make()
+
+
+@pytest.mark.parametrize("model", [
+    AU,
+    PlasmaOscillators(omega_p=9.0, oscillators=(Oscillator(20.0, 3.0, 1.0),)),
+    Tabulated(table=synthetic_drude_table(80), tail=AU),
+], ids=["drude", "plasma_osc", "tabulated"])
+def test_eps_any_xi_shape_matches_raveled(model):
+    xi = np.geomspace(0.01, 200.0, 3 * 17).reshape(3, 17)
+    grid = eps_imag_axis(model, xi)
+    flat = eps_imag_axis(model, xi.ravel())
+    assert grid.shape == xi.shape
+    assert [v.hex() for v in grid.ravel()] == [v.hex() for v in flat]
+
+
 # ----------------------------------------------------------------- KK
 
 
@@ -125,7 +156,8 @@ def test_kk_confluent_tail_branch():
 
 def test_kk_vectorized_matches_scalar():
     table = synthetic_drude_table(80)
-    xi = np.array([0.1, 1.0, 10.0])
+    # 40 values: the batch spans several blocks of the dispersion sums
+    xi = np.concatenate([[0.1, 1.0, 10.0], np.geomspace(0.02, 50.0, 37)])
     vec = kk_transform(table, AU, xi)
     for i, x in enumerate(xi):
         assert vec[i] == kk_transform(table, AU, float(x))

@@ -50,3 +50,55 @@ def test_oscillatory_failure_raises():
     with pytest.raises(ConvergenceError):
         adaptive_quad(lambda x: np.sin(1e4 * x), 0.0, 1.0, rel_tol=1e-12,
                       max_panels=4, initial_panels=2)
+
+
+def test_scalar_result_bits_pinned():
+    # the scalar path is the single-row case of the vector-valued one and
+    # must keep its bits: Gamma(7/2) and its error estimate as first computed
+    val, err = adaptive_quad(lambda v: v**2.5 * np.exp(-v), 0.0, 60.0,
+                             rel_tol=1e-12)
+    assert isinstance(val, float) and isinstance(err, float)
+    assert (val.hex(), err.hex()) == ("0x1.a96390899a05ep+1",
+                                      "0x1.827ece884d5a4p-41")
+    val, err = adaptive_quad(np.sqrt, 0.0, 1.0, rel_tol=1e-10)
+    assert (val.hex(), err.hex()) == ("0x1.555555555a518p-1",
+                                      "0x1.599741f835000p-35")
+
+
+# (p, c, scale): rows scale * v**p exp(-c v), from 1e-20 to 1e20 in size
+_ROWS = ((0.5, 1.0, 1.0), (2.5, 1.0, 1e-20), (4.0, 3.0, 1e20),
+         (1.0, 40.0, 1.0), (3.0, 0.8, 1e-3), (0.0, 200.0, 1e5))
+
+
+def _rows(v: np.ndarray) -> np.ndarray:
+    return np.array([k * v**p * np.exp(-c * v) for p, c, k in _ROWS])
+
+
+def test_vector_rows_meet_their_own_tolerance():
+    rel_tol = 1e-11
+    val, err = adaptive_quad(_rows, 0.0, 90.0, rel_tol=rel_tol)
+    assert val.shape == err.shape == (len(_ROWS),)
+    # int_0^inf v^p e^-cv dv = Gamma(p + 1) / c^(p + 1); the tail past 90 is
+    # below 1e-25 relative for every row
+    exact = np.array([k * math.gamma(p + 1.0) / c**(p + 1.0) for p, c, k in _ROWS])
+    assert np.all(np.abs(val / exact - 1.0) <= rel_tol)
+    assert np.all(err <= rel_tol * np.abs(val))
+
+
+def test_vector_rows_match_scalar_integrals():
+    val, _ = adaptive_quad(_rows, 0.0, 90.0, rel_tol=1e-10)
+    for i, (p, c, k) in enumerate(_ROWS):
+        one, _ = adaptive_quad(lambda v: k * v**p * np.exp(-c * v), 0.0, 90.0,
+                               rel_tol=1e-10)
+        assert val[i] == pytest.approx(one, rel=1e-10)
+
+
+def test_vector_oscillatory_row_raises():
+    # one smooth row converges; the oscillatory one stalls on the panel budget
+    def f(x):
+        return np.array([np.exp(-x), np.sin(1e4 * x)])
+    with pytest.raises(ConvergenceError, match="row 1"):
+        adaptive_quad(f, 0.0, 1.0, rel_tol=1e-12, max_panels=64)
+    val, _ = adaptive_quad(lambda x: np.array([np.exp(-x)]), 0.0, 1.0,
+                           rel_tol=1e-12, max_panels=64)
+    assert val[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)

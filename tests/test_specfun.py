@@ -125,3 +125,41 @@ def test_values_positive_and_bounded_below(x, s):
     assert val >= x - 1e-15
     if x > 0:
         assert val > 0.0
+
+
+def _terms_oracle(s: float, x: float) -> int:
+    """The scalar term-count rule, one element at a time (reference)."""
+    if x <= 0.0:
+        return 1
+    decay = -math.log(x)
+    n = (36.9 + abs(s) * 3.0) / decay
+    if n > 3.0:
+        n = (36.9 + abs(s) * math.log(n)) / decay
+    return max(3, int(n) + 1)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.5, 1.5, 3.0])
+def test_series_term_counts_match_scalar_rule(s):
+    from casimir_cyl.specfun import _series_terms
+    rng = np.random.default_rng(12345)
+    xs = np.concatenate([
+        [0.0, 1e-300, math.exp(-0.5)],
+        np.geomspace(1e-300, math.exp(-0.5), 20001),
+        np.exp(-rng.uniform(0.5, 2.0, 20000)),  # where counts pass 20
+    ])
+    got = _series_terms(s, xs)
+    want = np.array([_terms_oracle(s, float(x)) for x in xs])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.5, 2.5, 3.0])
+def test_exp_neg_batch_bits_match_scalar_calls(s):
+    # both regimes, their crossover, underflow to zero and mu = inf in one
+    # 2-D batch; every element must carry the bits of its lone scalar call
+    mu = np.concatenate([[1e-9, 0.4999999, 0.5, 0.5000001, 800.0, np.inf],
+                         np.geomspace(1e-6, 60.0, 57)]).reshape(7, 9)
+    with np.errstate(over="ignore"):  # expm1(800) of the s = 0 closed form
+        batch = polylog_exp_neg(s, mu)
+        single = [polylog_exp_neg(s, float(m)).hex() for m in mu.ravel()]
+    assert batch.shape == mu.shape
+    assert [v.hex() for v in batch.ravel()] == single
