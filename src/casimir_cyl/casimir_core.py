@@ -233,6 +233,10 @@ def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: fl
 # reduction drivers
 # ---------------------------------------------------------------------------
 
+# successive terms below rel_tol of the partial sum that end the Matsubara sum
+_CONSECUTIVE_BELOW = 3
+
+
 def matsubara_reduce(term_integral: Callable[[int, float], float],
                      zero_integral: Callable[[], float],
                      tau: float, quad: QuadratureSpec) -> tuple[float, int, float]:
@@ -240,7 +244,7 @@ def matsubara_reduce(term_integral: Callable[[int, float], float],
 
     ``term_integral(l, zeta_l)`` returns the l-th v-integral.  Terms are
     accumulated in ascending l; the sum truncates once the term magnitude
-    stays below ``rel_tol`` of the partial sum for ``consecutive_below``
+    stays below ``rel_tol`` of the partial sum for ``_CONSECUTIVE_BELOW``
     successive l.
 
     Returns
@@ -248,7 +252,7 @@ def matsubara_reduce(term_integral: Callable[[int, float], float],
     (sum, l_used, truncation_estimate)
     """
     total = 0.5 * zero_integral()
-    recent: deque[float] = deque(maxlen=quad.consecutive_below)
+    recent: deque[float] = deque(maxlen=_CONSECUTIVE_BELOW)
     below = 0
     l = 0
     while True:
@@ -260,7 +264,7 @@ def matsubara_reduce(term_integral: Callable[[int, float], float],
         total += term
         recent.append(abs(term))
         below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
-        if below >= quad.consecutive_below:
+        if below >= _CONSECUTIVE_BELOW:
             break
     trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
     return total, l, trunc

@@ -12,8 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,71 +42,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters (CLI flags already merged over the file)."""
-
-    a_values_nm: np.ndarray
-    R_um: float = 100.0
-    L_um: float = 100.0
-    T: float = 300.0
-    model_name: str = "drude"
-    omega_p: float = 9.0
-    gamma: float = 0.035
-    eps0: float | None = None
-    oscillators: tuple[Oscillator, ...] = ()
-    optical_data: str | None = None
-    theta: float | None = None
-    a_theta: float | None = None
-    rel_tol: float = 1e-9
-    out_format: str = "csv"
-    plot: str | None = None
-    out: str | None = None
-    which: str = "force"
-    workers: int = 1
-    L1_um: tuple[float, ...] = (25.0, 50.0)
-    path: str | None = None  # the file kk-ingest reads
-    echo: list[str] = field(default_factory=list)
-
-    @property
-    def geometry_for(self):
-        def make(a_nm: float) -> Geometry:
-            return Geometry(a=a_nm * 1e-9, R=self.R_um * 1e-6, L=self.L_um * 1e-6)
-        return make
-
-    def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(rel_tol=self.rel_tol)
-
-    def model(self):
-        name = self.model_name
-        if name == "ideal":
-            return IdealMetal()
-        if name == "drude":
-            return Drude(omega_p=self.omega_p, gamma=self.gamma)
-        if name == "plasma":
-            return PlasmaOscillators(omega_p=self.omega_p,
-                                     oscillators=self.oscillators)
-        if name == "dielectric":
-            if self.eps0 is None:
-                raise ConfigError("model 'dielectric' requires eps0")
-            return Dielectric(eps0=self.eps0)
-        if name == "tabulated":
-            if self.optical_data is None:
-                raise ConfigError("model 'tabulated' requires optical_data")
-            table = load_optical_table(self.optical_data)
-            return Tabulated(table=table, tail=Drude(self.omega_p, self.gamma))
-        raise ConfigError(f"unknown model '{name}'")
-
-    def tilt_for(self, geometry: Geometry) -> TiltParams | None:
-        if self.theta is not None and self.a_theta is not None:
-            raise ConfigError("give either theta or a_theta, not both")
-        if self.theta is not None:
-            return TiltParams.from_angle(self.theta, geometry)
-        if self.a_theta is not None:
-            return TiltParams.from_a_theta(self.a_theta, geometry)
-        return None
-
 
 def parse_sweep(text: str) -> np.ndarray:
     """Parse 'MIN:MAX:N[:log]' (nm) into an ascending grid with N >= 2."""
@@ -145,6 +78,11 @@ def _parse_oscillators(text: str) -> tuple[Oscillator, ...]:
     return tuple(out)
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated floats."""
+    return tuple(float(x) for x in text.split(","))
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Flat 'key = value' document; '#' comments and blank lines ignored."""
     keys = set(vars(_option_parser().parse_args([]))) - {"config"}  # option dests
@@ -164,74 +102,73 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file and flags (flags win) into a RunConfig."""
-    file_vals = read_config_file(args.config) if args.config else {}
+def build_config(args: argparse.Namespace) -> None:
+    """Check what crosses options, then add the sweep grid and echo lines.
 
-    def pick(name: str, flag_val):
-        if flag_val is not None:
-            return flag_val
-        return file_vals.get(name)
-
-    a = pick("a", args.a)
-    sweep = pick("a_sweep", args.a_sweep)
-    if a is not None and sweep is not None:
+    argparse has typed every value, config-file ones included, but checks
+    choices on flags only, so format and which from a file are checked here.
+    """
+    if args.a is not None and args.a_sweep is not None:
         raise ConfigError("give either a or a-sweep, not both")
-    if a is not None:
-        a_values = np.array([float(a)])
-    elif sweep is not None:
-        a_values = parse_sweep(str(sweep))
+    if args.a_sweep is not None:
+        args.a_values_nm = parse_sweep(args.a_sweep)
     else:
-        a_values = np.array([100.0])
-
-    def fnum(name, flag_val, default):
-        v = pick(name, flag_val)
-        return default if v is None else float(v)
-
-    osc_text = pick("oscillators", args.oscillators)
-    theta = pick("theta", args.theta)
-    a_theta = pick("a_theta", args.a_theta)
-    cfg = RunConfig(
-        a_values_nm=a_values,
-        R_um=fnum("R", args.R, 100.0),
-        L_um=fnum("L", args.L, 100.0),
-        T=fnum("T", args.T, 300.0),
-        model_name=str(pick("model", args.model) or "drude"),
-        omega_p=fnum("omega_p", args.omega_p, 9.0),
-        gamma=fnum("gamma", args.gamma, 0.035),
-        eps0=(lambda v: None if v is None else float(v))(pick("eps0", args.eps0)),
-        oscillators=_parse_oscillators(osc_text) if osc_text else (),
-        optical_data=pick("optical_data", args.optical_data),
-        theta=None if theta is None else float(theta),
-        a_theta=None if a_theta is None else float(a_theta),
-        rel_tol=fnum("rel_tol", args.rel_tol, 1e-9),
-        out_format=str(pick("format", args.format) or "csv"),
-        plot=pick("plot", args.plot),
-        out=pick("out", args.out),
-        which=("gradient" if args.command == "gradient"
-               else str(pick("which", args.which) or "force")),
-        workers=int(fnum("workers", args.workers, 1)),
-        L1_um=tuple(float(x) for x in str(pick("L1", args.L1) or "25,50").split(",")),
-        path=getattr(args, "path", None),
-    )
-    if cfg.out_format not in ("csv", "json"):
-        raise ConfigError(f"unknown format '{cfg.out_format}'")
-    if cfg.which not in ("force", "gradient"):
-        raise ConfigError(f"which must be force or gradient, not '{cfg.which}'")
-    if not (math.isfinite(cfg.T) and cfg.T >= 0):
+        args.a_values_nm = np.array([100.0 if args.a is None else args.a])
+    if args.command == "gradient":
+        args.which = "gradient"
+    if args.format not in ("csv", "json"):
+        raise ConfigError(f"unknown format '{args.format}'")
+    if args.which not in ("force", "gradient"):
+        raise ConfigError(f"which must be force or gradient, not '{args.which}'")
+    if not (math.isfinite(args.T) and args.T >= 0):
         raise ConfigError("temperature must be finite and nonnegative")
-    cfg.echo = [
-        f"model = {cfg.model_name} (omega_p = {cfg.omega_p} eV, gamma = {cfg.gamma} eV"
-        + (f", eps0 = {cfg.eps0}" if cfg.eps0 is not None else "") + ")",
-        f"R_um = {cfg.R_um}  L_um = {cfg.L_um}  T_K = {cfg.T}  rel_tol = {cfg.rel_tol}",
-        (f"a_sweep_nm = {sweep}" if sweep is not None
-         else f"a_nm = {float(a_values[0]):g}"),
+    args.oscillators = _parse_oscillators(args.oscillators)
+    args.echo = [
+        f"model = {args.model} (omega_p = {args.omega_p} eV, gamma = {args.gamma} eV"
+        + (f", eps0 = {args.eps0}" if args.eps0 is not None else "") + ")",
+        f"R_um = {args.R}  L_um = {args.L}  T_K = {args.T}  rel_tol = {args.rel_tol}",
+        (f"a_sweep_nm = {args.a_sweep}" if args.a_sweep is not None
+         else f"a_nm = {float(args.a_values_nm[0]):g}"),
     ]
-    if cfg.theta is not None:
-        cfg.echo.append(f"theta_rad = {cfg.theta}")
-    if cfg.a_theta is not None:
-        cfg.echo.append(f"a_theta = {cfg.a_theta}")
-    return cfg
+    if args.theta is not None:
+        args.echo.append(f"theta_rad = {args.theta}")
+    if args.a_theta is not None:
+        args.echo.append(f"a_theta = {args.a_theta}")
+
+
+def _geometry(args: argparse.Namespace, a_nm: float) -> Geometry:
+    return Geometry(a=a_nm * 1e-9, R=args.R * 1e-6, L=args.L * 1e-6)
+
+
+def _model(args: argparse.Namespace):
+    name = args.model
+    if name == "ideal":
+        return IdealMetal()
+    if name == "drude":
+        return Drude(omega_p=args.omega_p, gamma=args.gamma)
+    if name == "plasma":
+        return PlasmaOscillators(omega_p=args.omega_p,
+                                 oscillators=args.oscillators)
+    if name == "dielectric":
+        if args.eps0 is None:
+            raise ConfigError("model 'dielectric' requires eps0")
+        return Dielectric(eps0=args.eps0)
+    if name == "tabulated":
+        if args.optical_data is None:
+            raise ConfigError("model 'tabulated' requires optical_data")
+        table = load_optical_table(args.optical_data)
+        return Tabulated(table=table, tail=Drude(args.omega_p, args.gamma))
+    raise ConfigError(f"unknown model '{name}'")
+
+
+def _tilt(args: argparse.Namespace, geometry: Geometry) -> TiltParams | None:
+    if args.theta is not None and args.a_theta is not None:
+        raise ConfigError("give either theta or a_theta, not both")
+    if args.theta is not None:
+        return TiltParams.from_angle(args.theta, geometry)
+    if args.a_theta is not None:
+        return TiltParams.from_a_theta(args.a_theta, geometry)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +181,12 @@ def _num(x) -> str:
     return _FMT.format(float(x))
 
 
-def emit_table(cfg: RunConfig, command: str, header: Sequence[str],
+def emit_table(args: argparse.Namespace, command: str, header: Sequence[str],
                rows: Sequence[Sequence], stream) -> None:
-    if cfg.out_format == "json":
+    if args.format == "json":
         payload = {
             "command": command,
-            "config": cfg.echo,
+            "config": args.echo,
             "columns": list(header),
             "rows": [[(int(x) if isinstance(x, (int, np.integer)) else float(x))
                       for x in row] for row in rows],
@@ -257,23 +194,21 @@ def emit_table(cfg: RunConfig, command: str, header: Sequence[str],
         stream.write(json.dumps(payload, indent=2) + "\n")
         return
     stream.write(f"# casimir-cyl {command}\n")
-    for line in cfg.echo:
+    for line in args.echo:
         stream.write(f"# {line}\n")
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(_num(x) for x in row) + "\n")
 
 
-def write_svg_plot(path: str, x: np.ndarray, series: list[np.ndarray],
-                   labels: list[str], xlabel: str, ylabel: str,
-                   title: str) -> None:
-    """Minimal deterministic SVG line chart: axes, ticks, one polyline/series."""
+def write_svg_plot(path: str, x: np.ndarray, y: np.ndarray, label: str,
+                   xlabel: str, ylabel: str, title: str) -> None:
+    """Minimal deterministic SVG line chart: axes, ticks, one labelled polyline."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 30, 50
     pw, ph = width - ml - mr, height - mt - mb
     xmin, xmax = float(np.min(x)), float(np.max(x))
-    ymin = min(float(np.min(s)) for s in series)
-    ymax = max(float(np.max(s)) for s in series)
+    ymin, ymax = float(np.min(y)), float(np.max(y))
     if xmax == xmin:
         xmax = xmin + 1.0
     if ymax == ymin:
@@ -287,7 +222,7 @@ def write_svg_plot(path: str, x: np.ndarray, series: list[np.ndarray],
     def py(v):
         return mt + (ymax - v) / (ymax - ymin) * ph
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+    color = "#1f77b4"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -313,43 +248,45 @@ def write_svg_plot(path: str, x: np.ndarray, series: list[np.ndarray],
     parts.append(f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
                  f'font-size="12" transform="rotate(-90 16 {mt+ph/2:.1f})">'
                  f'{ylabel}</text>')
-    for k, (s, lab) in enumerate(zip(series, labels)):
-        pts = " ".join(f"{px(float(xi)):.2f},{py(float(yi)):.2f}"
-                       for xi, yi in zip(x, s))
-        color = colors[k % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        parts.append(f'<text x="{ml+pw-6}" y="{mt+16+14*k}" text-anchor="end" '
-                     f'font-size="11" fill="{color}">{lab}</text>')
+    pts = " ".join(f"{px(float(xi)):.2f},{py(float(yi)):.2f}"
+                   for xi, yi in zip(x, y))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                 f'stroke-width="1.5"/>')
+    parts.append(f'<text x="{ml+pw-6}" y="{mt+16}" text-anchor="end" '
+                 f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
-def _map_sweep(cfg: RunConfig, fn):
-    """Evaluate fn(a_nm) over the sweep, concurrently but ordered ascending."""
-    values = [float(v) for v in cfg.a_values_nm]
-    if cfg.workers <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(fn, values))
+def _sweep(args: argparse.Namespace, stream, command: str,
+           header: Sequence[str], point, label: str, ylabel: str,
+           title: str) -> None:
+    """Rows ``point(a_nm)`` over the separations in ascending order, their
+    table, and with ``--plot`` an SVG of the second column against the first."""
+    rows = [point(float(a_nm)) for a_nm in args.a_values_nm]
+    emit_table(args, command, header, rows, stream)
+    if args.plot:
+        write_svg_plot(args.plot, np.array([r[0] for r in rows]),
+                       np.array([r[1] for r in rows]), label, "a (nm)",
+                       ylabel, title)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_force(cfg: RunConfig, stream) -> None:
-    model = cfg.model()
-    quad = cfg.quad()
-    grad = cfg.which == "gradient"
+def cmd_force(args: argparse.Namespace, stream) -> None:
+    model = _model(args)
+    quad = QuadratureSpec(rel_tol=args.rel_tol)
+    grad = args.which == "gradient"
     op = cylinder_force_gradient if grad else cylinder_force
     top = tilted_gradient if grad else tilted_force
 
-    def run(a_nm: float):
-        geom = cfg.geometry_for(a_nm)
-        thermal = ThermalState.at(cfg.T, geom)
-        tilt = cfg.tilt_for(geom)
+    def point(a_nm: float):
+        geom = _geometry(args, a_nm)
+        thermal = ThermalState.at(args.T, geom)
+        tilt = _tilt(args, geom)
         if tilt is not None:
             res = top(geom, thermal, model, tilt, quad)
         else:
@@ -357,64 +294,53 @@ def cmd_force(cfg: RunConfig, stream) -> None:
         return (a_nm, res.value, res.per_length, res.l_used,
                 res.truncation_estimate)
 
-    rows = _map_sweep(cfg, run)
     unit = "N_per_m" if grad else "N"
     header = ["a_nm", f"value_{unit}", f"per_length_{unit}_per_m",
               "l_used", "truncation_estimate"]
-    emit_table(cfg, cfg.which, header, rows, stream)
-    if cfg.plot:
-        x = np.array([r[0] for r in rows])
-        y = np.array([r[1] for r in rows])
-        write_svg_plot(cfg.plot, x, [y], [cfg.which], "a (nm)",
-                       f"{cfg.which} ({unit.replace('_', ' ')})",
-                       f"Casimir {cfg.which}, {cfg.model_name}")
+    _sweep(args, stream, args.which, header, point, args.which,
+           f"{args.which} ({unit.replace('_', ' ')})",
+           f"Casimir {args.which}, {args.model}")
 
 
-def cmd_thermal_correction(cfg: RunConfig, stream) -> None:
-    model = cfg.model()
-    quad = cfg.quad()
+def cmd_thermal_correction(args: argparse.Namespace, stream) -> None:
+    model = _model(args)
+    quad = QuadratureSpec(rel_tol=args.rel_tol)
 
-    def run(a_nm: float):
-        geom = cfg.geometry_for(a_nm)
-        delta = thermal_correction(geom, model, quad, which=cfg.which,
-                                   temperature=cfg.T)
+    def point(a_nm: float):
+        delta = thermal_correction(_geometry(args, a_nm), model, quad,
+                                   which=args.which, temperature=args.T)
         return (a_nm, delta)
 
-    rows = _map_sweep(cfg, run)
-    header = ["a_nm", f"delta_T_{cfg.which}_fraction"]
-    emit_table(cfg, "thermal-correction", header, rows, stream)
-    if cfg.plot:
-        x = np.array([r[0] for r in rows])
-        y = np.array([r[1] for r in rows])
-        write_svg_plot(cfg.plot, x, [y], [f"delta_T ({cfg.which})"], "a (nm)",
-                       "relative thermal correction",
-                       f"Thermal correction, {cfg.model_name}")
+    _sweep(args, stream, "thermal-correction",
+           ["a_nm", f"delta_T_{args.which}_fraction"], point,
+           f"delta_T ({args.which})", "relative thermal correction",
+           f"Thermal correction, {args.model}")
 
 
 _TABLE1_A_NM = (100.0, 150.0, 200.0, 300.0, 400.0, 500.0)
 _TABLE1_ATHETA = (0.01, 0.05, 0.1, 0.5)
 
 
-def cmd_table1(cfg: RunConfig, stream) -> None:
+def cmd_table1(args: argparse.Namespace, stream) -> None:
     """Nonmultiplicative tilt factors on the reference grid, plus kappa row."""
-    model = cfg.model()
-    quad = cfg.quad()
+    model = _model(args)
+    quad = QuadratureSpec(rel_tol=args.rel_tol)
     rows = []
     for a_nm in _TABLE1_A_NM:
-        geom = cfg.geometry_for(a_nm)
-        thermal = ThermalState.at(cfg.T, geom)
+        geom = _geometry(args, a_nm)
+        thermal = ThermalState.at(args.T, geom)
         vals = []
         for a_theta in _TABLE1_ATHETA:
             tilt = TiltParams.from_a_theta(a_theta, geom)
             vals.append(kappa_nm(geom, thermal, model, tilt, quad))
         rows.append((a_nm, *vals))
-    if cfg.out_format == "json":
-        emit_table(cfg, "table1",
+    if args.format == "json":
+        emit_table(args, "table1",
                    ["a_nm"] + [f"A_theta_{A}" for A in _TABLE1_ATHETA],
                    rows, stream)
         return
-    stream.write(f"# casimir-cyl table1 (kappa_nm grid, {cfg.model_name}, "
-                 f"T = {cfg.T} K)\n")
+    stream.write(f"# casimir-cyl table1 (kappa_nm grid, {args.model}, "
+                 f"T = {args.T} K)\n")
     head = "a_nm".ljust(10) + "".join(f"A={A:<10}" for A in _TABLE1_ATHETA)
     stream.write(head.rstrip() + "\n")
     for a_nm, *vals in rows:
@@ -424,40 +350,40 @@ def cmd_table1(cfg: RunConfig, stream) -> None:
                                         for A in _TABLE1_ATHETA).rstrip() + "\n")
 
 
-def cmd_edge_error(cfg: RunConfig, stream) -> None:
+def cmd_edge_error(args: argparse.Namespace, stream) -> None:
     """Total PFA+edge error budget and overhang contributions."""
     rows = []
-    for a_nm in cfg.a_values_nm:
-        geom = cfg.geometry_for(float(a_nm))
+    for a_nm in args.a_values_nm:
+        geom = _geometry(args, float(a_nm))
         base = edge_corrected_force(geom)
         for which in ("force", "gradient"):
             rows.append((float(a_nm), which,
                          100.0 * total_pfa_error(geom, which)))
-        for L1_um in cfg.L1_um:
+        for L1_um in args.L1:
             edge = EdgeParams(L1=L1_um * 1e-6, R=geom.R)
             extra = overhang_force(geom, edge) / base - 1.0
             rows.append((float(a_nm), f"overhang_L1_{L1_um:g}um",
                          100.0 * abs(extra)))
-    if cfg.out_format == "json":
-        payload = {"command": "edge-error", "config": cfg.echo,
+    if args.format == "json":
+        payload = {"command": "edge-error", "config": args.echo,
                    "rows": [[r[0], r[1], r[2]] for r in rows]}
         stream.write(json.dumps(payload, indent=2) + "\n")
         return
     stream.write("# casimir-cyl edge-error\n")
-    for line in cfg.echo:
+    for line in args.echo:
         stream.write(f"# {line}\n")
     stream.write("a_nm,quantity,error_percent\n")
     for a_nm, which, err in rows:
         stream.write(f"{a_nm:.6g},{which},{_FMT.format(err)}\n")
 
 
-def cmd_kk_ingest(cfg: RunConfig, stream) -> None:
+def cmd_kk_ingest(args: argparse.Namespace, stream) -> None:
     """Validate an optical-data file and report the resulting model."""
-    table = load_optical_table(cfg.path)
-    tail = Drude(cfg.omega_p, cfg.gamma)
+    table = load_optical_table(args.path)
+    tail = Drude(args.omega_p, args.gamma)
     model = Tabulated(table=table, tail=tail)
     stream.write("# casimir-cyl kk-ingest\n")
-    stream.write(f"# file = {cfg.path}\n")
+    stream.write(f"# file = {args.path}\n")
     stream.write(f"# rows = {table.omega.size}\n")
     stream.write(f"# omega_range_eV = [{table.omega_min:g}, {table.omega_max:g}]\n")
     stream.write(f"# tail: omega_p = {tail.omega_p} eV, gamma = {tail.gamma} eV\n")
@@ -466,17 +392,17 @@ def cmd_kk_ingest(cfg: RunConfig, stream) -> None:
         stream.write(f"{xi:g},{_FMT.format(eps_imag_axis(model, xi))}\n")
 
 
-def cmd_asymptote(cfg: RunConfig, stream) -> None:
+def cmd_asymptote(args: argparse.Namespace, stream) -> None:
     """High-temperature closed-form force and gradient for the model."""
-    model = cfg.model()
+    model = _model(args)
     rows = []
-    for a_nm in cfg.a_values_nm:
-        geom = cfg.geometry_for(float(a_nm))
+    for a_nm in args.a_values_nm:
+        geom = _geometry(args, float(a_nm))
         behavior = zero_frequency_character(model, geom.a)
         rows.append((float(a_nm),
-                     high_temperature_force(geom, cfg.T, behavior),
-                     high_temperature_gradient(geom, cfg.T, behavior)))
-    emit_table(cfg, "asymptote",
+                     high_temperature_force(geom, args.T, behavior),
+                     high_temperature_gradient(geom, args.T, behavior)))
+    emit_table(args, "asymptote",
                ["a_nm", "force_N", "gradient_N_per_m"], rows, stream)
 
 
@@ -496,45 +422,56 @@ _COMMANDS = {
 
 
 def _option_parser() -> argparse.ArgumentParser:
-    """The options every command shares; a config file may set the same keys."""
+    """The options every command shares, each with its type and default.
+
+    A config file may set the same keys; its values replace these defaults
+    and go through the same ``type`` (see ``make_parser``).
+    """
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--a", help="separation in nm")
+    p.add_argument("--a", type=float, help="separation in nm")
     p.add_argument("--a-sweep", dest="a_sweep",
                    help="separation sweep MIN:MAX:N[:log] in nm")
-    p.add_argument("--R", help="cylinder radius in um")
-    p.add_argument("--L", help="cylinder length in um")
-    p.add_argument("--T", help="temperature in K")
-    p.add_argument("--model",
+    p.add_argument("--R", type=float, default=100.0, help="cylinder radius in um")
+    p.add_argument("--L", type=float, default=100.0, help="cylinder length in um")
+    p.add_argument("--T", type=float, default=300.0, help="temperature in K")
+    p.add_argument("--model", default="drude",
                    choices=["ideal", "drude", "plasma", "dielectric",
                             "tabulated"])
-    p.add_argument("--omega-p", dest="omega_p", help="plasma frequency, eV")
-    p.add_argument("--gamma", help="relaxation parameter, eV")
-    p.add_argument("--eps0", help="static permittivity (dielectric model)")
-    p.add_argument("--oscillators",
+    p.add_argument("--omega-p", dest="omega_p", type=float, default=9.0,
+                   help="plasma frequency, eV")
+    p.add_argument("--gamma", type=float, default=0.035,
+                   help="relaxation parameter, eV")
+    p.add_argument("--eps0", type=float,
+                   help="static permittivity (dielectric model)")
+    p.add_argument("--oscillators", default="",
                    help="semicolon-separated g:omega:gamma triples (eV)")
     p.add_argument("--optical-data", dest="optical_data",
                    help="optical data file (tabulated model)")
-    p.add_argument("--theta", help="tilt angle, rad")
-    p.add_argument("--a-theta", dest="a_theta",
+    p.add_argument("--theta", type=float, help="tilt angle, rad")
+    p.add_argument("--a-theta", dest="a_theta", type=float,
                    help="dimensionless tilt parameter theta L/(2a)")
-    p.add_argument("--rel-tol", dest="rel_tol", help="quadrature tolerance")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9,
+                   help="quadrature tolerance")
+    p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--plot", help="write an SVG line chart here")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--which", choices=["force", "gradient"])
-    p.add_argument("--workers", help="concurrent sweep points "
-                   "(force, gradient and thermal-correction)")
-    p.add_argument("--L1", help="overhang distances in um, comma separated")
+    p.add_argument("--which", default="force", choices=["force", "gradient"])
+    p.add_argument("--workers", type=int, help="accepted; has no effect")
+    p.add_argument("--L1", type=_float_list, default="25,50",
+                   help="overhang distances in um, comma separated")
     return p
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The casimir-cyl parser; ``defaults`` (a config file's values, as
+    strings) replace the option defaults, so flags still win."""
     parser = argparse.ArgumentParser(
         prog="casimir-cyl",
         description="Thermal Casimir force for a coated cylinder above a plate")
     sub = parser.add_subparsers(dest="command", required=True)
     options = _option_parser()
+    options.set_defaults(**(defaults or {}))
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[options])
         if name == "kk-ingest":
@@ -543,10 +480,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
+        args = make_parser().parse_args(argv)
+        if args.config:
+            args = make_parser(read_config_file(args.config)).parse_args(argv)
+        build_config(args)
     except (ConfigError, OpticalTableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -554,10 +492,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     stream = sys.stdout
     close_stream = False
     try:
-        if cfg.out:
-            stream = open(cfg.out, "w", encoding="utf-8")
+        if args.out:
+            stream = open(args.out, "w", encoding="utf-8")
             close_stream = True
-        _COMMANDS[args.command][0](cfg, stream)
+        _COMMANDS[args.command][0](args, stream)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -33,20 +33,18 @@ class QuadratureSpec:
         Target relative error, in (0, 1e-4].  Each v-integral runs to the
         cutoff where the envelope ``v**2.5 * exp(-v)`` has dropped below
         ``rel_tol`` times the running total (about v = 45 at the default).
-    consecutive_below : int
-        The Matsubara sum stops once a term is below ``rel_tol`` times the
-        partial sum this many times in a row.
     max_terms : int
-        Hard cap on Matsubara terms before declaring failure.
+        Hard cap on Matsubara terms before declaring failure, at least 1.
     """
 
     rel_tol: float = 1e-9
-    consecutive_below: int = 3
     max_terms: int = 100_000
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-4):
             raise ValueError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
+        if not (isinstance(self.max_terms, (int, np.integer)) and self.max_terms >= 1):
+            raise ValueError(f"max_terms must be an integer >= 1, got {self.max_terms}")
 
     def v_span(self) -> float:
         """Integration span past the lower limit covering the decaying tail.
@@ -84,15 +82,14 @@ _MAX_REFINEMENTS = 64
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                  max_panels: int = 4096, initial_panels: int = 8):
+                  rel_tol: float = 1e-9, max_panels: int = 4096, initial_panels: int = 8):
     """Integrate ``f`` over ``[a, b]`` with batched adaptive (G7, K15) panels.
 
     The integrand may be scalar- or vector-valued; the mode is read from the
     shape of what ``f`` returns.  For a 1-D array of ``n`` abscissae a scalar
     integrand returns ``n`` values, a vector-valued one an ``(m, n)`` array,
     one row per integral.  The rows share their panels but not their error
-    budgets: each row must meet ``max(abs_tol, rel_tol * |row total|)``, and a
+    budgets: each row must meet ``rel_tol * |row total|``, and a
     panel is bisected when some row not yet converged has more than its share
     of that row's budget on it.  One call therefore evaluates every pending
     panel of every row in one ``f`` call per refinement level.
@@ -105,9 +102,9 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     a, b : float
         Finite integration limits (callers cut exponential tails themselves).
         An empty interval returns ``(0.0, 0.0)`` without calling ``f``.
-    rel_tol, abs_tol : float
+    rel_tol : float
         Convergence when the summed panel error estimate of every row drops
-        below ``max(abs_tol, rel_tol * |integral|)``.
+        below ``rel_tol * |integral|``.
 
     Returns
     -------
@@ -118,8 +115,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Raises
     ------
     ConvergenceError
-        If the error estimate of any row is still more than 10x its target
-        after the panel budget is exhausted.
+        If the total or error estimate of any row is not finite, or is still
+        more than 10x its target after the panel budget is exhausted.
     """
     if not b > a:
         return 0.0, 0.0
@@ -141,7 +138,7 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
     val, err, vector = eval_panels(lo, hi)
     for _ in range(_MAX_REFINEMENTS):
-        tol = np.maximum(abs_tol, rel_tol * np.abs(np.sum(val, axis=1)))
+        tol = rel_tol * np.abs(np.sum(val, axis=1))
         open_rows = ~(np.sum(err, axis=1) <= tol)  # a NaN estimate stays open
         if not np.any(open_rows) or lo.size >= max_panels:
             break
@@ -150,6 +147,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         bad = np.any(row_err > 0.5 * tol[open_rows, None] / max(lo.size, 1), axis=0)
         if not np.any(bad):
             bad = np.any(row_err >= np.max(row_err, axis=1, keepdims=True), axis=0)
+            if not np.any(bad):  # only NaN estimates are open: nothing to bisect
+                break
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
@@ -160,8 +159,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         err = np.concatenate([err[:, ~bad], new_err], axis=1)
     total = np.sum(val, axis=1)
     total_err = np.sum(err, axis=1)
-    stalled = ((total_err > np.maximum(abs_tol, 10.0 * rel_tol * np.abs(total)))
-               & (total_err > 1e-300))
+    stalled = (~(np.isfinite(total) & np.isfinite(total_err))
+               | ((total_err > 10.0 * rel_tol * np.abs(total)) & (total_err > 1e-300)))
     if np.any(stalled):
         i = int(np.argmax(stalled))
         row = f" (row {i})" if vector else ""

@@ -106,6 +106,23 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     _, out3, _ = run_cli(capsys, "force", "--config", str(cfg), "--a", "400")
     row3 = [ln for ln in out3.splitlines() if not ln.startswith("#")][1]
     assert row3.split(",")[0] == "{:.11e}".format(400.0)
+    # one value of each kind: float, choice, raw string and the inert workers
+    kinds = tmp_path / "kinds.cfg"
+    kinds.write_text("model = ideal\nR = 50\nformat = json\n"
+                     "a_sweep = 300:600:2\nworkers = 2\n")
+    flags = ("--model", "ideal", "--R", "50", "--format", "json",
+             "--a-sweep", "300:600:2")
+    code, from_file, _ = run_cli(capsys, "force", "--config", str(kinds))
+    assert code == EXIT_OK
+    assert from_file == run_cli(capsys, "force", *flags)[1]
+    overrides = ("--R", "60", "--format", "csv", "--a-sweep", "300:900:3",
+                 "--workers", "1")
+    _, over_file, _ = run_cli(capsys, "force", "--config", str(kinds),
+                              *overrides)
+    assert over_file == run_cli(capsys, "force", *flags, *overrides)[1]
+    assert over_file.startswith("# casimir-cyl force\n")
+    assert "R_um = 60.0" in over_file
+    assert "a_sweep_nm = 300:900:3" in over_file
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -114,6 +131,18 @@ def test_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "force", "--config", str(cfg))
     assert code == EXIT_CONFIG
     assert "nonsense_key" in err
+
+
+def test_non_numeric_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "abc.cfg"
+    cfg.write_text("a = abc\n")
+    for argv in (("force", "--a", "abc"), ("force", "--config", str(cfg))):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
 
 def test_conflicting_a_and_sweep_exit_2(capsys):

@@ -34,6 +34,10 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=1e-3)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    for bad in (0, math.nan, 2.5):
+        with pytest.raises(ValueError, match="max_terms"):
+            QuadratureSpec(max_terms=bad)
+    assert QuadratureSpec(max_terms=1).max_terms == 1
     spec = QuadratureSpec()
     assert spec.rel_tol == 1e-9
     assert spec.v_span() >= 45.0
@@ -50,6 +54,17 @@ def test_oscillatory_failure_raises():
     with pytest.raises(ConvergenceError):
         adaptive_quad(lambda x: np.sin(1e4 * x), 0.0, 1.0, rel_tol=1e-12,
                       max_panels=4, initial_panels=2)
+
+
+def test_nan_integrand_raises():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan)
+    with pytest.raises(ConvergenceError):
+        adaptive_quad(f, 0.0, 1.0)
+    assert len(calls) <= 2
 
 
 def test_scalar_result_bits_pinned():
@@ -102,3 +117,10 @@ def test_vector_oscillatory_row_raises():
     val, _ = adaptive_quad(lambda x: np.array([np.exp(-x)]), 0.0, 1.0,
                            rel_tol=1e-12, max_panels=64)
     assert val[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+
+
+def test_vector_nan_row_raises():
+    def f(x):
+        return np.array([np.exp(-x), np.full_like(x, np.nan), x * x])
+    with pytest.raises(ConvergenceError, match="row 1"):
+        adaptive_quad(f, 0.0, 1.0)
