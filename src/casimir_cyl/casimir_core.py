@@ -15,8 +15,14 @@ its gradient carries ``v**2.5`` against ``Li_{-1/2}``, and the parallel-plate
 pressure kernel ``v**2`` against ``Li_0``, the geometric sum
 ``v**2 / (exp(mu) - 1)``.  The l = 0 term (half weight) routes through the
 zero-frequency reflection behavior of the material model -- mandatory for
-Drude, whose permittivity diverges at zero frequency.  T = 0 replaces the
-primed sum by a continuous integral, evaluated as a nested double quadrature.
+Drude, whose permittivity diverges at zero frequency.  The terms l >= 1 are
+computed in blocks of successive l, one lockstep quadrature per block: each
+term keeps its own integral over [zeta_l, zeta_l + span], and all pending
+panels of the block go to the kernel in one call per refinement level.  The
+sum still adds the terms one at a time in ascending l and stops on the same
+rule, so the block sizes decide only how many terms are computed.  T = 0
+replaces the primed sum by a continuous integral, evaluated as a nested double
+quadrature whose inner integrals share their panels.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -29,7 +35,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +46,8 @@ from .dielectric import (Dielectric, IdealMetal, PermittivityModel,
                          ZeroFreqDrudeLike, ZeroFreqIdeal, ZeroFreqMixed,
                          ZeroFreqPlasmaLike, eps_imag_axis,
                          zero_frequency_character)
-from .quadrature import ConvergenceError, QuadratureSpec, adaptive_quad
+from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
+                         adaptive_quad_rows)
 from .reflection import log_r2_pair, zero_frequency_mu_terms
 from .specfun import ZETA_3, polylog, polylog_exp_neg
 
@@ -235,17 +242,42 @@ def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: fl
 
 # successive terms below rel_tol of the partial sum that end the Matsubara sum
 _CONSECUTIVE_BELOW = 3
+# Matsubara terms in the first block, and the cap on every later block
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 32
 
 
-def matsubara_reduce(term_integral: Callable[[int, float], float],
+def _next_block(recent: deque, target: float) -> int:
+    """Terms left until the stop rule holds, if they keep the last ratio.
+
+    The terms decay geometrically, so the ratio q of the last two predicts
+    how many more fall below ``target`` (``rel_tol * |sum|``), plus the
+    ``_CONSECUTIVE_BELOW`` that must follow; capped at ``_MAX_BLOCK``.
+    """
+    if len(recent) < 2:
+        return _MAX_BLOCK
+    last, prev = recent[-1], recent[-2]
+    if not (last < prev and target > 0.0):
+        return _MAX_BLOCK
+    if last <= target:
+        return _CONSECUTIVE_BELOW
+    steps = math.log(target / last) / math.log(last / prev)
+    return min(_MAX_BLOCK, math.ceil(steps) + _CONSECUTIVE_BELOW)
+
+
+def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
                      zero_integral: Callable[[], float],
                      tau: float, quad: QuadratureSpec) -> tuple[float, int, float]:
     """Primed Matsubara sum: 0.5 * I(0) + sum_{l>=1} I(tau l).
 
-    ``term_integral(l, zeta_l)`` returns the l-th v-integral.  Terms are
-    accumulated in ascending l; the sum truncates once the term magnitude
+    ``block_integrals(l0, count)`` returns the v-integrals of l0, ...,
+    l0 + count - 1 as an iterable in ascending l.  Terms are accumulated one
+    at a time in ascending l; the sum truncates once the term magnitude
     stays below ``rel_tol`` of the partial sum for ``_CONSECUTIVE_BELOW``
-    successive l.
+    successive l, and the rest of that block is not read.  The first block
+    has ``_FIRST_BLOCK`` terms; later ones are sized by :func:`_next_block`
+    and never reach past ``quad.max_terms``.  The block sizes decide only how
+    many terms are computed, never the sum, ``l_used`` or the estimate.
 
     Returns
     -------
@@ -255,19 +287,21 @@ def matsubara_reduce(term_integral: Callable[[int, float], float],
     recent: deque[float] = deque(maxlen=_CONSECUTIVE_BELOW)
     below = 0
     l = 0
+    count = _FIRST_BLOCK
     while True:
-        l += 1
-        if l > quad.max_terms:
+        count = min(count, quad.max_terms - l)
+        if count == 0:
             raise ConvergenceError(
                 f"Matsubara sum not converged after {quad.max_terms} terms")
-        term = term_integral(l, tau * l)
-        total += term
-        recent.append(abs(term))
-        below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
-        if below >= _CONSECUTIVE_BELOW:
-            break
-    trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
-    return total, l, trunc
+        for term in block_integrals(l + 1, count):
+            l += 1
+            total += term
+            recent.append(abs(term))
+            below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
+            if below >= _CONSECUTIVE_BELOW:
+                trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
+                return total, l, trunc
+        count = _next_block(recent, quad.rel_tol * abs(total))
 
 
 def zero_temperature_reduce(kernel, quad: QuadratureSpec,
@@ -328,18 +362,20 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     behavior = zero_frequency_character(model, a)
     span = quad.v_span() / (1.0 - a_theta)
 
-    def term(l: int, zeta: float) -> float:
-        eps = eps_fn(zeta * omega_c_ev)
-        val, _ = adaptive_quad(lambda v: _li_finite(v, zeta, eps, p, s, a_theta),
-                               zeta, zeta + span, rel_tol=quad.rel_tol * 0.1,
-                               initial_panels=4)
-        return val
+    def block(l0: int, count: int) -> Iterator[float]:
+        # one lockstep quadrature: each row is the lone term's integral, bit for bit
+        zetas = tau * np.arange(l0, l0 + count)
+        eps = eps_fn(zetas * omega_c_ev)
+        rows = adaptive_quad_rows(
+            lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta),
+            zetas, zetas + span, rel_tol=quad.rel_tol * 0.1, initial_panels=4)
+        return (val for val, _ in rows)
 
     def zero() -> float:
         return _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta),
                               span, quad)
 
-    return matsubara_reduce(term, zero, tau, quad)
+    return matsubara_reduce(block, zero, tau, quad)
 
 
 def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,

@@ -3,20 +3,26 @@
 The force integrands are smooth and exponentially decaying, so a (G7, K15)
 pair with batched panel refinement converges quickly; integrand callbacks
 receive the abscissae of every pending panel as one ndarray, which keeps the
-polylogarithm evaluations vectorized.  A vector-valued integrand, one row per
-integral, carries that batching across integrals: many integrals over the same
-interval share one callback per refinement level, each row under its own
-error control (QUADPACK's G7/K15 estimate, Piessens et al. 1983).
+polylogarithm evaluations vectorized.  Two modes carry that batching across
+integrals, each integral (row) under its own error control (QUADPACK's G7/K15
+estimate, Piessens et al. 1983):
+
+* a vector-valued integrand, one row per integral over one shared interval:
+  the rows share their panels (:func:`adaptive_quad`);
+* lockstep rows, each over its own interval with its own panels and
+  bisections (:func:`adaptive_quad_rows`): the rows share only the integrand
+  call of each refinement level, and every row returns the bits of a lone
+  scalar integral.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "ConvergenceError", "adaptive_quad"]
+__all__ = ["QuadratureSpec", "ConvergenceError", "adaptive_quad", "adaptive_quad_rows"]
 
 
 class ConvergenceError(RuntimeError):
@@ -43,7 +49,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-4):
             raise ValueError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
-        if not (isinstance(self.max_terms, (int, np.integer)) and self.max_terms >= 1):
+        if not (isinstance(self.max_terms, (int, np.integer))
+                and not isinstance(self.max_terms, bool) and self.max_terms >= 1):
             raise ValueError(f"max_terms must be an integer >= 1, got {self.max_terms}")
 
     def v_span(self) -> float:
@@ -79,6 +86,90 @@ _WG = np.array([
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 _MAX_REFINEMENTS = 64
+
+
+class _Panels:
+    """One integral, or several sharing their panels, under adaptive refinement.
+
+    ``nodes`` holds the abscissae of the panels waiting for integrand values;
+    :meth:`absorb` takes the values there, merges those panels into the rest
+    and picks the panels to bisect next.  This is the only copy of the
+    refinement policy: :func:`adaptive_quad` runs one instance,
+    :func:`adaptive_quad_rows` runs one per row in lockstep.
+    """
+
+    def __init__(self, a: float, b: float, rel_tol: float, max_panels: int,
+                 initial_panels: int) -> None:
+        self.rel_tol = rel_tol
+        self.max_panels = max_panels
+        self.refinements = 0
+        self.vector = False
+        self.keep = None  # panels surviving the last bisection; None before the first
+        edges = np.linspace(a, b, initial_panels + 1)
+        self._pend(edges[:-1], edges[1:])
+
+    def _pend(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        self.new_lo, self.new_hi = lo, hi
+        center = 0.5 * (lo + hi)
+        self.half = 0.5 * (hi - lo)
+        self.nodes = (center[:, None] + self.half[:, None] * _XK[None, :]).ravel()
+
+    def absorb(self, out) -> bool:
+        """Take the integrand values at ``nodes``; True while refinement goes on."""
+        # rows x panels arrays; a scalar integrand is the single-row case
+        self.vector = np.ndim(out) == 2
+        shape = (len(out) if self.vector else 1, self.new_lo.size)
+        vals = np.reshape(out, (-1, _XK.size))
+        k15 = self.half * (vals @ _WK).reshape(shape)
+        g7 = self.half * (vals[:, _GAUSS_IDX] @ _WG).reshape(shape)
+        if self.keep is None:
+            self.lo, self.hi = self.new_lo, self.new_hi
+            self.val, self.err = k15, np.abs(k15 - g7)
+        else:
+            keep = self.keep
+            self.lo = np.concatenate([self.lo[keep], self.new_lo])
+            self.hi = np.concatenate([self.hi[keep], self.new_hi])
+            self.val = np.concatenate([self.val[:, keep], k15], axis=1)
+            self.err = np.concatenate([self.err[:, keep], np.abs(k15 - g7)], axis=1)
+        if self.refinements == _MAX_REFINEMENTS:
+            return False
+        lo, hi, err = self.lo, self.hi, self.err
+        tol = self.rel_tol * np.abs(self.val.sum(axis=1))
+        open_rows = ~(err.sum(axis=1) <= tol)  # a NaN estimate stays open
+        if not open_rows.any() or lo.size >= self.max_panels:
+            return False
+        # bisect every panel on which an open row exceeds its share of the budget
+        row_err = err[open_rows]
+        bad = (row_err > 0.5 * tol[open_rows, None] / max(lo.size, 1)).any(axis=0)
+        if not bad.any():
+            bad = (row_err >= row_err.max(axis=1, keepdims=True)).any(axis=0)
+            if not bad.any():  # only NaN estimates are open: nothing to bisect
+                return False
+        mid = 0.5 * (lo[bad] + hi[bad])
+        self.keep = ~bad
+        self.refinements += 1
+        self._pend(np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]]))
+        return True
+
+    def result(self, row: int | None = None):
+        """Row totals and error estimates; ConvergenceError if a row stalled.
+
+        ``row`` names this integral in the message when it is one of many.
+        """
+        total = np.sum(self.val, axis=1)
+        total_err = np.sum(self.err, axis=1)
+        stalled = (~(np.isfinite(total) & np.isfinite(total_err))
+                   | ((total_err > 10.0 * self.rel_tol * np.abs(total))
+                      & (total_err > 1e-300)))
+        if np.any(stalled):
+            i = int(np.argmax(stalled))
+            row = i if self.vector else row
+            name = "" if row is None else f" (row {row})"
+            raise ConvergenceError(f"quadrature stalled{name}: error "
+                                   f"{total_err[i]:.3e} on integral {total[i]:.3e}")
+        if self.vector:
+            return total, total_err
+        return float(total[0]), float(total_err[0])
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -120,52 +211,58 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if not b > a:
         return 0.0, 0.0
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
+    panels = _Panels(a, b, rel_tol, max_panels, initial_panels)
+    while panels.absorb(f(panels.nodes)):
+        pass
+    return panels.result()
 
-    def eval_panels(plo: np.ndarray, phi: np.ndarray):
-        # rows x panels arrays; a scalar integrand is the single-row case
-        center = 0.5 * (plo + phi)
-        half = 0.5 * (phi - plo)
-        nodes = center[:, None] + half[:, None] * _XK[None, :]
-        out = f(nodes.ravel())
-        vector = np.ndim(out) == 2
-        shape = (len(out) if vector else 1, plo.size)
-        vals = np.reshape(out, (-1, _XK.size))
-        k15 = half * (vals @ _WK).reshape(shape)
-        g7 = half * (vals[:, _GAUSS_IDX] @ _WG).reshape(shape)
-        return k15, np.abs(k15 - g7), vector
 
-    val, err, vector = eval_panels(lo, hi)
-    for _ in range(_MAX_REFINEMENTS):
-        tol = rel_tol * np.abs(np.sum(val, axis=1))
-        open_rows = ~(np.sum(err, axis=1) <= tol)  # a NaN estimate stays open
-        if not np.any(open_rows) or lo.size >= max_panels:
-            break
-        # bisect every panel on which an open row exceeds its share of the budget
-        row_err = err[open_rows]
-        bad = np.any(row_err > 0.5 * tol[open_rows, None] / max(lo.size, 1), axis=0)
-        if not np.any(bad):
-            bad = np.any(row_err >= np.max(row_err, axis=1, keepdims=True), axis=0)
-            if not np.any(bad):  # only NaN estimates are open: nothing to bisect
-                break
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        new_val, new_err, _ = eval_panels(new_lo, new_hi)
-        lo = np.concatenate([lo[~bad], new_lo])
-        hi = np.concatenate([hi[~bad], new_hi])
-        val = np.concatenate([val[:, ~bad], new_val], axis=1)
-        err = np.concatenate([err[:, ~bad], new_err], axis=1)
-    total = np.sum(val, axis=1)
-    total_err = np.sum(err, axis=1)
-    stalled = (~(np.isfinite(total) & np.isfinite(total_err))
-               | ((total_err > 10.0 * rel_tol * np.abs(total)) & (total_err > 1e-300)))
-    if np.any(stalled):
-        i = int(np.argmax(stalled))
-        row = f" (row {i})" if vector else ""
-        raise ConvergenceError(
-            f"quadrature stalled{row}: error {total_err[i]:.3e} on integral {total[i]:.3e}")
-    if vector:
-        return total, total_err
-    return float(total[0]), float(total_err[0])
+def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
+                       rel_tol: float = 1e-9, max_panels: int = 4096,
+                       initial_panels: int = 8) -> Iterator[tuple[float, float]]:
+    """Integrate ``m`` scalar integrals, row i over ``[a[i], b[i]]``, in lockstep.
+
+    Each row is its own :func:`adaptive_quad` integral, with its own panels,
+    error budget and bisection decisions, so its value and error estimate
+    carry the bits of a lone scalar call.  What the rows share is the
+    integrand call: at each refinement level the pending panels of every row
+    not yet finished go to ``f`` together, as ``f(x, row)`` with the 1-D
+    abscissae ``x`` and, per abscissa, the index ``row`` of the integral it
+    belongs to.  ``f`` returns one value per abscissa.
+
+    Parameters
+    ----------
+    a, b : array_like, shape (m,)
+        Finite limits with ``b > a`` in every row.
+
+    Returns
+    -------
+    iterator of (value, error_estimate)
+        One pair of floats per row, in row order.  The integrals are done
+        when the call returns; each row's stall check runs when the iterator
+        reaches it, so a caller that stops early never sees the failure of a
+        row it did not use.
+
+    Raises
+    ------
+    ValueError
+        If some row has ``b <= a``.
+    ConvergenceError
+        From the iterator, at the first stalled row, naming its index.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > a):
+        raise ValueError("every row needs b > a")
+    rows = [_Panels(lo, hi, rel_tol, max_panels, initial_panels)
+            for lo, hi in zip(a, b)]
+    active = list(range(len(rows)))
+    while active:
+        parts = [rows[i].nodes for i in active]
+        sizes = [part.size for part in parts]
+        out = f(np.concatenate(parts), np.repeat(active, sizes))
+        ends = np.cumsum(sizes).tolist()
+        # each row reduces its own slice: batched K15/G7 products are not bit-stable
+        active = [i for i, start, end in zip(active, [0] + ends, ends)
+                  if rows[i].absorb(out[start:end])]
+    return (panels.result(i) for i, panels in enumerate(rows))

@@ -1,12 +1,13 @@
 """Engine tests: closed-form oracles, limits, scaling and determinism."""
 import math
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
 
 from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
-                         IdealMetal, PFAValidityWarning, PlasmaOscillators,
+                         IdealMetal, Oscillator, PFAValidityWarning, PlasmaOscillators,
                          QuadratureSpec, ThermalState, TiltParams,
                          ZeroFreqDielectric,
                          ZeroFreqDrudeLike, ZeroFreqIdeal, ZeroFreqMixed,
@@ -16,11 +17,16 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          ideal_metal_force_t0, ideal_metal_gradient_t0,
                          plate_pressure, thermal_correction,
                          zero_temperature_force, zero_temperature_gradient)
+from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
+                                     _GRADIENT, _eps_lookup, _li_finite,
+                                     _li_zero_freq, _reduce, _zero_freq_int,
+                                     matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
-from casimir_cyl.dielectric import eps_imag_axis
-from casimir_cyl.quadrature import adaptive_quad
+from casimir_cyl.dielectric import eps_imag_axis, zero_frequency_character
+from casimir_cyl.quadrature import adaptive_quad, adaptive_quad_rows
 from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import ZETA_3, polylog, polylog_exp_neg
+from casimir_cyl.tilt import tilted_force, tilted_gradient
 from conftest import geometry_at
 
 AU = gold_drude()
@@ -249,8 +255,9 @@ def test_gradient_central_difference():
 def test_convergence_guard():
     geom = geometry_at(100.0)
     th = ThermalState.at(300.0, geom)
-    with pytest.raises(ConvergenceError):
-        cylinder_force(geom, th, AU, QuadratureSpec(rel_tol=1e-9, max_terms=2))
+    for max_terms in (1, 2):
+        with pytest.raises(ConvergenceError, match=f"after {max_terms} terms"):
+            cylinder_force(geom, th, AU, QuadratureSpec(rel_tol=1e-9, max_terms=max_terms))
 
 
 def test_high_t_matsubara_matches_asymptote():
@@ -406,3 +413,152 @@ def test_t0_batched_matches_nested_quadrature(model, a_nm):
                     ("gradient", zero_temperature_gradient)):
         want = _nested_t0(obs, model, geom)
         assert fn(geom, model).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# ------------------------------------------------- blocked Matsubara sum
+
+
+def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
+                  a_theta: float) -> tuple[float, int, float]:
+    """Finite-T reduction with one scalar ``adaptive_quad`` per Matsubara term.
+
+    The loop the engine blocks: same kernels, limits, tolerances and stop
+    rule, each term integrated and added on its own in ascending l.
+    """
+    p, s = obs.v_power, obs.li_order
+    omega_c = HBAR_C_EV_NM / (2.0 * (a * 1e9))
+    eps_fn = _eps_lookup(model)
+    behavior = zero_frequency_character(model, a)
+    span = quad.v_span() / (1.0 - a_theta)
+    total = 0.5 * _zero_freq_int(
+        lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)
+    recent = deque(maxlen=_CONSECUTIVE_BELOW)
+    below = 0
+    l = 0
+    while True:
+        l += 1
+        if l > quad.max_terms:
+            raise ConvergenceError(
+                f"Matsubara sum not converged after {quad.max_terms} terms")
+        zeta = tau * l
+        eps = eps_fn(zeta * omega_c)
+        term, _ = adaptive_quad(lambda v: _li_finite(v, zeta, eps, p, s, a_theta),
+                                zeta, zeta + span, rel_tol=quad.rel_tol * 0.1,
+                                initial_panels=4)
+        total += term
+        recent.append(abs(term))
+        below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
+        if below >= _CONSECUTIVE_BELOW:
+            break
+    trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
+    return total, l, trunc
+
+
+def _tabulated():
+    from casimir_cyl import OpticalTable, Tabulated
+    omega = np.geomspace(0.125, 1.0e4, 300)
+    im_eps = (81.0 * 0.035 / (omega * (omega**2 + 0.035**2))
+              + 4.0 * np.exp(-((omega - 3.0) / 1.5) ** 2))
+    return Tabulated(table=OpticalTable(omega, im_eps), tail=AU)
+
+
+OSC = PlasmaOscillators(omega_p=9.0, oscillators=(Oscillator(g=20.0, omega=3.0, gamma=1.0),))
+TAB = _tabulated()
+BLOCK_MODELS = {"ideal": IdealMetal(), "drude": AU, "plasma": PLASMA,
+                "plasma_osc": OSC, "dielectric": Dielectric(eps0=11.7),
+                "tabulated": TAB}
+
+
+def _bits(result) -> tuple[str, int, str]:
+    total, l_used, trunc = result
+    return total.hex(), l_used, trunc.hex()
+
+
+@pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+def test_blocked_sum_matches_term_by_term_bits(name, a_nm):
+    model = BLOCK_MODELS[name]
+    a = a_nm * 1e-9
+    tau = ThermalState.at(300.0, geometry_at(a_nm)).tau
+    quad = QuadratureSpec()
+    for obs in (_FORCE, _GRADIENT):
+        for a_theta in (0.0, 0.1, 0.5):
+            got = _reduce(obs.v_power, obs.li_order, model, a, tau, quad, a_theta)
+            want = _term_by_term(obs, model, a, tau, quad, a_theta)
+            assert _bits(got) == _bits(want), (obs, a_theta)
+
+
+@pytest.mark.parametrize("a_nm", [100.0, 500.0])
+def test_max_terms_bound_is_exact(a_nm):
+    geom = geometry_at(a_nm)
+    th = ThermalState.at(300.0, geom)
+    free = cylinder_force(geom, th, AU)
+    exact = cylinder_force(geom, th, AU, QuadratureSpec(max_terms=free.l_used))
+    assert exact == free
+    short = free.l_used - 1
+    with pytest.raises(ConvergenceError,
+                       match=f"^Matsubara sum not converged after {short} terms$"):
+        cylinder_force(geom, th, AU, QuadratureSpec(max_terms=short))
+
+
+def test_failed_row_past_the_stop_is_not_read():
+    # term l integrates 100**-l exp(-v) over [0, 1]; the sum stops at l = 7,
+    # inside the first block, whose rows past the stop are NaN
+    quad = QuadratureSpec()
+
+    def blocks(nan_from: int):
+        def block(l0: int, count: int):
+            ls = np.arange(l0, l0 + count)
+
+            def f(v, row):
+                return np.where(ls[row] >= nan_from, np.nan,
+                                100.0 ** -ls[row] * np.exp(-v))
+            return (val for val, _ in adaptive_quad_rows(
+                f, np.zeros(count), np.ones(count), rel_tol=quad.rel_tol * 0.1))
+        return block
+
+    total, l_used, _ = matsubara_reduce(blocks(10**6), lambda: 2.0, 1.0, quad)
+    assert l_used == 7 < _FIRST_BLOCK
+    assert matsubara_reduce(blocks(l_used + 1), lambda: 2.0, 1.0, quad)[:2] == (total, l_used)
+    with pytest.raises(ConvergenceError, match=f"row {l_used - 1}"):
+        matsubara_reduce(blocks(l_used), lambda: 2.0, 1.0, quad)
+
+
+# Recorded before the Matsubara terms were blocked (one adaptive_quad per
+# term); finite-T cases the CLI goldens do not cover.  (value, l_used,
+# truncation_estimate) as float.hex.
+_PINNED = (
+    ("ideal", "force", 300.0, 0.0,
+     "-0x1.0c71e6720da1ep-33", 50, "0x1.dacbd299d6b4dp-30"),
+    ("ideal", "gradient", 1000.0, 0.0,
+     "0x1.a813fc7820272p-18", 19, "0x1.21b6bce75c03ap-31"),
+    ("dielectric", "gradient", 300.0, 0.0,
+     "0x1.c394cf86345e0p-12", 55, "0x1.697bdd204ca28p-30"),
+    ("plasma_osc", "force", 150.0, 0.0,
+     "-0x1.bdef378faa599p-31", 79, "0x1.16d5d8b1c1033p-29"),
+    ("plasma_osc", "gradient", 500.0, 0.0,
+     "0x1.d774dea43d28cp-14", 32, "0x1.57f9c4e29aa07p-30"),
+    ("tabulated", "force", 500.0, 0.0,
+     "-0x1.0c9f70171d6cap-36", 30, "0x1.00bed8c5f558ep-30"),
+    ("tabulated", "gradient", 200.0, 0.0,
+     "0x1.4adfd19e26671p-8", 68, "0x1.2e508099767fdp-29"),
+    ("drude", "force", 100.0, 0.5,
+     "-0x1.3fd24befb2111p-28", 162, "0x1.5c5fac4440d1cp-29"),
+    ("dielectric", "gradient", 100.0, 0.5,
+     "0x1.873b18b44eca7p-3", 265, "0x1.7b44ddd61384dp-29"),
+)
+
+
+@pytest.mark.parametrize("name,which,a_nm,a_theta,value,l_used,trunc", _PINNED)
+def test_finite_t_bits_pinned(name, which, a_nm, a_theta, value, l_used, trunc):
+    geom = geometry_at(a_nm)
+    th = ThermalState.at(300.0, geom)
+    model = BLOCK_MODELS[name]
+    if a_theta == 0.0:
+        fn = cylinder_force if which == "force" else cylinder_force_gradient
+        res = fn(geom, th, model)
+    else:
+        fn = tilted_force if which == "force" else tilted_gradient
+        res = fn(geom, th, model, TiltParams.from_a_theta(a_theta, geom))
+    assert (res.value.hex(), res.l_used, res.truncation_estimate.hex()) == (
+        value, l_used, trunc)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from casimir_cyl.quadrature import ConvergenceError, QuadratureSpec, adaptive_quad
+from casimir_cyl.quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
+                                   adaptive_quad_rows)
 
 
 def test_gamma_integral():
@@ -34,10 +35,11 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=1e-3)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    for bad in (0, math.nan, 2.5):
+    for bad in (0, math.nan, 2.5, True, False, np.True_):
         with pytest.raises(ValueError, match="max_terms"):
             QuadratureSpec(max_terms=bad)
     assert QuadratureSpec(max_terms=1).max_terms == 1
+    assert QuadratureSpec(max_terms=np.int64(7)).max_terms == 7
     spec = QuadratureSpec()
     assert spec.rel_tol == 1e-9
     assert spec.v_span() >= 45.0
@@ -124,3 +126,56 @@ def test_vector_nan_row_raises():
         return np.array([np.exp(-x), np.full_like(x, np.nan), x * x])
     with pytest.raises(ConvergenceError, match="row 1"):
         adaptive_quad(f, 0.0, 1.0)
+
+
+# (limit a, limit b, p, c): rows v**p exp(-c v) on [a, b]; from two levels
+# deep (smooth, short) to many (sqrt endpoint, sharp decay)
+_LOCKSTEP = ((0.0, 1.0, 0.5, 0.0), (2.0, 47.0, 1.5, 1.0), (0.3, 0.31, 2.0, 0.0),
+             (5.0, 95.0, 2.5, 0.2), (0.0, 60.0, 0.0, 40.0), (1.0, 46.0, -0.5, 1.0))
+
+
+def _lockstep_row(v, p, c):
+    return v**p * np.exp(-c * v)
+
+
+def test_lockstep_rows_match_scalar_calls_bit_for_bit():
+    a, b, p, c = (np.array(col) for col in zip(*_LOCKSTEP))
+    calls = []
+
+    def f(v, row):
+        calls.append(v.size)
+        return _lockstep_row(v, p[row], c[row])
+    rows = list(adaptive_quad_rows(f, a, b, rel_tol=1e-11, initial_panels=4))
+    levels = []
+    for (lo, hi, pi, ci), (val, err) in zip(_LOCKSTEP, rows):
+        single = []
+
+        def g(v):
+            single.append(v.size)
+            return _lockstep_row(v, pi, ci)
+        ref = adaptive_quad(g, lo, hi, rel_tol=1e-11, initial_panels=4)
+        assert isinstance(val, float) and isinstance(err, float)
+        assert (val.hex(), err.hex()) == (ref[0].hex(), ref[1].hex())
+        levels.append(len(single))
+    # one integrand call per level of the deepest row, however many rows
+    assert len(calls) == max(levels) and min(levels) < max(levels)
+
+
+@pytest.mark.parametrize("bad_row", ["nan", "oscillatory"])
+def test_lockstep_failed_row_raises_naming_it(bad_row):
+    def f(x, row):
+        bad = (np.full_like(x, np.nan) if bad_row == "nan" else np.sin(1e4 * x))
+        return np.where(row == 2, bad, np.exp(-x))
+    rows = adaptive_quad_rows(f, np.zeros(4), np.ones(4), rel_tol=1e-12,
+                              max_panels=64)
+    # rows before the failed one come out; the failure surfaces at its row
+    for _ in range(2):
+        val, _ = next(rows)
+        assert val == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+    with pytest.raises(ConvergenceError, match="row 2"):
+        next(rows)
+
+
+def test_lockstep_rejects_empty_row():
+    with pytest.raises(ValueError):
+        adaptive_quad_rows(lambda x, row: x, [0.0, 1.0], [1.0, 1.0])
