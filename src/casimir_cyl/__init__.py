@@ -25,9 +25,7 @@ from .edge import (EDGE_FORCE_COEFF, EDGE_GRADIENT_COEFF, PFA_FORCE_COEFF,
 from .experiment import (OscillatorParams, SensitivityFloor, infer_gradient,
                          resonant_frequency, sensitivity_floor)
 from .quadrature import ConvergenceError, QuadratureSpec
-from .reflection import (DimensionlessPoint, ReflectionPair, fresnel,
-                         zero_frequency_pair)
-from .specfun import polylog, polylog_exp_neg, riemann_zeta, zeta3
+from .specfun import ZETA_3, polylog, polylog_exp_neg, riemann_zeta
 from .tilt import (TiltParams, kappa, kappa_nm, multiplicative_force,
                    tilted_force, tilted_gradient)
 

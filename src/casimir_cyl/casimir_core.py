@@ -41,10 +41,9 @@ import numpy as np
 
 from .constants import (BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M, HBAR_J_S,
                         SPEED_OF_LIGHT_M_S, SQRT_PI)
-from .dielectric import (Dielectric, IdealMetal, PermittivityModel,
-                         ZeroFreqBehavior, ZeroFreqDielectric,
-                         ZeroFreqDrudeLike, ZeroFreqIdeal, ZeroFreqMixed,
-                         ZeroFreqPlasmaLike, eps_imag_axis,
+from .dielectric import (PermittivityModel, ZeroFreqBehavior,
+                         ZeroFreqDielectric, ZeroFreqDrudeLike, ZeroFreqIdeal,
+                         ZeroFreqMixed, ZeroFreqPlasmaLike, eps_imag_axis,
                          zero_frequency_character)
 from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
                          adaptive_quad_rows)
@@ -153,20 +152,6 @@ def _warn_pfa(geometry: Geometry, stacklevel: int = 3) -> None:
             f"a/R = {geometry.a / geometry.R:.3g} exceeds {PFA_WARN_RATIO}; "
             "the proximity-force approximation degrades",
             PFAValidityWarning, stacklevel=stacklevel)
-
-
-def _eps_lookup(model: PermittivityModel) -> Callable:
-    """Permittivity on the imaginary axis as a function of xi (eV), vectorized.
-
-    The ideal metal is the infinite-permittivity limit and the static
-    dielectric responds with eps0 at every frequency; both bypass
-    eps_imag_axis, which rejects them.
-    """
-    if isinstance(model, IdealMetal):
-        return lambda xi: np.broadcast_to(np.inf, np.shape(xi))
-    if isinstance(model, Dielectric):
-        return lambda xi, e0=model.eps0: np.broadcast_to(float(e0), np.shape(xi))
-    return lambda xi: eps_imag_axis(model, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +338,10 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     exp(-v(1 - a_theta)) decay.  Returns (total, l_used, error estimate).
     """
     omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
-    eps_fn = _eps_lookup(model)
     if tau == 0.0:
         total, rel = zero_temperature_reduce(
-            lambda v, zeta: _li_finite(v, zeta, eps_fn(zeta * omega_c_ev), p, s, a_theta),
+            lambda v, zeta: _li_finite(v, zeta, eps_imag_axis(model, zeta * omega_c_ev),
+                                       p, s, a_theta),
             quad, span_scale=1.0 / (1.0 - a_theta))
         return total, 0, rel
     behavior = zero_frequency_character(model, a)
@@ -365,7 +350,7 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     def block(l0: int, count: int) -> Iterator[float]:
         # one lockstep quadrature: each row is the lone term's integral, bit for bit
         zetas = tau * np.arange(l0, l0 + count)
-        eps = eps_fn(zetas * omega_c_ev)
+        eps = eps_imag_axis(model, zetas * omega_c_ev)
         rows = adaptive_quad_rows(
             lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta),
             zetas, zetas + span, rel_tol=quad.rel_tol * 0.1, initial_panels=4)
@@ -484,9 +469,9 @@ def _high_temperature(obs: _Observable, geometry: Geometry, temperature: float,
         return 0.5 * base
     if isinstance(behavior, ZeroFreqPlasmaLike):
         x = 2.0 * behavior.alpha  # alpha = delta_0/(2a)
-        if x >= 0.5:
+        if not 0.0 <= x < 0.5:
             raise ValueError(
-                f"skin-depth expansion invalid: delta_0/a = {x} >= 0.5")
+                f"skin-depth expansion invalid: delta_0/a = {x} is not in [0, 0.5)")
         c1, c2 = obs.skin_depth
         return base * (1.0 - c1 * x + c2 * x**2)
     if isinstance(behavior, ZeroFreqDielectric):

@@ -143,9 +143,9 @@ class OpticalTable:
     Parameters
     ----------
     omega : sequence of float
-        Photon energies in eV, strictly ascending, at least two entries.
+        Photon energies in eV, finite, strictly ascending, at least two entries.
     im_eps : sequence of float
-        Corresponding Im eps values, all positive.
+        Corresponding Im eps values, all positive and finite.
     """
 
     def __init__(self, omega: Sequence[float], im_eps: Sequence[float]):
@@ -153,6 +153,8 @@ class OpticalTable:
         g = np.asarray(im_eps, dtype=float)
         if w.ndim != 1 or w.shape != g.shape or w.size < 2:
             raise OpticalTableError("need two same-length columns with at least 2 rows")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
+            raise OpticalTableError("photon energies and Im eps values must be finite")
         if np.any(w <= 0.0):
             raise OpticalTableError("photon energies must be positive")
         if np.any(np.diff(w) <= 0.0):
@@ -239,15 +241,11 @@ PermittivityModel = Union[IdealMetal, Drude, PlasmaOscillators, Dielectric, Tabu
 @dataclass(frozen=True)
 class ZeroFreqIdeal:
     """r_TM^2 = r_TE^2 = 1."""
-    r_tm: float = 1.0
-    r_te: float = -1.0
 
 
 @dataclass(frozen=True)
 class ZeroFreqDrudeLike:
     """r_TM = 1, r_TE = 0 (any dissipative low-frequency continuation)."""
-    r_tm: float = 1.0
-    r_te: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -279,15 +277,19 @@ ZeroFreqBehavior = Union[ZeroFreqIdeal, ZeroFreqDrudeLike, ZeroFreqPlasmaLike,
 def eps_imag_axis(model: PermittivityModel, xi):
     """Permittivity eps(i xi) for xi > 0 in eV; scalar or ndarray of any shape.
 
-    ``IdealMetal`` and ``Dielectric`` have no finite-frequency response in
-    scope and are rejected; the force engine handles them through their
-    reflection-coefficient limits instead.
+    Every model has one: ``IdealMetal`` is the infinite-permittivity limit,
+    +inf at every xi (where ``log_r2_pair`` gives ln r^2 = 0), and
+    ``Dielectric`` responds with eps0 at every frequency.
     """
     scalar = np.ndim(xi) == 0
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi <= 0.0):
+    if not np.all(xi > 0.0):
         raise ValueError("xi must be positive")
-    if isinstance(model, Drude):
+    if isinstance(model, IdealMetal):
+        out = np.full(xi.shape, np.inf)
+    elif isinstance(model, Dielectric):
+        out = np.full(xi.shape, model.eps0)
+    elif isinstance(model, Drude):
         out = 1.0 + model.omega_p**2 / (xi * (xi + model.gamma))
     elif isinstance(model, PlasmaOscillators):
         out = 1.0 + model.omega_p**2 / xi**2
@@ -296,8 +298,7 @@ def eps_imag_axis(model: PermittivityModel, xi):
     elif isinstance(model, Tabulated):
         out = kk_transform(model.table, model.tail, xi)
     else:
-        raise ValueError(
-            f"{type(model).__name__} has no finite-frequency permittivity in scope")
+        raise TypeError(f"unknown permittivity model {type(model).__name__}")
     return float(out[0]) if scalar else out
 
 
@@ -331,7 +332,7 @@ def kk_transform(table: OpticalTable, tail: Drude, xi):
     """
     xi = np.asarray(xi, dtype=float)
     flat = xi.ravel()
-    if np.any(flat <= 0.0):
+    if not np.all(flat > 0.0):
         raise ValueError("xi must be positive")
     low = _drude_tail_integral(tail, table.omega_min, flat)
     result = 1.0 + low + table.dispersion_integral(flat)
@@ -347,8 +348,8 @@ def zero_frequency_character(model: PermittivityModel, a: float) -> ZeroFreqBeha
     Drude and tabulated models lose the TE channel entirely; the plasma model
     keeps it with strength set by alpha = delta_0/(2a), delta_0 = c/omega_p.
     """
-    if a <= 0.0:
-        raise ValueError("separation must be positive")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"separation must be positive and finite, got {a}")
     if isinstance(model, IdealMetal):
         return ZeroFreqIdeal()
     if isinstance(model, (Drude, Tabulated)):
@@ -394,14 +395,16 @@ def load_optical_table(path) -> OpticalTable:
                 values = [float(p) for p in parts]
             except ValueError:
                 raise OpticalTableError(f"non-numeric field in {parts!r}", lineno)
+            if not all(math.isfinite(x) for x in values):
+                raise OpticalTableError(f"non-finite field in {parts!r}", lineno)
             omega = values[0]
             im = values[1] if ncols == 2 else 2.0 * values[1] * values[2]
             if omega <= 0.0:
                 raise OpticalTableError("photon energy must be positive", lineno)
             if omegas and omega <= omegas[-1]:
                 raise OpticalTableError("photon energies must be ascending", lineno)
-            if im <= 0.0:
-                raise OpticalTableError("Im eps must be positive", lineno)
+            if not (math.isfinite(im) and im > 0.0):  # 2 n k may overflow
+                raise OpticalTableError("Im eps must be positive and finite", lineno)
             omegas.append(omega)
             ims.append(im)
     if len(omegas) < 2:

@@ -79,8 +79,8 @@ class EdgeParams:
     R: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.L1 <= self.R:
-            raise ValueError(f"need 0 < L1 <= R, got L1={self.L1}, R={self.R}")
+        if not (0.0 < self.L1 <= self.R < math.inf):
+            raise ValueError(f"need 0 < L1 <= R finite, got L1={self.L1}, R={self.R}")
 
     @property
     def H(self) -> float:
@@ -96,8 +96,8 @@ def finite_plate_force(S: float, l_edge: float, z: float,
                        em: bool = True) -> float:
     """World-line force between an infinite plate and a finite plate (N).
 
-    Scalar-Dirichlet by default halves both terms; ``em=True`` gives the
-    electromagnetic doubling used for metal surfaces.
+    The default ``em=True`` gives the electromagnetic doubling used for metal
+    surfaces; ``em=False`` is the Dirichlet scalar, half of both terms.
 
     Parameters
     ----------
@@ -110,10 +110,10 @@ def finite_plate_force(S: float, l_edge: float, z: float,
     em : bool
         Electromagnetic field if True, Dirichlet scalar if False.
     """
-    if z <= 0.0:
-        raise ValueError("separation must be positive")
-    if S <= 0.0 or l_edge < 0.0:
-        raise ValueError("need S > 0 and l_edge >= 0")
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(f"separation must be positive and finite, got {z}")
+    if not (math.isfinite(S) and S > 0.0 and math.isfinite(l_edge) and l_edge >= 0.0):
+        raise ValueError(f"need finite S > 0 and l_edge >= 0, got S={S}, l_edge={l_edge}")
     area = -math.pi**2 * HBAR_C_J_M * S / (480.0 * z**4)
     edge = -WORLD_LINE_EDGE_COEFF * HBAR_C_J_M * l_edge / z**3
     scale = 2.0 if em else 1.0

@@ -28,8 +28,9 @@ class OscillatorParams:
     moment_I: float
 
     def __post_init__(self) -> None:
-        if min(self.omega_0, self.b, self.moment_I) <= 0.0:
-            raise ValueError("oscillator parameters must all be positive")
+        if not all(math.isfinite(x) and x > 0.0
+                   for x in (self.omega_0, self.b, self.moment_I)):
+            raise ValueError("oscillator parameters must all be positive and finite")
 
     @property
     def shift_factor(self) -> float:
@@ -39,6 +40,8 @@ class OscillatorParams:
 
 def resonant_frequency(osc: OscillatorParams, grad: float) -> float:
     """Resonance (rad/s) in the presence of a force gradient (N/m)."""
+    if not math.isfinite(grad):
+        raise ValueError(f"force gradient must be finite, got {grad}")
     shift = osc.shift_factor * grad
     if abs(shift) >= 1.0:
         raise ValueError(
@@ -48,8 +51,8 @@ def resonant_frequency(osc: OscillatorParams, grad: float) -> float:
 
 def infer_gradient(osc: OscillatorParams, omega_res: float) -> float:
     """Force gradient (N/m) back from a measured resonance (rad/s)."""
-    if omega_res <= 0.0:
-        raise ValueError("resonant frequency must be positive")
+    if not (math.isfinite(omega_res) and omega_res > 0.0):
+        raise ValueError(f"resonant frequency must be positive and finite, got {omega_res}")
     return (1.0 - omega_res / osc.omega_0) / osc.shift_factor
 
 
@@ -67,7 +70,7 @@ def sensitivity_floor(osc: OscillatorParams, df_res: float) -> SensitivityFloor:
     Differencing the resonance relation: delta_g = (2 pi df_res/omega_0) *
     I omega_0^2 / b^2.  The static-mode force floor rides along unchanged.
     """
-    if df_res <= 0.0:
-        raise ValueError("frequency resolution must be positive")
+    if not (math.isfinite(df_res) and df_res > 0.0):
+        raise ValueError(f"frequency resolution must be positive and finite, got {df_res}")
     dg = 2.0 * math.pi * df_res / (osc.omega_0 * osc.shift_factor)
     return SensitivityFloor(gradient_n_per_m=dg)

@@ -8,88 +8,24 @@ With :math:`s = \sqrt{v^2 + (\varepsilon-1)\zeta^2}`,
 
 where v = 2 q a >= zeta = xi/omega_c and eps = eps(i xi).  The engine never
 needs the coefficients themselves but the exponents ``mu = v - ln r**2`` of
-the polylogarithm arguments; those are formed cancellation-free in
-:func:`log_r2_pair` (Drude permittivities reach ~1e6 at the first Matsubara
-frequency of micrometer separations, where the naive difference
-``eps*v - s`` would shed digits).
+the polylogarithm arguments, so this module holds only those: the
+finite-frequency pair, formed cancellation-free in :func:`log_r2_pair`
+(Drude permittivities reach ~1e6 at the first Matsubara frequency of
+micrometer separations, where the naive difference ``eps*v - s`` would shed
+digits), and the zero-frequency channels in :func:`zero_frequency_mu_terms`.
+The scalar coefficients themselves are a test oracle
+(``tests/reflection_oracle.py``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dielectric import (ZeroFreqBehavior, ZeroFreqDielectric, ZeroFreqDrudeLike,
                          ZeroFreqIdeal, ZeroFreqMixed, ZeroFreqPlasmaLike)
 
-__all__ = ["DimensionlessPoint", "ReflectionPair", "fresnel",
-           "zero_frequency_pair", "log_r2_pair", "zero_frequency_mu_terms"]
-
-
-@dataclass(frozen=True)
-class DimensionlessPoint:
-    """Integration point: v = 2 q a and the scaled Matsubara frequency zeta."""
-
-    v: float
-    zeta: float
-
-    def __post_init__(self) -> None:
-        if not (self.v >= self.zeta >= 0.0):
-            raise ValueError(f"need v >= zeta >= 0, got v={self.v}, zeta={self.zeta}")
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    """TM and TE amplitudes; for eps >= 1 these satisfy 1 >= r_tm >= 0 >= r_te >= -1."""
-
-    r_tm: float
-    r_te: float
-
-    def __post_init__(self) -> None:
-        if not (abs(self.r_tm) <= 1.0 and abs(self.r_te) <= 1.0):
-            raise ValueError("reflection coefficients must lie in [-1, 1]")
-
-
-def fresnel(point: DimensionlessPoint, eps_l: float) -> ReflectionPair:
-    """Reflection pair at a dimensionless point for permittivity eps_l >= 1."""
-    if eps_l < 1.0:
-        raise ValueError(f"permittivity below 1 not supported, got {eps_l}")
-    v, zeta = point.v, point.zeta
-    # factor s = v*sqrt(1 + (eps-1) zeta^2/v^2): no overflow for eps ~ 1e6
-    s = v * math.sqrt(1.0 + (eps_l - 1.0) * (zeta / v) ** 2) if v > 0 else 0.0
-    if v == 0.0:
-        return ReflectionPair(0.0, 0.0)
-    r_tm = (eps_l * v - s) / (eps_l * v + s)
-    r_te = -(eps_l - 1.0) * zeta**2 / (v + s) ** 2  # = (v-s)/(v+s), stable form
-    return ReflectionPair(r_tm, r_te)
-
-
-def zero_frequency_pair(behavior: ZeroFreqBehavior, v: float) -> ReflectionPair:
-    """Zero-frequency reflection pair for dimensionless v > 0.
-
-    Ideal metal: (1, -1).  Drude-like: (1, 0).  Static dielectric: (r0, 0).
-    Plasma-like keeps a TE amplitude ``-(alpha v - sqrt(alpha^2 v^2 + 1))^2``
-    running from -1 at v = 0 to 0 as alpha*v grows.
-    """
-    if v <= 0.0:
-        raise ValueError("v must be positive")
-    if isinstance(behavior, ZeroFreqIdeal):
-        return ReflectionPair(1.0, -1.0)
-    if isinstance(behavior, (ZeroFreqDrudeLike,)):
-        return ReflectionPair(1.0, 0.0)
-    if isinstance(behavior, (ZeroFreqDielectric, ZeroFreqMixed)):
-        return ReflectionPair(behavior.r0, 0.0)
-    if isinstance(behavior, ZeroFreqPlasmaLike):
-        av = behavior.alpha * v
-        r_te = -(math.sqrt(av * av + 1.0) - av) ** 2
-        return ReflectionPair(1.0, r_te)
-    raise TypeError(f"unknown zero-frequency behavior {type(behavior).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# stable exponent forms used by the integration kernels
-# ---------------------------------------------------------------------------
+__all__ = ["log_r2_pair", "zero_frequency_mu_terms"]
 
 def log_r2_pair(v, zeta, eps):
     """Return (ln r_TM^2, ln r_TE^2) for broadcastable ndarray arguments.

@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 
-__all__ = ["polylog", "polylog_exp_neg", "riemann_zeta", "zeta3", "ZETA_3"]
+__all__ = ["polylog", "polylog_exp_neg", "riemann_zeta", "ZETA_3"]
 
-ZETA_3 = 1.2020569031595943
+ZETA_3 = 1.2020569031595943  # Apery's constant zeta(3)
 
 # crossover between the direct series and the small-mu expansion
 X_CROSS = math.exp(-0.5)
@@ -57,6 +57,8 @@ def _borwein_eta(s: float) -> float:
 def riemann_zeta(s: float) -> float:
     """Riemann zeta at real s != 1 (reflection formula below s = 1/2)."""
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"zeta argument must be finite, got {s}")
     if s == 1.0:
         raise ValueError("zeta(s) has a pole at s = 1")
     if s >= 0.5:
@@ -67,11 +69,6 @@ def riemann_zeta(s: float) -> float:
         return 0.0  # trivial zeros
     return (2.0**s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0)
             * math.gamma(1.0 - s) * riemann_zeta(1.0 - s))
-
-
-def zeta3() -> float:
-    """zeta(3) = 1.2020569031595943 (Apery's constant)."""
-    return ZETA_3
 
 
 _zeta_tables: dict[float, np.ndarray] = {}
@@ -152,15 +149,16 @@ def polylog_exp_neg(s: float, mu):
     mu : float or ndarray
         Nonnegative exponent.
     """
-    if s <= -1.0:
-        raise ValueError(f"polylog order must satisfy s > -1, got {s}")
+    if not (math.isfinite(s) and s > -1.0):
+        raise ValueError(f"polylog order must be finite and exceed -1, got {s}")
     arr = np.asarray(mu, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("mu must be nonnegative")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if s == 0.0:  # closed form Li_0(e^-mu) = 1/(e^mu - 1)
-        out = 1.0 / np.expm1(arr)
+        with np.errstate(over="ignore"):  # expm1 -> inf for large mu, 1/inf = 0
+            out = 1.0 / np.expm1(arr)
         return float(out[0]) if scalar else out
     out = np.empty_like(arr)
     small = arr < _MU_CROSS
@@ -197,10 +195,10 @@ def polylog(s: float, x):
         For ``x < 0``, ``x >= 1`` (except the ``s = 3, x = 1`` case) or
         ``s <= -1``.
     """
-    if s <= -1.0:
-        raise ValueError(f"polylog order must satisfy s > -1, got {s}")
+    if not (math.isfinite(s) and s > -1.0):
+        raise ValueError(f"polylog order must be finite and exceed -1, got {s}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("polylog argument must be nonnegative")
     if np.any(arr > 1.0) or (np.any(arr == 1.0) and s != 3.0):
         raise ValueError("polylog argument must lie in [0, 1) "

@@ -12,13 +12,12 @@ import pytest
 from casimir_cyl import (Geometry, IdealMetal, PlasmaOscillators,
                          QuadratureSpec, ThermalState, TiltParams,
                          ZeroFreqDrudeLike, ZeroFreqIdeal, cylinder_force,
-                         cylinder_force_gradient, fresnel, gold_drude,
+                         cylinder_force_gradient, gold_drude,
                          high_temperature_force, high_temperature_gradient,
                          ideal_metal_force_t0, ideal_metal_gradient_t0, kappa,
                          kappa_nm, thermal_correction, tilted_force,
                          total_pfa_error, zero_frequency_character,
-                         zero_frequency_pair, zero_temperature_force,
-                         zero_temperature_gradient)
+                         zero_temperature_force, zero_temperature_gradient)
 from casimir_cyl.casimir_core import PFAValidityWarning, _li_zero_freq, _zero_freq_int
 from casimir_cyl.constants import SQRT_PI
 from casimir_cyl.dielectric import ZeroFreqDielectric
@@ -26,11 +25,11 @@ from casimir_cyl.edge import (EDGE_FORCE_COEFF, EDGE_GRADIENT_COEFF,
                               PFA_FORCE_COEFF, PFA_GRADIENT_COEFF, EdgeParams,
                               EdgeValidityWarning, edge_corrected_force,
                               overhang_force)
-from casimir_cyl.reflection import DimensionlessPoint
 from casimir_cyl.specfun import ZETA_3
 from casimir_cyl.tilt import multiplicative_force
 from conftest import geometry_at
 from pfa_recomposition import thermal_corrections
+from reflection_oracle import DimensionlessPoint, fresnel, zero_frequency_pair
 
 AU = gold_drude()
 PLASMA = PlasmaOscillators(omega_p=9.0)

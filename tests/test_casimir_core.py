@@ -18,7 +18,7 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          plate_pressure, thermal_correction,
                          zero_temperature_force, zero_temperature_gradient)
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
-                                     _GRADIENT, _eps_lookup, _li_finite,
+                                     _GRADIENT, _li_finite,
                                      _li_zero_freq, _reduce, _zero_freq_int,
                                      matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
@@ -350,6 +350,9 @@ def test_plasma_expansion_and_domain():
         high_temperature_force(geom, 300.0, ZeroFreqPlasmaLike(alpha=0.3))
     with pytest.raises(ValueError):
         high_temperature_gradient(geom, 300.0, ZeroFreqPlasmaLike(alpha=0.25))
+    for bad in (float("nan"), -0.01):
+        with pytest.raises(ValueError):
+            high_temperature_force(geom, 300.0, ZeroFreqPlasmaLike(alpha=bad))
 
 
 # ------------------------------------------------------ thermal correction
@@ -427,7 +430,6 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
     """
     p, s = obs.v_power, obs.li_order
     omega_c = HBAR_C_EV_NM / (2.0 * (a * 1e9))
-    eps_fn = _eps_lookup(model)
     behavior = zero_frequency_character(model, a)
     span = quad.v_span() / (1.0 - a_theta)
     total = 0.5 * _zero_freq_int(
@@ -441,7 +443,7 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
             raise ConvergenceError(
                 f"Matsubara sum not converged after {quad.max_terms} terms")
         zeta = tau * l
-        eps = eps_fn(zeta * omega_c)
+        eps = eps_imag_axis(model, zeta * omega_c)
         term, _ = adaptive_quad(lambda v: _li_finite(v, zeta, eps, p, s, a_theta),
                                 zeta, zeta + span, rel_tol=quad.rel_tol * 0.1,
                                 initial_panels=4)

@@ -322,6 +322,17 @@ def test_kk_ingest_descending_rejected(tmp_path, capsys):
     assert "ascending" in err
 
 
+@pytest.mark.parametrize("row", ["nan 1.0", "inf 1.0", "3.0 nan", "3.0 inf"],
+                         ids=["nan_energy", "inf_energy", "nan_im", "inf_im"])
+def test_kk_ingest_non_finite_rejected(tmp_path, capsys, row):
+    path = tmp_path / "bad.dat"
+    path.write_text(f"0.5 1.0\n{row}\n")
+    code, out, err = run_cli(capsys, "kk-ingest", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "line 2" in err and "non-finite" in err
+
+
 def test_asymptote_command(capsys):
     code, out, _ = run_cli(capsys, "asymptote", "--a", "1000",
                            "--model", "drude")

@@ -61,10 +61,11 @@ def test_oscillator_contribution():
 
 
 def test_unsupported_models_rejected():
+    # ideal metal and static dielectric have a permittivity at every xi > 0
+    assert eps_imag_axis(IdealMetal(), 1.0) == np.inf
+    assert eps_imag_axis(Dielectric(eps0=3.0), 1.0) == 3.0
     with pytest.raises(ValueError):
-        eps_imag_axis(IdealMetal(), 1.0)
-    with pytest.raises(ValueError):
-        eps_imag_axis(Dielectric(eps0=3.0), 1.0)
+        eps_imag_axis(IdealMetal(), 0.0)
     with pytest.raises(ValueError):
         eps_imag_axis(AU, 0.0)
     with pytest.raises(ValueError):
@@ -106,7 +107,9 @@ def test_non_finite_parameters_rejected(make, name):
     AU,
     PlasmaOscillators(omega_p=9.0, oscillators=(Oscillator(20.0, 3.0, 1.0),)),
     Tabulated(table=synthetic_drude_table(80), tail=AU),
-], ids=["drude", "plasma_osc", "tabulated"])
+    IdealMetal(),
+    Dielectric(eps0=11.7),
+], ids=["drude", "plasma_osc", "tabulated", "ideal", "dielectric"])
 def test_eps_any_xi_shape_matches_raveled(model):
     xi = np.geomspace(0.01, 200.0, 3 * 17).reshape(3, 17)
     grid = eps_imag_axis(model, xi)
@@ -169,7 +172,6 @@ def test_kk_vectorized_matches_scalar():
 def test_drude_zero_behavior():
     beh = zero_frequency_character(AU, 500e-9)
     assert isinstance(beh, ZeroFreqDrudeLike)
-    assert beh.r_tm == 1.0 and beh.r_te == 0.0
 
 
 def test_tabulated_is_drude_like():
@@ -244,3 +246,47 @@ def test_table_invariants():
         OpticalTable([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(OpticalTableError):
         OpticalTable([1.0], [1.0])
+
+
+@pytest.mark.parametrize("omega, im_eps", [
+    ([1.0, float("nan")], [1.0, 1.0]),
+    ([1.0, float("inf")], [1.0, 1.0]),
+    ([1.0, 2.0], [float("nan"), 1.0]),
+    ([1.0, 2.0], [1.0, float("inf")]),
+], ids=["nan_omega", "inf_omega", "nan_im", "inf_im"])
+def test_table_rejects_non_finite(omega, im_eps):
+    with pytest.raises(OpticalTableError, match="finite"):
+        OpticalTable(omega, im_eps)
+
+
+@pytest.mark.parametrize("row", [
+    "nan 1.0", "inf 1.0", "3.0 nan", "3.0 inf", "3.0 -inf",
+    "3.0 1.0 nan", "3.0 inf 1.0", "3.0 1e200 1e200",
+], ids=["nan_omega", "inf_omega", "nan_im", "inf_im", "neg_inf_im",
+        "nan_k", "inf_n", "overflowing_nk"])
+def test_load_rejects_non_finite(tmp_path, row):
+    p = tmp_path / "bad.txt"
+    ncols = len(row.split())
+    first = "0.5 1.0" if ncols == 2 else "0.5 1.0 1.0"
+    p.write_text(f"# header\n{first}\n{row}\n")
+    with pytest.raises(OpticalTableError, match="finite") as excinfo:
+        load_optical_table(p)
+    assert excinfo.value.line == 3
+
+
+_TABLE = synthetic_drude_table(40)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eps_imag_axis(AU, float("nan")),
+    lambda: eps_imag_axis(AU, np.array([1.0, float("nan")])),
+    lambda: eps_imag_axis(IdealMetal(), float("nan")),
+    lambda: kk_transform(_TABLE, AU, float("nan")),
+    lambda: kk_transform(_TABLE, AU, np.array([1.0, float("nan")])),
+    lambda: zero_frequency_character(PlasmaOscillators(omega_p=9.0), float("nan")),
+    lambda: zero_frequency_character(AU, float("inf")),
+], ids=["eps_nan", "eps_nan_in_array", "eps_ideal_nan", "kk_nan",
+        "kk_nan_in_array", "zero_freq_nan_a", "zero_freq_inf_a"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError):
+        call()

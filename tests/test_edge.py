@@ -188,3 +188,22 @@ def test_overhang_validation_and_warning():
     tight = Geometry(a=2e-6, R=100e-6, L=100e-6)
     with pytest.warns(EdgeValidityWarning):
         overhang_force(tight, EdgeParams(L1=30e-6, R=100e-6))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: finite_plate_force(NAN, 0.0, 1e-7),
+    lambda: finite_plate_force(1e-8, NAN, 1e-7),
+    lambda: finite_plate_force(1e-8, 0.0, NAN),
+    lambda: finite_plate_force(INF, 0.0, 1e-7),
+    lambda: finite_plate_force(1e-8, INF, 1e-7),
+    lambda: finite_plate_force(1e-8, 0.0, INF),
+    lambda: EdgeParams(L1=NAN, R=100e-6),
+    lambda: EdgeParams(L1=25e-6, R=INF),
+], ids=["S_nan", "edge_nan", "z_nan", "S_inf", "edge_inf", "z_inf",
+        "overhang_L1_nan", "overhang_R_inf"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -61,3 +61,24 @@ def test_floor_vanishes_with_resolution():
     assert tiny == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         sensitivity_floor(OSC, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: OscillatorParams(NAN, 200e-6, 4.0e-17),
+    lambda: OscillatorParams(INF, 200e-6, 4.0e-17),
+    lambda: OscillatorParams(1.0, NAN, 4.0e-17),
+    lambda: OscillatorParams(1.0, 200e-6, INF),
+    lambda: resonant_frequency(OSC, NAN),
+    lambda: resonant_frequency(OSC, INF),
+    lambda: infer_gradient(OSC, NAN),
+    lambda: infer_gradient(OSC, INF),
+    lambda: sensitivity_floor(OSC, NAN),
+    lambda: sensitivity_floor(OSC, INF),
+], ids=["omega0_nan", "omega0_inf", "b_nan", "moment_inf", "resonance_nan",
+        "resonance_inf", "infer_nan", "infer_inf", "floor_nan", "floor_inf"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -1,4 +1,5 @@
-"""Reflection coefficients: hand values, limits, and stable-form consistency."""
+"""Reflection coefficients: the scalar oracle's hand values and limits, and the
+engine's stable exponent forms checked against it."""
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from casimir_cyl.dielectric import (ZeroFreqDielectric, ZeroFreqDrudeLike,
                                     ZeroFreqIdeal, ZeroFreqPlasmaLike)
-from casimir_cyl.reflection import (DimensionlessPoint, ReflectionPair, fresnel,
-                                    log_r2_pair, zero_frequency_pair)
+from casimir_cyl.reflection import log_r2_pair, zero_frequency_mu_terms
+from reflection_oracle import (DimensionlessPoint, ReflectionPair, fresnel,
+                               zero_frequency_pair)
 
 
 def test_static_limit_dielectric():
@@ -105,6 +107,21 @@ def test_log_r2_pair_matches_fresnel():
     ln_rtm2, ln_rte2 = log_r2_pair(np.array([v]), np.array([zeta]), eps)
     assert ln_rtm2[0] == pytest.approx(math.log(pair.r_tm**2), rel=1e-12)
     assert ln_rte2[0] == pytest.approx(math.log(pair.r_te**2), rel=1e-12)
+
+
+@pytest.mark.parametrize("beh", [ZeroFreqIdeal(), ZeroFreqDrudeLike(),
+                                 ZeroFreqDielectric(r0=0.5),
+                                 ZeroFreqPlasmaLike(alpha=0.01),
+                                 ZeroFreqPlasmaLike(alpha=3.0)],
+                         ids=["ideal", "drude", "dielectric", "plasma_weak", "plasma_strong"])
+def test_zero_frequency_mu_terms_match_oracle(beh):
+    # one exponent v - ln r^2 per channel that survives at zero frequency
+    vs = np.geomspace(1e-3, 40.0, 25)
+    mus = zero_frequency_mu_terms(beh, vs)
+    for i, v in enumerate(vs):
+        pair = zero_frequency_pair(beh, float(v))
+        want = [v - math.log(r * r) for r in (pair.r_tm, pair.r_te) if r != 0.0]
+        assert [mu[i] for mu in mus] == pytest.approx(want, rel=1e-13)
 
 
 def test_log_r2_pair_ideal_limit():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_cyl.specfun import (ZETA_3, polylog, polylog_exp_neg,
-                                 riemann_zeta, zeta3)
+from casimir_cyl.specfun import ZETA_3, polylog, polylog_exp_neg, riemann_zeta
 from conftest import direct_polylog_series
 
 # frozen from the direct-series oracle (sum sqrt(n) e^-n, ~400 terms, 1e-14)
@@ -34,7 +33,7 @@ def test_li3_series_oracle():
 
 
 def test_zeta3_constant():
-    assert zeta3() == 1.2020569031595943
+    assert ZETA_3 == 1.2020569031595943
     # the series machinery must agree with the frozen constant
     assert riemann_zeta(3.0) == pytest.approx(ZETA_3, rel=1e-14)
 
@@ -114,7 +113,8 @@ def test_exp_neg_matches_polylog():
 
 
 def test_mu_infinity_is_zero():
-    assert polylog_exp_neg(0.5, np.inf) == 0.0
+    for s in (-0.5, 0.0, 0.5, 3.0):
+        assert polylog_exp_neg(s, np.inf) == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -163,3 +163,20 @@ def test_exp_neg_batch_bits_match_scalar_calls(s):
         single = [polylog_exp_neg(s, float(m)).hex() for m in mu.ravel()]
     assert batch.shape == mu.shape
     assert [v.hex() for v in batch.ravel()] == single
+
+
+@pytest.mark.parametrize("call", [
+    lambda: riemann_zeta(float("nan")),
+    lambda: riemann_zeta(float("-inf")),
+    lambda: polylog_exp_neg(0.5, float("nan")),
+    lambda: polylog_exp_neg(0.5, np.array([1.0, float("nan")])),
+    lambda: polylog_exp_neg(float("nan"), 1.0),
+    lambda: polylog(0.5, float("nan")),
+    lambda: polylog(0.5, np.array([0.5, float("nan")])),
+    lambda: polylog(float("inf"), 0.5),
+], ids=["zeta_nan", "zeta_neg_inf", "li_mu_nan", "li_mu_nan_in_array",
+        "li_order_nan", "polylog_x_nan", "polylog_x_nan_in_array",
+        "polylog_order_inf"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError):
+        call()
