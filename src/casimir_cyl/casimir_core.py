@@ -27,7 +27,8 @@ quadrature whose inner integrals share their panels.
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
 :func:`_evaluate`, runs either row at finite T or T = 0, parallel or tilted
-(the length average of :mod:`casimir_cyl.tilt`).
+(the length average of :mod:`casimir_cyl.tilt`).  The polarizations are axis 0
+of one array, so each kernel evaluation is one polylog call.
 """
 from __future__ import annotations
 
@@ -190,35 +191,30 @@ _OBSERVABLES = {"force": _FORCE, "gradient": _GRADIENT}
 def _li_kernel(v, exps, p: float, s: float, a_theta: float):
     """The kernel ``v**p Li_s(r^2 e^-v)`` summed over polarization channels.
 
-    At A = a_theta = 0, ``exps`` are the exponents mu = v - ln r^2 and the
-    kernel is ``v**p sum Li_s(e^-mu)``.  At A > 0 they are the offsets
-    m0 = mu - v, and the length average sinh(A n v)/(A n v) of each n-th
-    summand folds into ``(v**(p-1) / 2A) sum [Li_{s+1}(e^{-v(1-A)-m0})
-    - Li_{s+1}(e^{-v(1+A)-m0})]``.
+    ``exps`` has one channel per row of axis 0.  At A = a_theta = 0 they are
+    the exponents mu = v - ln r^2 and the kernel is ``v**p sum Li_s(e^-mu)``.
+    At A > 0 they are the offsets m0 = mu - v, and the length average
+    sinh(A n v)/(A n v) of each n-th summand folds into ``(v**(p-1) / 2A) sum
+    [Li_{s+1}(e^{-v(1-A)-m0}) - Li_{s+1}(e^{-v(1+A)-m0})]``.  One polylog call
+    covers all channels and both tilt arguments, with the bits of separate calls.
     """
     A = a_theta
     if A == 0.0:
-        terms = [polylog_exp_neg(s, mu) for mu in exps]
-        scale = v**p
-    else:
-        terms = [polylog_exp_neg(s + 1.0, v * (1.0 - A) + m0)
-                 - polylog_exp_neg(s + 1.0, v * (1.0 + A) + m0) for m0 in exps]
-        scale = v**(p - 1.0) / (2.0 * A)
-    return scale * sum(terms[1:], terms[0])
+        return v**p * polylog_exp_neg(s, exps).sum(axis=0)
+    li = polylog_exp_neg(s + 1.0, np.stack((v * (1.0 - A) + exps, v * (1.0 + A) + exps)))
+    return v**(p - 1.0) / (2.0 * A) * (li[0] - li[1]).sum(axis=0)
 
 
 def _li_finite(v, zeta, eps, p: float, s: float, a_theta: float):
     """Kernel at a Matsubara frequency zeta > 0 with permittivity eps."""
     ln_r2 = log_r2_pair(v, zeta, eps)
-    exps = [v - x for x in ln_r2] if a_theta == 0.0 else [-x for x in ln_r2]
-    return _li_kernel(v, exps, p, s, a_theta)
+    return _li_kernel(v, v - ln_r2 if a_theta == 0.0 else -ln_r2, p, s, a_theta)
 
 
 def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: float):
     """Kernel of the l = 0 term, from the model's zero-frequency behavior."""
     mus = zero_frequency_mu_terms(behavior, v)
-    exps = mus if a_theta == 0.0 else [mu - v for mu in mus]
-    return _li_kernel(v, exps, p, s, a_theta)
+    return _li_kernel(v, mus if a_theta == 0.0 else mus - v, p, s, a_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +247,9 @@ def _next_block(recent: deque, target: float) -> int:
 
 
 def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
-                     zero_integral: Callable[[], float],
-                     tau: float, quad: QuadratureSpec) -> tuple[float, int, float]:
-    """Primed Matsubara sum: 0.5 * I(0) + sum_{l>=1} I(tau l).
+                     zero_integral: float,
+                     quad: QuadratureSpec) -> tuple[float, int, float]:
+    """Primed Matsubara sum: 0.5 * zero_integral + sum_{l>=1} I(tau l).
 
     ``block_integrals(l0, count)`` returns the v-integrals of l0, ...,
     l0 + count - 1 as an iterable in ascending l.  Terms are accumulated one
@@ -268,7 +264,7 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
     -------
     (sum, l_used, truncation_estimate)
     """
-    total = 0.5 * zero_integral()
+    total = 0.5 * zero_integral
     recent: deque[float] = deque(maxlen=_CONSECUTIVE_BELOW)
     below = 0
     l = 0
@@ -289,15 +285,13 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
         count = _next_block(recent, quad.rel_tol * abs(total))
 
 
-def zero_temperature_reduce(kernel, quad: QuadratureSpec,
-                            span_scale: float = 1.0) -> tuple[float, float]:
+def zero_temperature_reduce(kernel, span: float,
+                            quad: QuadratureSpec) -> tuple[float, float]:
     """Continuous double integral J = int_0^inf dzeta int_zeta^inf dv K(v, zeta).
 
-    Rewritten over the unit strip as int_0^1 dt int_0^inf dv v K(v, t v); the
+    Rewritten over the unit strip as int_0^1 dt int_0^span dv v K(v, t v); the
     inner integral is smoothed by v = w**2 so the v**(1/2)-type endpoint
-    behavior of the metallic kernels costs no panels.  ``span_scale``
-    stretches the integration window for kernels with slower exponential
-    decay than exp(-v).
+    behavior of the metallic kernels costs no panels.
 
     The inner integrals of all outer nodes t pending at one outer refinement
     level are one vector-valued quadrature: ``kernel`` receives v of shape
@@ -306,7 +300,6 @@ def zero_temperature_reduce(kernel, quad: QuadratureSpec,
 
     Returns (J, relative error estimate).
     """
-    span = quad.v_span() * span_scale
     w_hi = math.sqrt(span)
 
     def outer(t: np.ndarray) -> np.ndarray:
@@ -338,14 +331,14 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     exp(-v(1 - a_theta)) decay.  Returns (total, l_used, error estimate).
     """
     omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
+    span = quad.v_span() / (1.0 - a_theta)
     if tau == 0.0:
         total, rel = zero_temperature_reduce(
             lambda v, zeta: _li_finite(v, zeta, eps_imag_axis(model, zeta * omega_c_ev),
                                        p, s, a_theta),
-            quad, span_scale=1.0 / (1.0 - a_theta))
+            span, quad)
         return total, 0, rel
     behavior = zero_frequency_character(model, a)
-    span = quad.v_span() / (1.0 - a_theta)
 
     def block(l0: int, count: int) -> Iterator[float]:
         # one lockstep quadrature: each row is the lone term's integral, bit for bit
@@ -356,11 +349,8 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
             zetas, zetas + span, rel_tol=quad.rel_tol * 0.1, initial_panels=4)
         return (val for val, _ in rows)
 
-    def zero() -> float:
-        return _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta),
-                              span, quad)
-
-    return matsubara_reduce(block, zero, tau, quad)
+    zero = _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)
+    return matsubara_reduce(block, zero, quad)
 
 
 def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,

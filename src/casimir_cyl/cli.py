@@ -52,6 +52,8 @@ def parse_sweep(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"non-numeric sweep spec '{text}'")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"sweep spec '{text}' needs a finite MIN and MAX")
     if not (hi > lo and n >= 2):
         raise ConfigError("sweep needs min < max and at least 2 points")
     if len(parts) == 4:
@@ -110,6 +112,13 @@ def build_config(args: argparse.Namespace) -> None:
     """
     if args.a is not None and args.a_sweep is not None:
         raise ConfigError("give either a or a-sweep, not both")
+    tilted = args.theta is not None or args.a_theta is not None
+    if tilted and args.command not in ("force", "gradient"):
+        raise ConfigError(f"{args.command} takes no theta or a-theta")
+    if args.plot and args.command not in ("force", "gradient", "thermal-correction"):
+        raise ConfigError(f"{args.command} writes no plot")
+    if args.command == "kk-ingest" and args.format == "json":
+        raise ConfigError("kk-ingest writes text only, no json")
     if args.a_sweep is not None:
         args.a_values_nm = parse_sweep(args.a_sweep)
     else:

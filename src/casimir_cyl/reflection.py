@@ -9,12 +9,12 @@ With :math:`s = \sqrt{v^2 + (\varepsilon-1)\zeta^2}`,
 where v = 2 q a >= zeta = xi/omega_c and eps = eps(i xi).  The engine never
 needs the coefficients themselves but the exponents ``mu = v - ln r**2`` of
 the polylogarithm arguments, so this module holds only those: the
-finite-frequency pair, formed cancellation-free in :func:`log_r2_pair`
-(Drude permittivities reach ~1e6 at the first Matsubara frequency of
-micrometer separations, where the naive difference ``eps*v - s`` would shed
-digits), and the zero-frequency channels in :func:`zero_frequency_mu_terms`.
-The scalar coefficients themselves are a test oracle
-(``tests/reflection_oracle.py``).
+finite-frequency pair, formed cancellation-free in :func:`log_r2_pair` (Drude
+permittivities reach ~1e6 at the first Matsubara frequency of micrometer
+separations, where the naive difference ``eps*v - s`` would shed digits), and
+the zero-frequency channels in :func:`zero_frequency_mu_terms`.  Both put the
+channels on axis 0 of one array.  The scalar coefficients themselves are a
+test oracle (``tests/reflection_oracle.py``).
 """
 from __future__ import annotations
 
@@ -28,42 +28,41 @@ from .dielectric import (ZeroFreqBehavior, ZeroFreqDielectric, ZeroFreqDrudeLike
 __all__ = ["log_r2_pair", "zero_frequency_mu_terms"]
 
 def log_r2_pair(v, zeta, eps):
-    """Return (ln r_TM^2, ln r_TE^2) for broadcastable ndarray arguments.
+    """Return ln r^2 of both channels, shape ``(2,) + broadcast(v, zeta, eps)``.
 
-    Uses log1p of the exact complements 1 - r = 2s/(eps v + s) and
-    1 - |r_TE| = 2v/(v + s); eps may be +inf (ideal metal limit, ln r^2 = 0).
+    Row 0 is ln r_TM^2, row 1 ln r_TE^2.  Uses log1p of the exact complements
+    1 - r = 2s/(eps v + s) and 1 - |r_TE| = 2v/(v + s); eps may be +inf (ideal
+    metal limit, ln r^2 = 0).
     """
     v = np.asarray(v, dtype=float)
     eps = np.asarray(eps, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     shape = np.broadcast_shapes(v.shape, eps.shape, zeta.shape)
     if np.all(np.isinf(eps)):
-        zero = np.zeros(shape)
-        return zero, zero.copy()
+        return np.zeros((2,) + shape)
     s = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
-    ln_rtm2 = 2.0 * np.log1p(-2.0 * s / (eps * v + s))
-    ln_rte2 = 2.0 * np.log1p(-2.0 * v / (v + s))
-    return ln_rtm2, ln_rte2
+    return np.stack((2.0 * np.log1p(-2.0 * s / (eps * v + s)),
+                     2.0 * np.log1p(-2.0 * v / (v + s))))
 
 
-def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> list[np.ndarray]:
+def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> np.ndarray:
     """Exponents mu = v - ln r^2 of the surviving zero-frequency channels.
 
-    One array per polarization that contributes to the l = 0 term; the plasma
-    TE exponent uses the identity ln(sqrt(1+x^2) - x) = -asinh(x) to stay
-    exact for alpha*v anywhere from 0 to overflow.  ``ZeroFreqMixed`` encodes
-    the metal-dielectric cross term whose series runs over r0^n, i.e. a
-    single channel with mu = v - ln r0.
+    One row of axis 0 per polarization that contributes to the l = 0 term;
+    the plasma TE exponent uses the identity ln(sqrt(1+x^2) - x) = -asinh(x)
+    to stay exact for alpha*v anywhere from 0 to overflow.  ``ZeroFreqMixed``
+    encodes the metal-dielectric cross term whose series runs over r0^n, i.e.
+    a single channel with mu = v - ln r0.
     """
     v = np.asarray(v, dtype=float)
     if isinstance(behavior, ZeroFreqIdeal):
-        return [v, v.copy()]
+        return np.stack((v, v))
     if isinstance(behavior, ZeroFreqDrudeLike):
-        return [v]
+        return np.stack((v,))
     if isinstance(behavior, ZeroFreqPlasmaLike):
-        return [v, v + 4.0 * np.arcsinh(behavior.alpha * v)]
+        return np.stack((v, v + 4.0 * np.arcsinh(behavior.alpha * v)))
     if isinstance(behavior, ZeroFreqDielectric):
-        return [v - 2.0 * math.log(behavior.r0)]
+        return np.stack((v - 2.0 * math.log(behavior.r0),))
     if isinstance(behavior, ZeroFreqMixed):
-        return [v - math.log(behavior.r0)]
+        return np.stack((v - math.log(behavior.r0),))
     raise TypeError(f"unknown zero-frequency behavior {type(behavior).__name__}")

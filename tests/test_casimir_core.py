@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          IdealMetal, Oscillator, PFAValidityWarning, PlasmaOscillators,
@@ -17,8 +19,9 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          ideal_metal_force_t0, ideal_metal_gradient_t0,
                          plate_pressure, thermal_correction,
                          zero_temperature_force, zero_temperature_gradient)
+from casimir_cyl import casimir_core
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
-                                     _GRADIENT, _li_finite,
+                                     _GRADIENT, _li_finite, _li_kernel,
                                      _li_zero_freq, _reduce, _zero_freq_int,
                                      matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
@@ -208,13 +211,16 @@ def test_force_attractive_gradient_positive():
         assert g.value > 0.0, model
 
 
-def test_model_hierarchy():
-    geom = geometry_at(500.0)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.floats(min_value=100.0, max_value=5000.0))
+def test_model_hierarchy(a_nm):
+    # margins over 100-5000 nm: plasma/Drude >= 1.018, ideal/plasma >= 1.011
+    geom = geometry_at(a_nm)
     th = ThermalState.at(300.0, geom)
-    f_ideal = abs(cylinder_force(geom, th, IdealMetal()).value)
-    f_plasma = abs(cylinder_force(geom, th, PLASMA).value)
-    f_drude = abs(cylinder_force(geom, th, AU).value)
-    assert f_ideal >= f_plasma >= f_drude
+    for fn in (cylinder_force, cylinder_force_gradient):
+        ideal, plasma, drude = (abs(fn(geom, th, m).value)
+                                for m in (IdealMetal(), PLASMA, AU))
+        assert drude < plasma < ideal, fn.__name__
 
 
 def test_monotone_decay_in_separation():
@@ -418,6 +424,36 @@ def test_t0_batched_matches_nested_quadrature(model, a_nm):
         assert fn(geom, model).value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("a_theta", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_kernel_is_one_polylog_call_with_per_channel_bits(monkeypatch, channels, a_theta):
+    # (channel, outer node, v) exponents, as at T = 0; one channel as at l = 0
+    v = np.geomspace(1e-3, 40.0, 9)
+    zeta = np.array([[0.1], [0.5], [1.0]]) * v
+    ln_r2 = log_r2_pair(v, zeta, 50.0)[:channels]
+    exps = v - ln_r2 if a_theta == 0.0 else -ln_r2
+    calls = []
+
+    def counted(s, mu):
+        calls.append(s)
+        return polylog_exp_neg(s, mu)
+
+    monkeypatch.setattr(casimir_core, "polylog_exp_neg", counted)
+    got = _li_kernel(v, exps, 1.5, 0.5, a_theta)
+    assert len(calls) == 1
+    A = a_theta
+    if A == 0.0:
+        terms = [polylog_exp_neg(0.5, mu) for mu in exps]
+        scale = v**1.5
+    else:
+        terms = [polylog_exp_neg(1.5, v * (1.0 - A) + m0)
+                 - polylog_exp_neg(1.5, v * (1.0 + A) + m0) for m0 in exps]
+        scale = v**0.5 / (2.0 * A)
+    want = scale * (terms[0] + terms[1] if channels == 2 else terms[0])
+    assert got.shape == zeta.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------- blocked Matsubara sum
 
 
@@ -519,11 +555,11 @@ def test_failed_row_past_the_stop_is_not_read():
                 f, np.zeros(count), np.ones(count), rel_tol=quad.rel_tol * 0.1))
         return block
 
-    total, l_used, _ = matsubara_reduce(blocks(10**6), lambda: 2.0, 1.0, quad)
+    total, l_used, _ = matsubara_reduce(blocks(10**6), 2.0, quad)
     assert l_used == 7 < _FIRST_BLOCK
-    assert matsubara_reduce(blocks(l_used + 1), lambda: 2.0, 1.0, quad)[:2] == (total, l_used)
+    assert matsubara_reduce(blocks(l_used + 1), 2.0, quad)[:2] == (total, l_used)
     with pytest.raises(ConvergenceError, match=f"row {l_used - 1}"):
-        matsubara_reduce(blocks(l_used), lambda: 2.0, 1.0, quad)
+        matsubara_reduce(blocks(l_used), 2.0, quad)
 
 
 # Recorded before the Matsubara terms were blocked (one adaptive_quad per

@@ -26,6 +26,9 @@ def test_parse_sweep():
     for bad in ("100:500", "500:100:5", "100:500:1", "a:b:c", "1:2:3:cubic"):
         with pytest.raises(ConfigError):
             parse_sweep(bad)
+    for bad in ("100:inf:3", "100:inf:3:log", "-inf:100:3", "nan:100:3"):
+        with pytest.raises(ConfigError, match=f"'{bad}'.*finite"):
+            parse_sweep(bad)
 
 
 def test_single_point_matches_library(capsys):
@@ -157,12 +160,43 @@ def test_conflicting_a_and_sweep_exit_2(capsys):
     ("force", "--a", "500", "--R", "inf"),
     ("gradient", "--a", "500", "--a-theta", "nan"),
     ("asymptote", "--a", "500", "--T", "inf"),
+    # without the endpoint check numpy warned (an error in this suite) on these
+    ("force", "--a-sweep", "100:inf:3"),
+    ("force", "--a-sweep", "100:inf:3:log"),
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("thermal-correction", "a_theta", "0.3"),
+    ("asymptote", "theta", "0.001"),
+    ("edge-error", "a_theta", "0.2"),
+    ("table1", "theta", "0.001"),
+    ("kk-ingest", "a_theta", "0.1"),
+    ("asymptote", "plot", "p.svg"),
+    ("edge-error", "plot", "p.svg"),
+    ("table1", "plot", "p.svg"),
+    ("kk-ingest", "plot", "p.svg"),
+    ("kk-ingest", "format", "json"),
+])
+def test_option_the_command_would_ignore_exits_2(tmp_path, monkeypatch, capsys,
+                                                 command, key, value, source):
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + (["optical.dat"] if command == "kk-ingest" else [])
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        argv += ["--config", "run.cfg"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert command in err
+    assert not (tmp_path / "p.svg").exists()
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -4,10 +4,15 @@
 it is the oracle for moving the crossover between the series and the small-mu
 expansion (now at mu = 0.5).  ``log_r2_pair`` is checked against the Fresnel
 coefficients evaluated at 40 digits from the same float inputs.
+``kk_transform`` is checked against the analytic Drude eps(i xi) on a table
+sampled from that Drude model, and against mpmath's 30-digit integral of the
+same log-log interpolant (plus the Drude tail below the table) on a table
+with an interband Lorentz term.
 """
 import numpy as np
 import pytest
 
+from casimir_cyl.dielectric import Drude, OpticalTable, kk_transform
 from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import polylog_exp_neg
 
@@ -57,3 +62,43 @@ def test_log_r2_pair_matches_mpmath(eps):
     # though r_TE^2 itself, which the kernels use, does not
     assert worst_r2 <= 1e-15
     assert worst_ln_tm <= 1e-14
+
+
+# imaginary frequencies (eV) from far below gamma to far above the interband term
+XI = np.array([1e-3, 0.035, 0.1, 1.0, 10.0, 100.0])
+OMEGA_P, GAMMA = 9.0, 0.035
+
+
+def _drude_im_eps(w):
+    return OMEGA_P**2 * GAMMA / (w * (w * w + GAMMA**2))
+
+
+def test_kk_of_sampled_drude_matches_analytic():
+    # the interpolation inside [0.5, 1e4] eV is the only error: the tail
+    # below is the same Drude model and the data above add < 1e-12
+    w = np.geomspace(0.5, 1e4, 400)
+    got = kk_transform(OpticalTable(w, _drude_im_eps(w)), Drude(OMEGA_P, GAMMA), XI)
+    want = 1.0 + OMEGA_P**2 / (XI * (XI + GAMMA))
+    assert np.max(np.abs(got / want - 1.0)) <= 3e-8
+
+
+def test_kk_matches_mpmath_integral_of_the_interpolant():
+    w = np.geomspace(0.1, 100.0, 40)
+    strength, w_0, width = 20.0, 3.0, 1.0  # Lorentz term: eV^2, eV, eV
+    im = _drude_im_eps(w) + strength * width * w / ((w_0**2 - w * w) ** 2
+                                                    + width**2 * w * w)
+    got = kk_transform(OpticalTable(w, im), Drude(OMEGA_P, GAMMA), XI)
+    with mpmath.workdps(30):
+        ws = [mpmath.mpf(float(x)) for x in w]
+        gs = [mpmath.mpf(float(x)) for x in im]
+        wp2g, g = mpmath.mpf(OMEGA_P) ** 2 * mpmath.mpf(GAMMA), mpmath.mpf(GAMMA)
+        for xi, eps in zip(XI, got):
+            x2 = mpmath.mpf(float(xi)) ** 2
+            total = mpmath.quad(lambda o: wp2g / ((o * o + g * g) * (o * o + x2)),
+                                [0, g, ws[0]])
+            for w0, w1, g0, g1 in zip(ws, ws[1:], gs, gs[1:]):
+                slope = mpmath.log(g1 / g0) / mpmath.log(w1 / w0)
+                total += mpmath.quad(
+                    lambda o: o * g0 * (o / w0) ** slope / (o * o + x2), [w0, w1])
+            want = 1 + 2 / mpmath.pi * total
+            assert float(abs(mpmath.mpf(float(eps)) / want - 1)) <= 1e-13, xi

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casimir_cyl import (Geometry, IdealMetal, QuadratureSpec, ThermalState,
-                         TiltParams, cylinder_force, cylinder_force_gradient,
-                         gold_drude, kappa, kappa_nm, multiplicative_force,
-                         tilted_force, tilted_gradient)
+from casimir_cyl import (Geometry, IdealMetal, PlasmaOscillators, QuadratureSpec,
+                         ThermalState, TiltParams, cylinder_force,
+                         cylinder_force_gradient, gold_drude, kappa, kappa_nm,
+                         multiplicative_force, tilted_force, tilted_gradient)
 from casimir_cyl.casimir_core import _li_finite, ideal_metal_force_t0
 from conftest import geometry_at
 
@@ -59,6 +61,19 @@ def test_zero_angle_reduces_exactly():
     assert kappa_nm(geom, th, AU, tilt0) == 1.0
     assert multiplicative_force(geom, th, AU, tilt0).value == \
         cylinder_force(geom, th, AU).value
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.floats(min_value=1e-6, max_value=1e-2))
+def test_small_tilt_approaches_parallel(a_theta):
+    # kappa - 1 = (21/8) A^2 + O(A^4); 1e-9 covers the quadrature noise at tiny A
+    geom = geometry_at(500.0)
+    th = ThermalState.at(300.0, geom)
+    tilt = TiltParams.from_a_theta(a_theta, geom)
+    for model in (IdealMetal(), AU, PlasmaOscillators(omega_p=9.0)):
+        ratio = tilted_force(geom, th, model, tilt).value / \
+            cylinder_force(geom, th, model).value
+        assert abs(ratio - 1.0) <= 3.0 * a_theta**2 + 1e-9, model
 
 
 def test_ideal_t0_multiplicative_exactness():
