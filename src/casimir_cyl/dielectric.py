@@ -169,30 +169,30 @@ class OpticalTable:
 
     def _build_nodes(self) -> None:
         # log-log power law on each table segment, split into narrow
-        # sub-segments; nodes/weights frozen here, read-only afterwards
+        # sub-segments whose edges are those np.linspace gives per segment;
+        # nodes/weights frozen here, read-only afterwards
         ln_w = np.log(self.omega)
         ln_g = np.log(self.im_eps)
-        fine: list[np.ndarray] = []
-        coarse: list[np.ndarray] = []
-        for i in range(self.omega.size - 1):
-            width = ln_w[i + 1] - ln_w[i]
-            slope = (ln_g[i + 1] - ln_g[i]) / width
-            nsub = max(1, int(math.ceil(width / _LN_STEP)))
-            edges = np.linspace(ln_w[i], ln_w[i + 1], nsub + 1)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            for pts, wts, sink in ((_GL_NODES, _GL_WEIGHTS, fine),
-                                   (_GL4_NODES, _GL4_WEIGHTS, coarse)):
-                ln_pts = (centers[:, None] + halves[:, None] * pts[None, :]).ravel()
-                w_pts = (halves[:, None] * wts[None, :]).ravel()
-                om = np.exp(ln_pts)
-                gval = np.exp(ln_g[i] + slope * (ln_pts - ln_w[i]))
-                # premultiplied weight: w * omega * ImEps(omega) (log-space Jacobian)
-                sink.append(np.stack([om, w_pts * om * om * gval]))
-        full = np.concatenate(fine, axis=1)
-        half = np.concatenate(coarse, axis=1)
-        self._om, self._wt = full[0], full[1]
-        self._om4, self._wt4 = half[0], half[1]
+        width = np.diff(ln_w)
+        slope = np.diff(ln_g) / width
+        nsub = np.maximum(1, np.ceil(width / _LN_STEP).astype(np.int64))
+        seg = np.repeat(np.arange(width.size), nsub)  # segment of each sub-segment
+        j = np.arange(seg.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+        step = width[seg] / nsub[seg]
+        lo = j * step + ln_w[seg]
+        hi = np.where(j + 1 == nsub[seg], ln_w[seg + 1], (j + 1) * step + ln_w[seg])
+        centers = 0.5 * (lo + hi)
+        halves = 0.5 * (hi - lo)
+        nodes = []
+        for pts, wts in ((_GL_NODES, _GL_WEIGHTS), (_GL4_NODES, _GL4_WEIGHTS)):
+            ln_pts = (centers[:, None] + halves[:, None] * pts[None, :]).ravel()
+            w_pts = (halves[:, None] * wts[None, :]).ravel()
+            at = np.repeat(seg, pts.size)
+            om = np.exp(ln_pts)
+            gval = np.exp(ln_g[at] + slope[at] * (ln_pts - ln_w[at]))
+            # premultiplied weight: w * omega * ImEps(omega) (log-space Jacobian)
+            nodes.append((om, w_pts * om * om * gval))
+        (self._om, self._wt), (self._om4, self._wt4) = nodes
 
     def dispersion_integral(self, xi) -> np.ndarray:
         """In-range part of (2/pi) * integral omega ImEps / (omega^2 + xi^2).

@@ -13,6 +13,15 @@ estimate, Piessens et al. 1983):
   bisections (:func:`adaptive_quad_rows`): the rows share only the integrand
   call of each refinement level, and every row returns the bits of a lone
   scalar integral.
+
+Both run one refinement driver, :func:`_refine`, over one array state: the
+panels of many panel sets in flat arrays, advanced a whole level at a time.
+A scalar integral is one set with one row, the shared-panel mode one set with
+m rows, the lockstep mode many sets with one row each.  Per-set K15/G7
+products and panel sums keep a lone set's bits only when each one sees
+exactly its set's panels: a BLAS product or a pairwise sum over the panels of
+several sets concatenated is not bit-stable, so sets with equal panel counts
+are stacked and reduced together, one group per distinct count.
 """
 from __future__ import annotations
 
@@ -88,88 +97,125 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _MAX_REFINEMENTS = 64
 
 
-class _Panels:
-    """One integral, or several sharing their panels, under adaptive refinement.
+def _stacks(count: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
+    """Panel order that puts sets of equal count together, and (count, sets) per count.
 
-    ``nodes`` holds the abscissae of the panels waiting for integrand values;
-    :meth:`absorb` takes the values there, merges those panels into the rest
-    and picks the panels to bisect next.  This is the only copy of the
-    refinement policy: :func:`adaptive_quad` runs one instance,
-    :func:`adaptive_quad_rows` runs one per row in lockstep.
+    ``count[i]`` panels of set i, set-major; the order sorts them stably by
+    their set's count, ascending, and is None when all counts are equal.
     """
+    if (count == count[0]).all():
+        return None, [(int(count[0]), count.size)]
+    tally = np.bincount(count)
+    sizes = np.flatnonzero(tally)
+    return (np.argsort(np.repeat(count, count), kind="stable"),
+            list(zip(sizes.tolist(), tally[sizes].tolist())))
 
-    def __init__(self, a: float, b: float, rel_tol: float, max_panels: int,
-                 initial_panels: int) -> None:
-        self.rel_tol = rel_tol
-        self.max_panels = max_panels
-        self.refinements = 0
-        self.vector = False
-        self.keep = None  # panels surviving the last bisection; None before the first
-        edges = np.linspace(a, b, initial_panels + 1)
-        self._pend(edges[:-1], edges[1:])
 
-    def _pend(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        self.new_lo, self.new_hi = lo, hi
-        center = 0.5 * (lo + hi)
-        self.half = 0.5 * (hi - lo)
-        self.nodes = (center[:, None] + self.half[:, None] * _XK[None, :]).ravel()
+def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, max_panels: int,
+            initial_panels: int) -> tuple[bool, np.ndarray]:
+    """Adaptive (G7, K15) refinement of panel sets, set s over ``[a[s], b[s]]``.
 
-    def absorb(self, out) -> bool:
-        """Take the integrand values at ``nodes``; True while refinement goes on."""
-        # rows x panels arrays; a scalar integrand is the single-row case
-        self.vector = np.ndim(out) == 2
-        shape = (len(out) if self.vector else 1, self.new_lo.size)
-        vals = np.reshape(out, (-1, _XK.size))
-        k15 = self.half * (vals @ _WK).reshape(shape)
-        g7 = self.half * (vals[:, _GAUSS_IDX] @ _WG).reshape(shape)
-        if self.keep is None:
-            self.lo, self.hi = self.new_lo, self.new_hi
-            self.val, self.err = k15, np.abs(k15 - g7)
+    A set's ``m`` rows (m > 1 only for a single set) share its panels, each
+    row held to ``rel_tol * |row total|``.  A panel is bisected when an open
+    row has more than its share of its budget there, else where an open row
+    has its largest error.  The panels live in one table (rows lo, hi, m
+    values, m errors), each set's contiguous: kept, left halves, right halves.
+    Each level is one call ``f(x, owner)`` and a fixed number of numpy calls,
+    plus one stack per distinct pending and total panel count.
+
+    Returns whether ``f`` is vector-valued and the row totals stacked on the
+    row error estimates, shape ``(2 m, len(a))``.
+    """
+    n_sets = a.size
+    edges = np.linspace(a, b, initial_panels + 1, axis=1)
+    pend = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel()])  # lo, hi
+    pend_owner = np.repeat(np.arange(n_sets), initial_panels)
+    live = np.arange(n_sets)  # sets still refining, ascending
+    for level in range(_MAX_REFINEMENTS + 1):
+        half = 0.5 * (pend[1] - pend[0])
+        center = 0.5 * (pend[0] + pend[1])
+        out = f((center[:, None] + half[:, None] * _XK).ravel(),
+                np.repeat(pend_owner, _XK.size))
+        if level == 0:
+            vector = np.ndim(out) == 2
+            m = len(out) if vector else 1
+            sums = np.empty((2 * m, n_sets))
+        # K15 and G7 sums, one stacked product per distinct pending count
+        order, groups = _stacks(np.bincount(pend_owner)[live])
+        vals = np.reshape(out, (m, -1, _XK.size))
+        if order is not None:
+            vals = vals.take(order, axis=1)
+        prods, start = [], 0
+        for n, k in groups:
+            blk = vals[:, start:start + n * k].reshape(k, m * n, _XK.size)
+            # a lone product reads the Gauss columns as a column-major copy
+            gauss = blk.swapaxes(1, 2).take(_GAUSS_IDX, axis=1).swapaxes(1, 2)
+            prods.append(np.stack([blk @ _WK, gauss @ _WG]).reshape(2 * m, k * n))
+            start += n * k
+        kg = np.concatenate(prods, axis=1)
+        if order is not None:
+            kg[:, order] = kg.copy()
+        kg *= half
+        new = np.concatenate([pend, kg[:m], np.abs(kg[:m] - kg[m:])])
+        if level == 0:
+            table, owner = new, pend_owner
         else:
-            keep = self.keep
-            self.lo = np.concatenate([self.lo[keep], self.new_lo])
-            self.hi = np.concatenate([self.hi[keep], self.new_hi])
-            self.val = np.concatenate([self.val[:, keep], k15], axis=1)
-            self.err = np.concatenate([self.err[:, keep], np.abs(k15 - g7)], axis=1)
-        if self.refinements == _MAX_REFINEMENTS:
-            return False
-        lo, hi, err = self.lo, self.hi, self.err
-        tol = self.rel_tol * np.abs(self.val.sum(axis=1))
-        open_rows = ~(err.sum(axis=1) <= tol)  # a NaN estimate stays open
-        if not open_rows.any() or lo.size >= self.max_panels:
-            return False
+            owner = np.concatenate([owner, pend_owner])
+            order = np.argsort(owner, kind="stable")
+            table = np.concatenate([table, new], axis=1).take(order, axis=1)
+            owner = owner[order]
+        # row totals, one stacked pairwise sum per distinct panel count
+        count = np.bincount(owner)[live]
+        order, groups = _stacks(count)
+        est = table[2:] if order is None else table[2:].take(order, axis=1)
+        parts, start = [], 0
+        for n, k in groups:
+            parts.append(est[:, start:start + n * k].reshape(2 * m, k, n).sum(axis=2))
+            start += n * k
+        ids = live if order is None else live[np.argsort(count, kind="stable")]
+        sums[:, ids] = np.concatenate(parts, axis=1)
+        if level == _MAX_REFINEMENTS:
+            break
+        tol = rel_tol * np.abs(sums[:m, live])
+        open_rows = ~(sums[m:, live] <= tol) & (count < max_panels)  # NaN stays open
+        slot = np.repeat(np.arange(live.size), count)
+        err = table[2 + m:]
         # bisect every panel on which an open row exceeds its share of the budget
-        row_err = err[open_rows]
-        bad = (row_err > 0.5 * tol[open_rows, None] / max(lo.size, 1)).any(axis=0)
-        if not bad.any():
-            bad = (row_err >= row_err.max(axis=1, keepdims=True)).any(axis=0)
-            if not bad.any():  # only NaN estimates are open: nothing to bisect
-                return False
-        mid = 0.5 * (lo[bad] + hi[bad])
-        self.keep = ~bad
-        self.refinements += 1
-        self._pend(np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]]))
-        return True
+        share = np.where(open_rows, 0.5 * tol / count, np.inf)
+        bad = (err > share[:, slot]).any(axis=0)
+        hits = np.bincount(slot, bad, live.size)
+        fall = open_rows & (hits == 0)
+        if fall.any():  # then bisect where such a row's largest error sits
+            peak = np.maximum.reduceat(err, np.cumsum(count) - count, axis=1)
+            bad |= (err >= np.where(fall, peak, np.nan)[:, slot]).any(axis=0)
+            hits = np.bincount(slot, bad, live.size)
+        # a set with nothing to bisect (converged, out of panels, or only
+        # NaN estimates open) is done and leaves the table
+        go = hits > 0
+        if not go.any():
+            break
+        lo, hi = table[:2, bad]
+        mid = 0.5 * (lo + hi)
+        pend_owner = np.concatenate([owner[bad], owner[bad]])
+        order = np.argsort(pend_owner, kind="stable")
+        pend = np.array([[lo, mid], [mid, hi]]).reshape(2, -1).take(order, axis=1)
+        pend_owner = pend_owner[order]
+        keep = ~bad & go[slot]
+        table, owner, live = table[:, keep], owner[keep], live[go]
+    return vector, sums
 
-    def result(self, row: int | None = None):
-        """Row totals and error estimates; ConvergenceError if a row stalled.
 
-        ``row`` names this integral in the message when it is one of many.
-        """
-        total = np.sum(self.val, axis=1)
-        total_err = np.sum(self.err, axis=1)
-        stalled = (~(np.isfinite(total) & np.isfinite(total_err))
-                   | ((total_err > 10.0 * self.rel_tol * np.abs(total))
-                      & (total_err > 1e-300)))
-        if np.any(stalled):
-            i = int(np.argmax(stalled))
-            row = i if self.vector else row
-            name = "" if row is None else f" (row {row})"
-            raise ConvergenceError(f"quadrature stalled{name}: error "
-                                   f"{total_err[i]:.3e} on integral {total[i]:.3e}")
-        if self.vector:
-            return total, total_err
-        return float(total[0]), float(total_err[0])
+def _checked(total: np.ndarray, err: np.ndarray, rel_tol: float,
+             name: str) -> Iterator[tuple[float, float]]:
+    """(total, error) per row; ConvergenceError at the first row whose total or
+    error is not finite, or whose error is over 10x its target."""
+    stalled = (~(np.isfinite(total) & np.isfinite(err))
+               | ((err > 10.0 * rel_tol * np.abs(total)) & (err > 1e-300)))
+    for i, stall in enumerate(stalled.tolist()):
+        if stall:
+            raise ConvergenceError(f"quadrature stalled{name.format(i)}: error "
+                                   f"{err[i]:.3e} on integral {total[i]:.3e}")
+        yield float(total[i]), float(err[i])
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -211,10 +257,11 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if not b > a:
         return 0.0, 0.0
-    panels = _Panels(a, b, rel_tol, max_panels, initial_panels)
-    while panels.absorb(f(panels.nodes)):
-        pass
-    return panels.result()
+    vector, sums = _refine(lambda x, _: f(x), np.array([a], dtype=float),
+                           np.array([b], dtype=float), rel_tol, max_panels, initial_panels)
+    total, err = sums[:, 0].reshape(2, -1)
+    rows = list(_checked(total, err, rel_tol, " (row {})" if vector else ""))
+    return (total, err) if vector else rows[0]
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
@@ -239,7 +286,7 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     -------
     iterator of (value, error_estimate)
         One pair of floats per row, in row order.  The integrals are done
-        when the call returns; each row's stall check runs when the iterator
+        when the call returns; a stalled row raises only when the iterator
         reaches it, so a caller that stops early never sees the failure of a
         row it did not use.
 
@@ -254,15 +301,7 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     b = np.asarray(b, dtype=float)
     if not np.all(b > a):
         raise ValueError("every row needs b > a")
-    rows = [_Panels(lo, hi, rel_tol, max_panels, initial_panels)
-            for lo, hi in zip(a, b)]
-    active = list(range(len(rows)))
-    while active:
-        parts = [rows[i].nodes for i in active]
-        sizes = [part.size for part in parts]
-        out = f(np.concatenate(parts), np.repeat(active, sizes))
-        ends = np.cumsum(sizes).tolist()
-        # each row reduces its own slice: batched K15/G7 products are not bit-stable
-        active = [i for i, start, end in zip(active, [0] + ends, ends)
-                  if rows[i].absorb(out[start:end])]
-    return (panels.result(i) for i, panels in enumerate(rows))
+    if a.size == 0:
+        return iter(())
+    total, err = _refine(f, a, b, rel_tol, max_panels, initial_panels)[1]
+    return _checked(total, err, rel_tol, " (row {})")

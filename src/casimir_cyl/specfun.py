@@ -99,14 +99,24 @@ def _series_terms(s: float, x: np.ndarray) -> np.ndarray:
 
 
 def _series(s: float, x: np.ndarray) -> np.ndarray:
-    """Direct series, element-wise term counts so batching never changes bits."""
+    """Direct series, element-wise term counts so batching never changes bits.
+
+    The elements are sorted by term count once; term n then updates only the
+    suffix of elements that still take it, the same sums as the full loop.
+    """
     nterms = _series_terms(s, x)
-    out = np.zeros_like(x)
-    xn = np.ones_like(x)
-    for n in range(1, int(nterms.max(initial=1)) + 1):
-        xn = xn * x
-        out = out + np.where(n <= nterms, xn / float(n)**s, 0.0)
-    return out
+    order = np.argsort(nterms, kind="stable")
+    # firsts[n - 1]: the first element, in sorted order, that takes term n
+    firsts = np.searchsorted(nterms[order], np.arange(1, nterms.max(initial=1) + 1))
+    del nterms  # not held through the loop
+    xs = x[order]
+    out = np.zeros_like(xs)
+    xn = np.ones_like(xs)
+    for n, first in enumerate(firsts.tolist(), 1):
+        xn[first:] *= xs[first:]
+        out[first:] += xn[first:] / float(n)**s
+    xs[order] = out  # xs is not read again: unsort into it
+    return xs
 
 
 def _expansion_noninteger(s: float, mu: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Engine tests: closed-form oracles, limits, scaling and determinism."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          ideal_metal_force_t0, ideal_metal_gradient_t0,
                          plate_pressure, thermal_correction,
                          zero_temperature_force, zero_temperature_gradient)
+import casimir_cyl
 from casimir_cyl import casimir_core
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
                                      _GRADIENT, _li_finite, _li_kernel,
@@ -600,3 +605,26 @@ def test_finite_t_bits_pinned(name, which, a_nm, a_theta, value, l_used, trunc):
         res = fn(geom, th, model, TiltParams.from_a_theta(a_theta, geom))
     assert (res.value.hex(), res.l_used, res.truncation_estimate.hex()) == (
         value, l_used, trunc)
+
+
+def test_engine_does_not_import_numpy_ma():
+    # numpy.ma costs megabytes of resident memory; some numpy functions
+    # (np.unique among them) import it on first use
+    script = """
+import sys
+import numpy as np
+from casimir_cyl import (Geometry, OpticalTable, Tabulated, ThermalState, cylinder_force,
+                         gold_drude, zero_temperature_force)
+assert "numpy.ma" not in sys.modules
+geom = Geometry(a=300e-9, R=100e-6, L=100e-6)
+omega = np.geomspace(0.125, 1.0e4, 100)
+table = OpticalTable(omega, 81.0 * 0.035 / (omega * (omega**2 + 0.035**2)))
+cylinder_force(geom, ThermalState.at(300.0, geom), gold_drude())
+zero_temperature_force(geom, gold_drude())
+cylinder_force(geom, ThermalState.at(300.0, geom), Tabulated(table=table, tail=gold_drude()))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(casimir_cyl.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False"

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from casimir_cyl import (Geometry, ThermalState, cylinder_force,
-                         gold_drude, kappa)
+from casimir_cyl import (Geometry, ThermalState, TiltParams, cylinder_force,
+                         gold_drude, kappa, kappa_nm)
 from casimir_cyl.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main,
                              parse_sweep)
-from casimir_cyl.quadrature import ConvergenceError
+from casimir_cyl.quadrature import ConvergenceError, QuadratureSpec
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +288,37 @@ def test_table1_bottom_row(capsys):
     data_lines = [ln for ln in lines
                   if ln and not ln.startswith("#") and not ln.startswith("a_nm")]
     assert len(data_lines) == 7
+
+
+def test_table1_untilted_force_once_per_separation(capsys, monkeypatch):
+    from casimir_cyl import casimir_core, tilt
+    from casimir_cyl.dielectric import IdealMetal
+    seen = []
+
+    def count_in(module):
+        evaluate = module._evaluate
+
+        def counted(obs, geometry, thermal, model, quad, a_theta=0.0):
+            seen.append(a_theta)
+            return evaluate(obs, geometry, thermal, model, quad, a_theta)
+        monkeypatch.setattr(module, "_evaluate", counted)
+    count_in(casimir_core)
+    count_in(tilt)
+    code, out, _ = run_cli(capsys, "table1", "--model", "ideal", "--rel-tol", "1e-6")
+    assert code == EXIT_OK
+    # 6 untilted runs, one per separation, and 24 tilted ones
+    assert seen.count(0.0) == 6 and len(seen) == 30
+    monkeypatch.undo()
+    # every entry prints as the per-tilt kappa_nm ratio did
+    quad = QuadratureSpec(rel_tol=1e-6)
+    rows = [ln for ln in out.splitlines() if ln[:1].isdigit()]
+    assert len(rows) == 6
+    for row in rows:
+        geom = Geometry(a=float(row.split()[0]) * 1e-9, R=100e-6, L=100e-6)
+        thermal = ThermalState.at(300.0, geom)
+        ratios = [kappa_nm(geom, thermal, IdealMetal(), TiltParams.from_a_theta(A, geom), quad)
+                  for A in (0.01, 0.05, 0.1, 0.5)]
+        assert row[10:] == "".join(f"{k:<12.5f}" for k in ratios).rstrip()
 
 
 def test_edge_error_command(capsys):

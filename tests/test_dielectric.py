@@ -1,7 +1,10 @@
 """Permittivity models, the dispersion transform, and table ingestion."""
+import math
+
 import numpy as np
 import pytest
 
+from casimir_cyl import dielectric
 from casimir_cyl.dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
                                     OpticalTableError, Oscillator,
                                     PlasmaOscillators, Tabulated,
@@ -246,6 +249,47 @@ def test_table_invariants():
         OpticalTable([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(OpticalTableError):
         OpticalTable([1.0], [1.0])
+
+
+def _segment_loop_nodes(table: OpticalTable):
+    """The dispersion nodes built one table segment at a time (the oracle)."""
+    ln_w = np.log(table.omega)
+    ln_g = np.log(table.im_eps)
+    rules = ((dielectric._GL_NODES, dielectric._GL_WEIGHTS),
+             (dielectric._GL4_NODES, dielectric._GL4_WEIGHTS))
+    sinks = ([], [])
+    for i in range(table.omega.size - 1):
+        width = ln_w[i + 1] - ln_w[i]
+        slope = (ln_g[i + 1] - ln_g[i]) / width
+        nsub = max(1, int(math.ceil(width / dielectric._LN_STEP)))
+        edges = np.linspace(ln_w[i], ln_w[i + 1], nsub + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        halves = 0.5 * np.diff(edges)
+        for (pts, wts), sink in zip(rules, sinks):
+            ln_pts = (centers[:, None] + halves[:, None] * pts[None, :]).ravel()
+            w_pts = (halves[:, None] * wts[None, :]).ravel()
+            om = np.exp(ln_pts)
+            gval = np.exp(ln_g[i] + slope * (ln_pts - ln_w[i]))
+            sink.append(np.stack([om, w_pts * om * om * gval]))
+    return [np.concatenate(sink, axis=1) for sink in sinks]
+
+
+@pytest.mark.parametrize("omega", [
+    np.geomspace(0.125, 1.0e4, 600),                   # every segment narrower than the step
+    np.geomspace(0.5, 1.0e4, 400),
+    [0.01, 0.0100001, 0.02, 0.5, 0.51, 3.0, 1.0e3],    # 5e-4 to 290 steps wide
+    [1.0, 1.0 + 1e-12, 2.0],                           # one sub-segment of 1e-12
+    np.geomspace(1e-3, 1e5, 7),
+], ids=["fine600", "fine400", "mixed", "tiny", "wide"])
+def test_nodes_match_segment_loop_bits(omega):
+    omega = np.asarray(omega, dtype=float)
+    rng = np.random.default_rng(omega.size)
+    table = OpticalTable(omega, [drude_im_eps(w) * rng.uniform(0.5, 2.0) for w in omega])
+    full, half = _segment_loop_nodes(table)
+    for got, want in ((table._om, full[0]), (table._wt, full[1]),
+                      (table._om4, half[0]), (table._wt4, half[1])):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("omega, im_eps", [

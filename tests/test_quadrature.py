@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_cyl import quadrature
 from casimir_cyl.quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
                                    adaptive_quad_rows)
 
@@ -159,6 +160,51 @@ def test_lockstep_rows_match_scalar_calls_bit_for_bit():
         levels.append(len(single))
     # one integrand call per level of the deepest row, however many rows
     assert len(calls) == max(levels) and min(levels) < max(levels)
+
+
+# (a, b, integrand): rows that finish after one level (NaN, smooth and short),
+# run out of panels (oscillatory), or take many levels (endpoint singularities)
+_MIXED = ((0.0, 1.0, np.sqrt), (2.0, 47.0, lambda v: v**1.5 * np.exp(-v)),
+          (0.0, 2.0, lambda v: np.full_like(v, np.nan)), (0.3, 0.31, lambda v: v * v),
+          (0.0, 1.0, lambda v: np.sin(1e4 * v)), (1.0, 46.0, lambda v: np.exp(-v) / np.sqrt(v)),
+          (0.0, 60.0, lambda v: np.exp(-40.0 * v)), (0.0, 3.0, lambda v: v**0.25))
+
+
+def test_lockstep_mixed_rows_match_lone_calls_bit_for_bit():
+    a, b, funcs = (np.array(col) for col in zip(*_MIXED))
+    kw = dict(rel_tol=1e-11, max_panels=64, initial_panels=4)
+    calls = []
+
+    def f(v, row):
+        calls.append(np.bincount(row, minlength=len(funcs)) // 15)
+        out = np.empty_like(v)
+        for i, g in enumerate(funcs):
+            out[row == i] = g(v[row == i])
+        return out
+    total, err = quadrature._refine(f, a, b, **kw)[1]
+    pending = np.array(calls)  # pending panels per row and level
+    for i, (lo, hi, g) in enumerate(_MIXED):
+        try:
+            want = adaptive_quad(g, lo, hi, **kw)
+        except ConvergenceError:
+            # the lone call fails too: compare the numbers it failed on
+            want = quadrature._refine(lambda v, _: g(v), a[i:i + 1], b[i:i + 1], **kw)[1][:, 0]
+        assert (total[i].hex(), err[i].hex()) == tuple(float(x).hex() for x in want)
+    # the public iterator: rows before the NaN row come out, the NaN row raises
+    rows = adaptive_quad_rows(f, a, b, **kw)
+    for i in range(2):
+        assert next(rows) == (total[i], err[i])
+    with pytest.raises(ConvergenceError, match="row 2"):
+        next(rows)
+    # the rows really did differ within a level, in pending and in total
+    # panel counts; the NaN row stopped after one level, and the oscillatory
+    # one on the panel budget while others went on
+    totals = 4 + np.cumsum(np.vstack([np.zeros_like(pending[0]), pending[1:] // 2]), axis=0)
+    live = pending > 0
+    assert any(len(set(p[on])) > 1 for p, on in zip(pending, live))
+    assert any(len(set(t[on])) > 1 for t, on in zip(totals, live))
+    assert live[:, 2].sum() == 1
+    assert totals[live[:, 4], 4].max() >= 64 and live[:, 4].sum() < len(live)
 
 
 @pytest.mark.parametrize("bad_row", ["nan", "oscillatory"])

@@ -152,6 +152,34 @@ def test_series_term_counts_match_scalar_rule(s):
     assert np.array_equal(got, want)
 
 
+def _masked_series(s: float, x: np.ndarray) -> np.ndarray:
+    """The direct series as one loop over the whole batch: every element runs
+    to the largest term count and gains +0.0 past its own (the oracle)."""
+    from casimir_cyl.specfun import _series_terms
+    nterms = _series_terms(s, x)
+    out = np.zeros_like(x)
+    xn = np.ones_like(x)
+    for n in range(1, int(nterms.max(initial=1)) + 1):
+        xn = xn * x
+        out = out + np.where(n <= nterms, xn / float(n)**s, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.5, 1.5, 3.0])
+def test_series_sorted_by_term_count_matches_masked_loop(s):
+    from casimir_cyl.specfun import _series, _series_terms
+    rng = np.random.default_rng(7)
+    x = rng.permutation(np.concatenate([
+        [0.0, 1e-300, 1e-20, math.exp(-0.5)],
+        np.exp(-rng.uniform(0.5, 40.0, 3000)),
+        np.exp(-rng.uniform(0.5, 0.52, 200))]))  # a run of the longest sums
+    counts = _series_terms(s, x)
+    assert counts[x > 0].min() == 3 and counts.max() >= 79
+    got = _series(s, x)
+    assert np.array_equal(got.view(np.int64), _masked_series(s, x).view(np.int64))
+    assert np.array_equal(_series(s, x[:0]), x[:0])
+
+
 @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.5, 2.5, 3.0])
 def test_exp_neg_batch_bits_match_scalar_calls(s):
     # both regimes, their crossover, underflow to zero and mu = inf in one
