@@ -22,7 +22,7 @@ panels of the block go to the kernel in one call per refinement level.  The
 sum still adds the terms one at a time in ascending l and stops on the same
 rule, so the block sizes decide only how many terms are computed.  T = 0
 replaces the primed sum by a continuous integral, evaluated as a nested double
-quadrature whose inner integrals share their panels.
+quadrature.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -294,21 +294,21 @@ def zero_temperature_reduce(kernel, span: float,
     behavior of the metallic kernels costs no panels.
 
     The inner integrals of all outer nodes t pending at one outer refinement
-    level are one vector-valued quadrature: ``kernel`` receives v of shape
-    (n,) and zeta = t[:, None] * v of shape (m, n), and returns (m, n), one
-    row per outer node, each row held to its own tolerance.
+    level run as lockstep rows, one per node, each bit for bit a lone
+    quadrature: ``kernel`` receives 1-D v and zeta of one shape, the node of
+    each abscissa times its v.
 
     Returns (J, relative error estimate).
     """
     w_hi = math.sqrt(span)
 
     def outer(t: np.ndarray) -> np.ndarray:
-        def f(w: np.ndarray) -> np.ndarray:
+        def f(w: np.ndarray, row: np.ndarray) -> np.ndarray:
             v = w * w
-            return 2.0 * w * v * kernel(v, t[:, None] * v)
-        vals, _ = adaptive_quad(f, 0.0, w_hi, rel_tol=quad.rel_tol * 0.1,
-                                initial_panels=6)
-        return vals
+            return 2.0 * w * v * kernel(v, t[row] * v)
+        rows = adaptive_quad_rows(f, np.zeros(t.size), np.full(t.size, w_hi),
+                                  rel_tol=quad.rel_tol * 0.1, initial_panels=6)
+        return np.array([val for val, _ in rows])
 
     value, err = adaptive_quad(outer, 0.0, 1.0, rel_tol=quad.rel_tol,
                                initial_panels=4)

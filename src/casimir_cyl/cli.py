@@ -116,6 +116,9 @@ def build_config(args: argparse.Namespace) -> None:
     tilted = args.theta is not None or args.a_theta is not None
     if tilted and args.command not in ("force", "gradient"):
         raise ConfigError(f"{args.command} takes no theta or a-theta")
+    if (args.a is not None or args.a_sweep is not None) and args.command in (
+            "table1", "kk-ingest"):
+        raise ConfigError(f"{args.command} takes no a or a-sweep")
     if args.plot and args.command not in ("force", "gradient", "thermal-correction"):
         raise ConfigError(f"{args.command} writes no plot")
     if args.command == "kk-ingest" and args.format == "json":

@@ -183,6 +183,10 @@ def test_non_finite_input_exits_2(capsys, argv):
     ("table1", "plot", "p.svg"),
     ("kk-ingest", "plot", "p.svg"),
     ("kk-ingest", "format", "json"),
+    ("table1", "a", "500"),
+    ("table1", "a_sweep", "100:500:3"),
+    ("kk-ingest", "a", "500"),
+    ("kk-ingest", "a_sweep", "100:500:3"),
 ])
 def test_option_the_command_would_ignore_exits_2(tmp_path, monkeypatch, capsys,
                                                  command, key, value, source):
