@@ -21,8 +21,8 @@ term keeps its own integral over [zeta_l, zeta_l + span], and all pending
 panels of the block go to the kernel in one call per refinement level.  The
 sum still adds the terms one at a time in ascending l and stops on the same
 rule, so the block sizes decide only how many terms are computed.  T = 0
-replaces the primed sum by a continuous integral, evaluated as a nested double
-quadrature.
+replaces the primed sum tau sum' I(tau l) by the integral of I(zeta) over zeta:
+the same lockstep rows, with the nodes of an outer quadrature for tau l.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -127,9 +127,10 @@ class ForceResult:
 
     ``value`` is the total force (N, negative = attraction) or gradient
     (N/m, positive); ``per_length`` is value/L.  ``l_used`` is the last
-    Matsubara index added (0 for the continuous T = 0 integral) and
-    ``truncation_estimate`` is the magnitude of the last few terms relative
-    to the sum, a same-order estimate of the neglected tail.
+    Matsubara index added (0 for the continuous T = 0 integral).
+    ``truncation_estimate`` is relative to the value: at finite T the
+    magnitude of the last few terms, a same-order estimate of the neglected
+    tail; at T = 0 the error estimate of the outer frequency quadrature.
     """
 
     value: float
@@ -285,33 +286,28 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
         count = _next_block(recent, quad.rel_tol * abs(total))
 
 
-def zero_temperature_reduce(kernel, span: float,
+def zero_temperature_reduce(kernel_rows, span: float,
                             quad: QuadratureSpec) -> tuple[float, float]:
-    """Continuous double integral J = int_0^inf dzeta int_zeta^inf dv K(v, zeta).
+    """T = 0 limit of the primed sum tau sum' I(tau l): J = int_0^span dzeta I(zeta).
 
-    Rewritten over the unit strip as int_0^1 dt int_0^span dv v K(v, t v); the
-    inner integral is smoothed by v = w**2 so the v**(1/2)-type endpoint
-    behavior of the metallic kernels costs no panels.
+    I(zeta) = int_zeta^{zeta+span} dv K(v, zeta), as in a Matsubara term.  The
+    outer integral runs over zeta = u**2; the pending nodes of each of its
+    levels are the rows of one lockstep quadrature, like a finite-T block, whose
+    integrand ``f(v, row)`` is ``kernel_rows(zetas)``.  The rows run over
+    v = w**2, which smooths the v**(1/2)-type behavior of the metallic kernels.
 
-    The inner integrals of all outer nodes t pending at one outer refinement
-    level run as lockstep rows, one per node, each bit for bit a lone
-    quadrature: ``kernel`` receives 1-D v and zeta of one shape, the node of
-    each abscissa times its v.
-
-    Returns (J, relative error estimate).
+    Returns (J, relative error estimate of the outer integral).
     """
-    w_hi = math.sqrt(span)
-
-    def outer(t: np.ndarray) -> np.ndarray:
-        def f(w: np.ndarray, row: np.ndarray) -> np.ndarray:
-            v = w * w
-            return 2.0 * w * v * kernel(v, t[row] * v)
-        rows = adaptive_quad_rows(f, np.zeros(t.size), np.full(t.size, w_hi),
+    def level(u: np.ndarray) -> np.ndarray:
+        zetas = u * u
+        f = kernel_rows(zetas)
+        rows = adaptive_quad_rows(lambda w, row: 2.0 * w * f(w * w, row),
+                                  u, np.sqrt(zetas + span),
                                   rel_tol=quad.rel_tol * 0.1, initial_panels=6)
-        return np.array([val for val, _ in rows])
+        return 2.0 * u * np.array([val for val, _ in rows])
 
-    value, err = adaptive_quad(outer, 0.0, 1.0, rel_tol=quad.rel_tol,
-                               initial_panels=4)
+    value, err = adaptive_quad(level, 0.0, math.sqrt(span), rel_tol=quad.rel_tol,
+                               initial_panels=8)
     rel = abs(err / value) if value != 0.0 else 0.0
     return value, rel
 
@@ -332,21 +328,22 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     """
     omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
     span = quad.v_span() / (1.0 - a_theta)
+
+    def kernel_rows(zetas: np.ndarray):
+        # eps(i xi) once per frequency; each row reads its own
+        eps = eps_imag_axis(model, zetas * omega_c_ev)
+        return lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta)
+
     if tau == 0.0:
-        total, rel = zero_temperature_reduce(
-            lambda v, zeta: _li_finite(v, zeta, eps_imag_axis(model, zeta * omega_c_ev),
-                                       p, s, a_theta),
-            span, quad)
+        total, rel = zero_temperature_reduce(kernel_rows, span, quad)
         return total, 0, rel
     behavior = zero_frequency_character(model, a)
 
     def block(l0: int, count: int) -> Iterator[float]:
         # one lockstep quadrature: each row is the lone term's integral, bit for bit
         zetas = tau * np.arange(l0, l0 + count)
-        eps = eps_imag_axis(model, zetas * omega_c_ev)
-        rows = adaptive_quad_rows(
-            lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta),
-            zetas, zetas + span, rel_tol=quad.rel_tol * 0.1, initial_panels=4)
+        rows = adaptive_quad_rows(kernel_rows(zetas), zetas, zetas + span,
+                                  rel_tol=quad.rel_tol * 0.1, initial_panels=4)
         return (val for val, _ in rows)
 
     zero = _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)
@@ -356,7 +353,7 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
 def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,
               model: PermittivityModel, quad: QuadratureSpec | None,
               a_theta: float = 0.0) -> ForceResult:
-    """One observable of the table, by Matsubara sum or, at T = 0, double integral.
+    """One observable of the table, by Matsubara sum or, at T = 0, frequency integral.
 
     ``a_theta`` > 0 averages the kernel over the length of a tilted cylinder.
     """
@@ -401,13 +398,13 @@ def cylinder_force_gradient(geometry: Geometry, thermal: ThermalState,
 
 def zero_temperature_force(geometry: Geometry, model: PermittivityModel,
                            quad: QuadratureSpec | None = None) -> ForceResult:
-    """T = 0 force from the continuous-frequency double integral."""
+    """T = 0 force from the continuous-frequency integral."""
     return _evaluate(_FORCE, geometry, _ZERO_T, model, quad)
 
 
 def zero_temperature_gradient(geometry: Geometry, model: PermittivityModel,
                               quad: QuadratureSpec | None = None) -> ForceResult:
-    """T = 0 force gradient from the continuous-frequency double integral."""
+    """T = 0 force gradient from the continuous-frequency integral."""
     return _evaluate(_GRADIENT, geometry, _ZERO_T, model, quad)
 
 

@@ -41,6 +41,21 @@ AU = gold_drude()
 PLASMA = PlasmaOscillators(omega_p=9.0)
 
 
+def _tabulated():
+    from casimir_cyl import OpticalTable, Tabulated
+    omega = np.geomspace(0.125, 1.0e4, 300)
+    im_eps = (81.0 * 0.035 / (omega * (omega**2 + 0.035**2))
+              + 4.0 * np.exp(-((omega - 3.0) / 1.5) ** 2))
+    return Tabulated(table=OpticalTable(omega, im_eps), tail=AU)
+
+
+OSC = PlasmaOscillators(omega_p=9.0, oscillators=(Oscillator(g=20.0, omega=3.0, gamma=1.0),))
+TAB = _tabulated()
+MODELS = {"ideal": IdealMetal(), "drude": AU, "plasma": PLASMA,
+                "plasma_osc": OSC, "dielectric": Dielectric(eps0=11.7),
+                "tabulated": TAB}
+
+
 # ------------------------------------------------------------- types
 
 
@@ -386,48 +401,177 @@ def test_thermal_correction_which_validation():
         thermal_correction(geometry_at(500.0), AU, which="pressure")
 
 
-# ------------------------------------------------ T = 0 batched quadrature
+# ------------------------------------------------ T = 0 frequency integral
+
+
+def _t0_scale(obs: str, geom: Geometry) -> float:
+    """SI prefactor turning the T = 0 integral J into the force or gradient."""
+    sign, power = {"force": (-1.0, 3), "gradient": (1.0, 4)}[obs]
+    a, R, L = geom.a, geom.R, geom.L
+    return (sign * HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**power)
+            * math.sqrt(R / (2.0 * a)))
+
+
+def _t0_kernel(obs: str, model, geom: Geometry):
+    """K(v, zeta) of the T = 0 integral, eps(i xi) evaluated at the given zeta."""
+    p, s = {"force": (1.5, 0.5), "gradient": (2.5, -0.5)}[obs]
+    omega_c = HBAR_C_EV_NM / (2.0 * geom.a * 1e9)
+
+    def kernel(v, zeta):
+        ln_r2 = log_r2_pair(v, zeta, eps_imag_axis(model, zeta * omega_c))
+        return v**p * sum(polylog_exp_neg(s, v - x) for x in ln_r2)
+    return kernel
 
 
 def _nested_t0(obs: str, model, geom: Geometry) -> float:
-    """T = 0 force or gradient with one scalar inner quadrature per outer node.
+    """T = 0 force or gradient with one lone inner quadrature per outer node.
 
-    The structure the engine batches: the same strip integral
-    int_0^1 dt int_0^inf dv v K(v, t v) with v = w**2 and the same
-    tolerances, but each inner integral is its own ``adaptive_quad`` call.
+    The structure the engine batches: J = int_0^sqrt(span) du 2u I(u**2), with
+    I(zeta) = int dw 2w K(w**2, zeta) over [sqrt(zeta), sqrt(zeta + span)] and
+    the same tolerances, but each I(zeta) is its own ``adaptive_quad`` call.
     """
-    p, s, sign, power = {"force": (1.5, 0.5, -1.0, 3),
-                         "gradient": (2.5, -0.5, 1.0, 4)}[obs]
     quad = QuadratureSpec()
-    omega_c = HBAR_C_EV_NM / (2.0 * geom.a * 1e9)
-    w_hi = math.sqrt(quad.v_span())
+    span = quad.v_span()
+    kernel = _t0_kernel(obs, model, geom)
 
-    def inner(t: float) -> float:
-        def f(w):
-            v = w * w
-            zeta = t * v
-            ln_r2 = log_r2_pair(v, zeta, eps_imag_axis(model, zeta * omega_c))
-            kernel = v**p * sum(polylog_exp_neg(s, v - x) for x in ln_r2)
-            return 2.0 * w * v * kernel
-        return adaptive_quad(f, 0.0, w_hi, rel_tol=quad.rel_tol * 0.1,
+    def inner(u: float) -> float:
+        zeta = u * u
+        return adaptive_quad(lambda w: 2.0 * w * kernel(w * w, zeta), u,
+                             math.sqrt(zeta + span), rel_tol=quad.rel_tol * 0.1,
                              initial_panels=6)[0]
 
-    total, _ = adaptive_quad(lambda ts: np.array([inner(float(t)) for t in ts]),
-                             0.0, 1.0, rel_tol=quad.rel_tol, initial_panels=4)
-    a, R, L = geom.a, geom.R, geom.L
-    return (sign * HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**power)
-            * math.sqrt(R / (2.0 * a)) * total)
+    def outer(us):
+        return 2.0 * us * np.array([inner(float(u)) for u in us])
+
+    total, _ = adaptive_quad(outer, 0.0, math.sqrt(span), rel_tol=quad.rel_tol,
+                             initial_panels=8)
+    return _t0_scale(obs, geom) * total
 
 
-@pytest.mark.parametrize("a_nm", [100.0, 150.0, 500.0, 2000.0])
-@pytest.mark.parametrize("model", [AU, PLASMA], ids=["drude", "plasma"])
-def test_t0_batched_matches_nested_quadrature(model, a_nm):
+@pytest.mark.parametrize("name, a_nm", [(m, a) for m in ("drude", "plasma")
+                                        for a in (100.0, 150.0, 500.0, 2000.0)]
+                         + [("tabulated", 300.0)])
+def test_t0_batched_matches_nested_quadrature(name, a_nm):
     # each batched inner integral is a lockstep row with a lone call's bits
     geom = geometry_at(a_nm)
+    model = MODELS[name]
     for obs, fn in (("force", zero_temperature_force),
                     ("gradient", zero_temperature_gradient)):
         want = _nested_t0(obs, model, geom)
         assert fn(geom, model).value.hex() == want.hex()
+
+
+def _unit_strip_t0(obs: str, model, geom: Geometry, quad: QuadratureSpec) -> float:
+    """T = 0 force or gradient with the integration order swapped.
+
+    zeta = t v maps the wedge 0 < zeta < v onto the unit strip:
+    J = int_0^1 dt int_0^span dv v K(v, t v), with the inner integrals over v
+    (v = w**2) run as lockstep rows, one per outer node t.  eps(i xi) changes
+    along every inner integral here; the kernel and the quadrature are the
+    engine's, the order of integration is not.
+    """
+    kernel = _t0_kernel(obs, model, geom)
+    w_hi = math.sqrt(quad.v_span())
+
+    def outer(t):
+        def f(w, row):
+            v = w * w
+            return 2.0 * w * v * kernel(v, t[row] * v)
+        rows = adaptive_quad_rows(f, np.zeros(t.size), np.full(t.size, w_hi),
+                                  rel_tol=quad.rel_tol * 0.1, initial_panels=6)
+        return np.array([val for val, _ in rows])
+
+    total, _ = adaptive_quad(outer, 0.0, 1.0, rel_tol=quad.rel_tol, initial_panels=4)
+    return _t0_scale(obs, geom) * total
+
+
+@pytest.mark.parametrize("a_nm", [100.0, 1000.0])
+@pytest.mark.parametrize("name", ["drude", "plasma"])
+def test_t0_integration_order_oracle(name, a_nm):
+    # the frequency-outer engine against the frequency-inner strip form
+    quad = QuadratureSpec()
+    geom = geometry_at(a_nm)
+    model = MODELS[name]
+    for obs, fn in (("force", zero_temperature_force),
+                    ("gradient", zero_temperature_gradient)):
+        want = _unit_strip_t0(obs, model, geom, quad)
+        assert abs(fn(geom, model, quad).value / want - 1.0) <= 10.0 * quad.rel_tol
+
+
+@pytest.mark.parametrize("name, a_nm", [("tabulated", 300.0), ("drude", 100.0)])
+def test_t0_eps_once_per_frequency(monkeypatch, name, a_nm):
+    # eps(i xi) is evaluated per outer frequency node, not per (zeta, v) node:
+    # 120-240 elements per point, where one eps per kernel node costs 1e4-6e4
+    counted = []
+
+    def eps(model, xi):
+        counted.append(np.size(xi))
+        return eps_imag_axis(model, xi)
+
+    monkeypatch.setattr(casimir_core, "eps_imag_axis", eps)
+    geom = geometry_at(a_nm)
+    for fn in (zero_temperature_force, zero_temperature_gradient):
+        counted.clear()
+        fn(geom, MODELS[name])
+        assert 0 < sum(counted) <= 600
+
+
+@pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
+@pytest.mark.parametrize("name", ["ideal", "drude", "plasma", "dielectric", "tabulated"])
+def test_t0_error_estimate_is_honest(name, a_nm):
+    # truncation_estimate at T = 0 is the outer quadrature's relative error
+    # estimate; it must cover the true error against a tight reference
+    geom = geometry_at(a_nm)
+    model = MODELS[name]
+    quad = QuadratureSpec()
+    for fn in (zero_temperature_force, zero_temperature_gradient):
+        got = fn(geom, model, quad)
+        ref = fn(geom, model, QuadratureSpec(rel_tol=1e-12)).value
+        err = abs(got.value / ref - 1.0)
+        assert err <= got.truncation_estimate
+        assert err <= quad.rel_tol
+
+
+# Euler-Maclaurin at small tau.  F(T)/F(0) = tau sum' I(tau l) / J with
+# J = int_0^inf I(zeta) dzeta, and for a small-zeta expansion of I in powers
+# zeta**alpha the primed sum minus the integral is sum c_alpha zeta(-alpha)
+# tau**(1 + alpha) (Riemann zeta; zeta**alpha ln zeta gives -zeta'(-alpha)
+# tau**(1 + alpha) where zeta(-alpha) = 0).  The smooth leading term
+# -tau**2 I'(0) / 12 vanishes here: the kernel is zero at v = zeta = 0 and,
+# for the ideal metal and the plasma TE channel, independent of zeta.  For
+# the force, Li_{1/2}(e^-v) = sqrt(pi/v) + zeta(1/2) + ... gives each ideal
+# channel I(zeta) = I(0) - sqrt(pi) zeta**2 / 2 - (2/5) zeta(1/2) zeta**2.5,
+# and the plasma TM channel, with mu = v + 4 zeta**2 / (Omega v) for
+# zeta < v << Omega = omega_p / omega_c, adds (2 sqrt(pi) / Omega) zeta**2 ln zeta.
+# So F(T)/F(0) - 1 = [(2 sqrt(pi) / Omega) (zeta(3) / 4 pi**2) tau**3
+#                     - (4/5) zeta(1/2) zeta(-5/2) tau**3.5] / J
+# up to O(tau**4.5) and O(tau**3 / Omega**2).
+_ZETA_HALF = -1.4603545088095868      # zeta(1/2)
+_ZETA_M5HALF = 0.008516928363349      # zeta(-5/2)
+
+
+@pytest.mark.parametrize("temperature", [10.0, 20.0])
+@pytest.mark.parametrize("model", [IdealMetal(), PLASMA], ids=["ideal", "plasma"])
+def test_low_temperature_force_tends_to_t0(model, temperature):
+    # the Matsubara sum approaches the T = 0 frequency integral as T -> 0+,
+    # off by the leading Euler-Maclaurin term; the terms next to it stay below
+    # 5% of it at tau <= 0.11 (a = 1000 nm), so 10% is the tolerance.  The
+    # sum runs to l = 240-500, well inside max_terms, and rel_tol = 1e-11
+    # keeps its slow-decay truncation error (about rel_tol / tau) below 1% of
+    # the leading term
+    quad = QuadratureSpec(rel_tol=1e-11)
+    geom = geometry_at(1000.0)
+    thermal = ThermalState.at(temperature, geom)
+    f0 = zero_temperature_force(geom, model, quad).value
+    # J from the closed-form ideal-metal integral 2 Gamma(7/2) zeta(4)
+    j = 2.0 * math.gamma(3.5) * math.pi**4 / 90.0 * f0 / ideal_metal_force_t0(geom)
+    omega = (2.0 * model.omega_p * geom.a * 1e9 / HBAR_C_EV_NM
+             if isinstance(model, PlasmaOscillators) else math.inf)
+    tau = thermal.tau
+    lead = (2.0 * math.sqrt(math.pi) / omega * ZETA_3 / (4.0 * math.pi**2) * tau**3
+            - 0.8 * _ZETA_HALF * _ZETA_M5HALF * tau**3.5) / j
+    got = cylinder_force(geom, thermal, model, quad).value
+    assert abs(got / f0 - 1.0 - lead) <= 0.1 * lead
 
 
 @pytest.mark.parametrize("a_theta", [0.0, 0.1, 0.5])
@@ -498,30 +642,15 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
     return total, l, trunc
 
 
-def _tabulated():
-    from casimir_cyl import OpticalTable, Tabulated
-    omega = np.geomspace(0.125, 1.0e4, 300)
-    im_eps = (81.0 * 0.035 / (omega * (omega**2 + 0.035**2))
-              + 4.0 * np.exp(-((omega - 3.0) / 1.5) ** 2))
-    return Tabulated(table=OpticalTable(omega, im_eps), tail=AU)
-
-
-OSC = PlasmaOscillators(omega_p=9.0, oscillators=(Oscillator(g=20.0, omega=3.0, gamma=1.0),))
-TAB = _tabulated()
-BLOCK_MODELS = {"ideal": IdealMetal(), "drude": AU, "plasma": PLASMA,
-                "plasma_osc": OSC, "dielectric": Dielectric(eps0=11.7),
-                "tabulated": TAB}
-
-
 def _bits(result) -> tuple[str, int, str]:
     total, l_used, trunc = result
     return total.hex(), l_used, trunc.hex()
 
 
 @pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
-@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_blocked_sum_matches_term_by_term_bits(name, a_nm):
-    model = BLOCK_MODELS[name]
+    model = MODELS[name]
     a = a_nm * 1e-9
     tau = ThermalState.at(300.0, geometry_at(a_nm)).tau
     quad = QuadratureSpec()
@@ -597,7 +726,7 @@ _PINNED = (
 def test_finite_t_bits_pinned(name, which, a_nm, a_theta, value, l_used, trunc):
     geom = geometry_at(a_nm)
     th = ThermalState.at(300.0, geom)
-    model = BLOCK_MODELS[name]
+    model = MODELS[name]
     if a_theta == 0.0:
         fn = cylinder_force if which == "force" else cylinder_force_gradient
         res = fn(geom, th, model)
