@@ -22,7 +22,8 @@ panels of the block go to the kernel in one call per refinement level.  The
 sum still adds the terms one at a time in ascending l and stops on the same
 rule, so the block sizes decide only how many terms are computed.  T = 0
 replaces the primed sum tau sum' I(tau l) by the integral of I(zeta) over zeta:
-the same lockstep rows, with the nodes of an outer quadrature for tau l.
+the same lockstep rows, with the nodes of an outer quadrature over zeta = u**4
+for tau l.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -291,23 +292,26 @@ def zero_temperature_reduce(kernel_rows, span: float,
     """T = 0 limit of the primed sum tau sum' I(tau l): J = int_0^span dzeta I(zeta).
 
     I(zeta) = int_zeta^{zeta+span} dv K(v, zeta), as in a Matsubara term.  The
-    outer integral runs over zeta = u**2; the pending nodes of each of its
-    levels are the rows of one lockstep quadrature, like a finite-T block, whose
-    integrand ``f(v, row)`` is ``kernel_rows(zetas)``.  The rows run over
-    v = w**2, which smooths the v**(1/2)-type behavior of the metallic kernels.
+    outer integral runs over zeta = u**4, weight 4 u**3, which grades its nodes
+    toward zeta = 0, where I(zeta) is not smooth in sqrt(zeta); the pending
+    nodes of each of its levels are the rows of one lockstep quadrature, like a
+    finite-T block, whose integrand ``f(v, row)`` is ``kernel_rows(zetas)``.
+    The rows run over v = w**2, w from u**2 = sqrt(zeta), which smooths the
+    v**(1/2)-type behavior of the metallic kernels.
 
     Returns (J, relative error estimate of the outer integral).
     """
     def level(u: np.ndarray) -> np.ndarray:
-        zetas = u * u
+        root = u * u
+        zetas = root * root
         f = kernel_rows(zetas)
         rows = adaptive_quad_rows(lambda w, row: 2.0 * w * f(w * w, row),
-                                  u, np.sqrt(zetas + span),
+                                  root, np.sqrt(zetas + span),
                                   rel_tol=quad.rel_tol * 0.1, initial_panels=6)
-        return 2.0 * u * np.array([val for val, _ in rows])
+        return 4.0 * u * root * np.array([val for val, _ in rows])
 
-    value, err = adaptive_quad(level, 0.0, math.sqrt(span), rel_tol=quad.rel_tol,
-                               initial_panels=8)
+    value, err = adaptive_quad(level, 0.0, math.sqrt(math.sqrt(span)),
+                               rel_tol=quad.rel_tol, initial_panels=7)
     rel = abs(err / value) if value != 0.0 else 0.0
     return value, rel
 

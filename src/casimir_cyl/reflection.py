@@ -32,7 +32,9 @@ def log_r2_pair(v, zeta, eps):
 
     Row 0 is ln r_TM^2, row 1 ln r_TE^2.  Uses log1p of the exact complements
     1 - r = 2s/(eps v + s) and 1 - |r_TE| = 2v/(v + s); eps may be +inf (ideal
-    metal limit, ln r^2 = 0).
+    metal limit, ln r^2 = 0).  Where (eps - 1) zeta**2 is below the rounding of
+    v**2, s rounds to v and ln r_TE^2 is -inf, without a warning: the exponent
+    mu = v - ln r^2 is then +inf and the polylog term 0.
     """
     v = np.asarray(v, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -41,8 +43,9 @@ def log_r2_pair(v, zeta, eps):
     if np.all(np.isinf(eps)):
         return np.zeros((2,) + shape)
     s = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
-    return np.stack((2.0 * np.log1p(-2.0 * s / (eps * v + s)),
-                     2.0 * np.log1p(-2.0 * v / (v + s))))
+    with np.errstate(divide="ignore"):
+        return np.stack((2.0 * np.log1p(-2.0 * s / (eps * v + s)),
+                         2.0 * np.log1p(-2.0 * v / (v + s))))
 
 
 def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> np.ndarray:

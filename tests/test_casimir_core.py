@@ -426,25 +426,26 @@ def _t0_kernel(obs: str, model, geom: Geometry):
 def _nested_t0(obs: str, model, geom: Geometry) -> float:
     """T = 0 force or gradient with one lone inner quadrature per outer node.
 
-    The structure the engine batches: J = int_0^sqrt(span) du 2u I(u**2), with
-    I(zeta) = int dw 2w K(w**2, zeta) over [sqrt(zeta), sqrt(zeta + span)] and
+    The structure the engine batches: J = int_0^span**(1/4) du 4u**3 I(u**4),
+    with I(zeta) = int dw 2w K(w**2, zeta) over [u**2, sqrt(zeta + span)] and
     the same tolerances, but each I(zeta) is its own ``adaptive_quad`` call.
     """
     quad = QuadratureSpec()
     span = quad.v_span()
     kernel = _t0_kernel(obs, model, geom)
 
-    def inner(u: float) -> float:
-        zeta = u * u
-        return adaptive_quad(lambda w: 2.0 * w * kernel(w * w, zeta), u,
+    def inner(root: float) -> float:
+        zeta = root * root
+        return adaptive_quad(lambda w: 2.0 * w * kernel(w * w, zeta), root,
                              math.sqrt(zeta + span), rel_tol=quad.rel_tol * 0.1,
                              initial_panels=6)[0]
 
     def outer(us):
-        return 2.0 * us * np.array([inner(float(u)) for u in us])
+        roots = us * us
+        return 4.0 * us * roots * np.array([inner(float(r)) for r in roots])
 
-    total, _ = adaptive_quad(outer, 0.0, math.sqrt(span), rel_tol=quad.rel_tol,
-                             initial_panels=8)
+    total, _ = adaptive_quad(outer, 0.0, math.sqrt(math.sqrt(span)),
+                             rel_tol=quad.rel_tol, initial_panels=7)
     return _t0_scale(obs, geom) * total
 
 
@@ -530,6 +531,46 @@ def test_t0_error_estimate_is_honest(name, a_nm):
         err = abs(got.value / ref - 1.0)
         assert err <= got.truncation_estimate
         assert err <= quad.rel_tol
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_t0_outer_levels_bounded(monkeypatch, name):
+    # zeta = u**4 grades the outer nodes toward zeta = 0, where I(zeta) is not
+    # smooth in sqrt(zeta): every model converges in one or two outer levels,
+    # each a whole lockstep call of inner rows
+    calls = []
+
+    def quad(f, a, b, **kw):
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+        return adaptive_quad(counted, a, b, **kw)
+
+    monkeypatch.setattr(casimir_core, "adaptive_quad", quad)
+    for a_nm in (100.0, 300.0, 1000.0, 2000.0):
+        for fn in (zero_temperature_force, zero_temperature_gradient):
+            calls.clear()
+            fn(geometry_at(a_nm), MODELS[name])
+            assert 1 <= len(calls) <= (1 if name == "dielectric" else 2)
+
+
+@pytest.mark.parametrize("name", ["drude", "plasma", "dielectric"])
+def test_t0_matches_tight_reference(name):
+    # at the default rel_tol every T = 0 value, tilted or not, and the T = 0
+    # pressure lie within 1e-13 of their rel_tol 1e-12 values
+    model = MODELS[name]
+    tight = QuadratureSpec(rel_tol=1e-12)
+    for a_nm in (100.0, 2000.0):
+        geom = geometry_at(a_nm)
+        thermal = ThermalState.at(0.0, geom)
+        for a_theta in (0.0, 0.5):
+            tp = TiltParams.from_a_theta(a_theta, geom)
+            for fn in (tilted_force, tilted_gradient):
+                got = fn(geom, thermal, model, tp).value
+                ref = fn(geom, thermal, model, tp, tight).value
+                assert abs(got / ref - 1.0) <= 1e-13
+        got = plate_pressure(geom.a, 0.0, model)
+        assert abs(got / plate_pressure(geom.a, 0.0, model, tight) - 1.0) <= 1e-13
 
 
 # Euler-Maclaurin at small tau.  F(T)/F(0) = tau sum' I(tau l) / J with

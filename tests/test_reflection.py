@@ -1,12 +1,14 @@
 """Reflection coefficients: the scalar oracle's hand values and limits, and the
 engine's stable exponent forms checked against it."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_cyl.casimir_core import _li_finite
 from casimir_cyl.dielectric import (ZeroFreqDielectric, ZeroFreqDrudeLike,
                                     ZeroFreqIdeal, ZeroFreqPlasmaLike)
 from casimir_cyl.reflection import log_r2_pair, zero_frequency_mu_terms
@@ -127,6 +129,19 @@ def test_zero_frequency_mu_terms_match_oracle(beh):
 def test_log_r2_pair_ideal_limit():
     ln_rtm2, ln_rte2 = log_r2_pair(np.array([1.0, 2.0]), 0.5, np.inf)
     assert np.all(ln_rtm2 == 0.0) and np.all(ln_rte2 == 0.0)
+
+
+def test_log_r2_pair_te_zero_is_silent_minus_inf():
+    # (eps - 1) zeta**2 below the rounding of v**2, as at the first T = 0 outer
+    # nodes: s rounds to v, r_TE = 0, and its polylog term drops out of the kernel
+    v, zeta, eps = np.array([1.0]), 1e-12, 11.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ln_rtm2, ln_rte2 = log_r2_pair(v, zeta, eps)
+        kernel = _li_finite(v, zeta, eps, 1.5, 0.5, 0.0)
+    assert ln_rte2[0] == -math.inf
+    assert ln_rtm2[0] == pytest.approx(2.0 * math.log((eps - 1.0) / (eps + 1.0)), rel=1e-12)
+    assert np.all(np.isfinite(kernel))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
