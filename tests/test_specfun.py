@@ -1,13 +1,16 @@
 """Polylogarithm and zeta tests: series oracles, branch consistency, limits."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_cyl.specfun import ZETA_3, polylog, polylog_exp_neg, riemann_zeta
-from conftest import direct_polylog_series
+from casimir_cyl.specfun import (_TAIL_BLOCK, ZETA_3, polylog, polylog_exp_neg,
+                                 riemann_zeta)
+from conftest import (direct_polylog_series, expansion_integer_loop,
+                      expansion_noninteger_loop)
 
 # frozen from the direct-series oracle (sum sqrt(n) e^-n, ~400 terms, 1e-14)
 LI_MINUS_HALF_AT_E_INV = 0.707240718486804
@@ -165,7 +168,7 @@ def _masked_series(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("s", [-0.5, 0.5, 1.5, 3.0])
+@pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
 def test_series_sorted_by_term_count_matches_masked_loop(s):
     from casimir_cyl.specfun import _series, _series_terms
     rng = np.random.default_rng(7)
@@ -178,6 +181,79 @@ def test_series_sorted_by_term_count_matches_masked_loop(s):
     got = _series(s, x)
     assert np.array_equal(got.view(np.int64), _masked_series(s, x).view(np.int64))
     assert np.array_equal(_series(s, x[:0]), x[:0])
+
+
+@pytest.mark.parametrize("s", [-0.5, 1.0, 2.5])
+@pytest.mark.parametrize("tail", [0, 1, _TAIL_BLOCK - 1, _TAIL_BLOCK, _TAIL_BLOCK + 1],
+                         ids=["none", "one", "block-1", "block", "block+1"])
+def test_series_tail_sizes_match_masked_loop(s, tail):
+    # tails on both sides of the switch from suffix updates to the one block
+    from casimir_cyl.specfun import _series, _series_terms
+    rng = np.random.default_rng(tail)
+    x = rng.permutation(np.concatenate([
+        [0.0, 1e-300], np.exp(-rng.uniform(20.0, 40.0, 300)),  # 3 terms or 1
+        np.exp(-rng.uniform(0.5, 8.0, tail))]))                 # 5 to ~100
+    assert np.count_nonzero(_series_terms(s, x) > 3) == tail
+    got = _series(s, x)
+    assert np.array_equal(got.view(np.int64), _masked_series(s, x).view(np.int64))
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.5, 1.5, 2.5, 1, 2, 3])
+def test_expansions_match_allocating_loops(s):
+    from casimir_cyl.specfun import (_EXPANSION_TERMS, _expansion_integer,
+                                     _expansion_noninteger, _zeta_table)
+    # dense: a term's last-bit change reaches the sum only now and then
+    rng = np.random.default_rng(3)
+    mu = np.concatenate([[1e-12, 0.4999999], np.geomspace(1e-9, 0.5, 400)[:-1],
+                         rng.uniform(0.0, 0.5, 20000)])
+    zt = _zeta_table(float(s))
+    if isinstance(s, int):
+        got = _expansion_integer(s, mu)
+        want = expansion_integer_loop(s, mu, zt, _EXPANSION_TERMS)
+    else:
+        got = _expansion_noninteger(s, mu)
+        want = expansion_noninteger_loop(s, mu, zt, _EXPANSION_TERMS)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 4.0])
+def test_mu_zero_is_zeta(s):
+    want = float(mpmath.zeta(s))
+    assert polylog_exp_neg(s, 0.0) == pytest.approx(want, rel=1e-14)
+    batch = polylog_exp_neg(s, np.array([0.0, 0.25, 0.0, 2.0]))
+    assert batch[0] == batch[2] == polylog_exp_neg(s, 0.0)
+    assert batch[1] == polylog_exp_neg(s, 0.25) and batch[3] == polylog_exp_neg(s, 2.0)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.0])
+def test_mu_zero_diverges_without_warning(s):
+    # a RuntimeWarning fails the test (pytest filterwarnings)
+    assert polylog_exp_neg(s, 0.0) == math.inf
+    batch = polylog_exp_neg(s, np.array([0.0, 0.25, 0.0]))
+    assert batch[0] == batch[2] == math.inf
+    assert batch[1] == polylog_exp_neg(s, 0.25)
+
+
+# mu in both regimes and at both ends (below 1e-12 Li_{-1/2} heads for overflow)
+_MU = st.one_of(st.floats(1e-12, 0.5, exclude_max=True), st.floats(0.5, 60.0),
+                st.just(0.0), st.just(math.inf))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+       st.lists(_MU, min_size=1, max_size=60), st.integers(1, 8),
+       st.integers(0, 3 * _TAIL_BLOCK), st.integers(0, 2**32 - 1), st.data())
+def test_exp_neg_bits_independent_of_batch(s, mu, repeats, wide, seed, data):
+    # a permutation and a split of the batch: each element keeps the bits of
+    # its lone scalar call.  The `wide` draws from (0.5, 4) take 5 to ~100
+    # series terms each, so the tail runs on both sides of the block switch.
+    rng = np.random.default_rng(seed)
+    batch = rng.permutation(np.concatenate([mu * repeats, rng.uniform(0.5, 4.0, wide)]))
+    cut = data.draw(st.integers(0, batch.size))
+    single = {m: polylog_exp_neg(s, m).hex() for m in set(batch.tolist())}
+    got = np.concatenate([polylog_exp_neg(s, batch[:cut]),
+                          polylog_exp_neg(s, batch[cut:])])
+    assert [v.hex() for v in got] == [single[m] for m in batch.tolist()]
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.5, 2.5, 3.0])
