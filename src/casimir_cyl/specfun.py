@@ -101,18 +101,26 @@ def _zeta_table(s: float) -> np.ndarray:
     return tab
 
 
-def _series_terms(s: float, x: np.ndarray) -> np.ndarray:
-    """Per-element term counts putting the series tail below 1e-16 of the x^1 term.
+def _series_terms(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Term counts putting the series tail below 1e-16 of the x^1 term.
 
     n = (36.9 + 3|s|) / decay, refined once to (36.9 + |s| ln n) / decay when
-    above 3, with decay = -ln x; at least 3 terms, and 1 for x = 0.
+    above 3, with decay = -ln x, and the count is int(n) + 1.  Every element
+    takes at least 3 terms (an ``x = 0`` element 1, whose terms 2-3 would add
+    +0.0), so only the elements that take more are returned: their indices in
+    ascending order and their counts.
     """
-    with np.errstate(divide="ignore"):
-        decay = -np.log(x)
-    n = (36.9 + abs(s) * 3.0) / decay
+    first = 36.9 + abs(s) * 3.0
+    # A count passes 3 only where the first estimate first / decay reaches 3,
+    # so the rule runs only on the x above that, with a margin for rounding.
+    near = np.flatnonzero(x > math.exp(-first / 2.9))
+    decay = -np.log(x[near])
+    n = first / decay
     refine = n > 3.0
     n[refine] = (36.9 + abs(s) * np.log(n[refine])) / decay[refine]
-    return np.where(x <= 0.0, 1, np.maximum(3, n.astype(np.int64) + 1))
+    counts = n.astype(np.int64) + 1
+    more = counts > 3
+    return near[more], counts[more]
 
 
 def _series(s: float, x: np.ndarray) -> np.ndarray:
@@ -133,16 +141,11 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
       sequential ``accumulate`` products and sums, read at each element's own
       count.  ``accumulate`` adds in sequence; ``sum`` would not.
     """
-    # A count passes 3 only where (36.9 + 3|s|) / -ln(x) reaches 3, so the
-    # elementwise count rule runs only on the x above that, with a margin.
-    near = np.flatnonzero(x > math.exp(-(36.9 + abs(s) * 3.0) / 2.9))
-    counts = _series_terms(s, x[near])
+    tail, counts = _series_terms(s, x)
     # as uint8 (the engine's counts) or uint16 the stable argsort is a radix sort
     order = np.argsort(counts.astype(np.min_scalar_type(counts.max(initial=0))),
                        kind="stable")
-    counts = counts[order]
-    first = np.searchsorted(counts, 4)
-    tail, counts = near[order[first:]], counts[first:]
+    tail, counts = tail[order], counts[order]
     xn = x * x
     out = xn / 2.0**s
     out += x  # x/1 + x^2/2^s: x/1 is x itself, and + commutes
@@ -180,7 +183,9 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
 
 def _expansion_noninteger(s: float, mu: np.ndarray) -> np.ndarray:
     zt = _zeta_table(s)
-    out = math.gamma(1.0 - s) * mu ** (s - 1.0) + zt[0]
+    # for s < 1 and subnormal mu, mu^(s-1) is past the float range: +inf, as at mu = 0
+    with np.errstate(over="ignore"):
+        out = math.gamma(1.0 - s) * mu ** (s - 1.0) + zt[0]
     neg_mu = -mu
     term = np.ones_like(mu)
     scaled = np.empty_like(mu)
@@ -239,24 +244,21 @@ def polylog_exp_neg(s: float, mu):
             out = 1.0 / np.expm1(arr)
         return float(out) if scalar else out
     flat = arr.reshape(-1)
+    out = np.empty_like(flat)
     small = flat < _MU_CROSS
-    if not small.any():  # most batches: the direct series for every element
-        out = _series(s, np.exp(-flat))
-    else:
-        out = np.empty_like(flat)
-        if not small.all():
-            large = ~small
-            out[large] = _series(s, np.exp(-flat[large]))
-        at_one = flat == 0.0  # x = 1, where the expansion would meet 0 * ln 0
-        if at_one.any():
-            small &= ~at_one
-            out[at_one] = _zeta_table(s)[0] if s > 1.0 else math.inf
-        if small.any():
-            m = flat[small]
-            if s == math.floor(s) and s >= 1.0:
-                out[small] = _expansion_integer(int(s), m)
-            else:
-                out[small] = _expansion_noninteger(s, m)
+    if not small.all():
+        large = ~small
+        out[large] = _series(s, np.exp(-flat[large]))
+    at_one = flat == 0.0  # x = 1, where the expansion would meet 0 * ln 0
+    if at_one.any():
+        small &= ~at_one
+        out[at_one] = _zeta_table(s)[0] if s > 1.0 else math.inf
+    if small.any():
+        m = flat[small]
+        if s == math.floor(s) and s >= 1.0:
+            out[small] = _expansion_integer(int(s), m)
+        else:
+            out[small] = _expansion_noninteger(s, m)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

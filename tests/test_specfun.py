@@ -141,16 +141,26 @@ def _terms_oracle(s: float, x: float) -> int:
     return max(3, int(n) + 1)
 
 
+def _all_counts(s: float, x: np.ndarray) -> np.ndarray:
+    """Every element's term count; ``_series_terms`` returns those above 3."""
+    from casimir_cyl.specfun import _series_terms
+    more, counts = _series_terms(s, x)
+    out = np.where(x > 0.0, 3, 1)
+    out[more] = counts
+    return out
+
+
 @pytest.mark.parametrize("s", [-0.5, 0.5, 1.5, 3.0])
 def test_series_term_counts_match_scalar_rule(s):
-    from casimir_cyl.specfun import _series_terms
     rng = np.random.default_rng(12345)
     xs = np.concatenate([
         [0.0, 1e-300, math.exp(-0.5)],
         np.geomspace(1e-300, math.exp(-0.5), 20001),
         np.exp(-rng.uniform(0.5, 2.0, 20000)),  # where counts pass 20
+        # where counts pass 3, on both sides of the prefilter's cutoff
+        np.exp(-np.linspace(0.95, 1.05, 20001) * (36.9 + 3.0 * abs(s)) / 3.0),
     ])
-    got = _series_terms(s, xs)
+    got = _all_counts(s, xs)
     want = np.array([_terms_oracle(s, float(x)) for x in xs])
     assert np.array_equal(got, want)
 
@@ -158,8 +168,7 @@ def test_series_term_counts_match_scalar_rule(s):
 def _masked_series(s: float, x: np.ndarray) -> np.ndarray:
     """The direct series as one loop over the whole batch: every element runs
     to the largest term count and gains +0.0 past its own (the oracle)."""
-    from casimir_cyl.specfun import _series_terms
-    nterms = _series_terms(s, x)
+    nterms = _all_counts(s, x)
     out = np.zeros_like(x)
     xn = np.ones_like(x)
     for n in range(1, int(nterms.max(initial=1)) + 1):
@@ -170,13 +179,13 @@ def _masked_series(s: float, x: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
 def test_series_sorted_by_term_count_matches_masked_loop(s):
-    from casimir_cyl.specfun import _series, _series_terms
+    from casimir_cyl.specfun import _series
     rng = np.random.default_rng(7)
     x = rng.permutation(np.concatenate([
         [0.0, 1e-300, 1e-20, math.exp(-0.5)],
         np.exp(-rng.uniform(0.5, 40.0, 3000)),
         np.exp(-rng.uniform(0.5, 0.52, 200))]))  # a run of the longest sums
-    counts = _series_terms(s, x)
+    counts = _all_counts(s, x)
     assert counts[x > 0].min() == 3 and counts.max() >= 79
     got = _series(s, x)
     assert np.array_equal(got.view(np.int64), _masked_series(s, x).view(np.int64))
@@ -188,12 +197,12 @@ def test_series_sorted_by_term_count_matches_masked_loop(s):
                          ids=["none", "one", "block-1", "block", "block+1"])
 def test_series_tail_sizes_match_masked_loop(s, tail):
     # tails on both sides of the switch from suffix updates to the one block
-    from casimir_cyl.specfun import _series, _series_terms
+    from casimir_cyl.specfun import _series
     rng = np.random.default_rng(tail)
     x = rng.permutation(np.concatenate([
         [0.0, 1e-300], np.exp(-rng.uniform(20.0, 40.0, 300)),  # 3 terms or 1
         np.exp(-rng.uniform(0.5, 8.0, tail))]))                 # 5 to ~100
-    assert np.count_nonzero(_series_terms(s, x) > 3) == tail
+    assert np.count_nonzero(_all_counts(s, x) > 3) == tail
     got = _series(s, x)
     assert np.array_equal(got.view(np.int64), _masked_series(s, x).view(np.int64))
 
@@ -234,9 +243,24 @@ def test_mu_zero_diverges_without_warning(s):
     assert batch[1] == polylog_exp_neg(s, 0.25)
 
 
-# mu in both regimes and at both ends (below 1e-12 Li_{-1/2} heads for overflow)
-_MU = st.one_of(st.floats(1e-12, 0.5, exclude_max=True), st.floats(0.5, 60.0),
-                st.just(0.0), st.just(math.inf))
+# mu in both regimes and at both ends, subnormals included
+_MU = st.one_of(st.floats(0.0, 0.5, exclude_max=True), st.floats(0.5, 60.0),
+                st.just(0.0), st.just(5e-324), st.just(math.inf))
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.01, 0.5])
+def test_tiny_mu_overflows_without_warning(s):
+    # Gamma(1-s) mu^(s-1) passes the float range for subnormal mu at s = -1/2
+    # and 0.01: +inf, as at mu = 0; a RuntimeWarning fails the test (pytest
+    # filterwarnings)
+    mu = np.array([5e-324, 1e-310, 1e-200])
+    got = polylog_exp_neg(s, mu)
+    for m, v in zip(mu, got):
+        assert v.hex() == polylog_exp_neg(s, float(m)).hex()
+        # the leading terms; the rest are below 1e-150 of them
+        want = mpmath.gamma(1 - s) * mpmath.mpf(float(m))**(s - 1) + mpmath.zeta(s)
+        assert v == (math.inf if want > 1.7e308 else pytest.approx(float(want), rel=1e-12))
+    assert (got[0] == math.inf) == (s < 0.5)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
