@@ -19,11 +19,13 @@ Drude, whose permittivity diverges at zero frequency.  The terms l >= 1 are
 computed in blocks of successive l, one lockstep quadrature per block: each
 term keeps its own integral over [zeta_l, zeta_l + span], and all pending
 panels of the block go to the kernel in one call per refinement level.  The
-sum still adds the terms one at a time in ascending l and stops on the same
-rule, so the block sizes decide only how many terms are computed.  T = 0
-replaces the primed sum tau sum' I(tau l) by the integral of I(zeta) over zeta:
-the same lockstep rows, with the nodes of an outer quadrature over zeta = u**4
-for tau l.
+first block is sized from the decay exp(-tau l (1 - A)) of the terms, later
+ones from the last two; at most 64 rows each, as a block's kernel arrays set
+the peak memory.  The sum still adds the terms one at a time in ascending l
+and stops on the same rule, so the block sizes decide only how many terms are
+computed.  T = 0 replaces the primed sum tau sum' I(tau l) by the integral of
+I(zeta) over zeta: the same lockstep rows, with the nodes of an outer
+quadrature over zeta = u**4 for tau l.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -225,9 +227,18 @@ def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: fl
 
 # successive terms below rel_tol of the partial sum that end the Matsubara sum
 _CONSECUTIVE_BELOW = 3
-# Matsubara terms in the first block, and the cap on every later block
+# fewest Matsubara terms in a first block, and most in any block: the kernel
+# arrays of one block set the peak memory of a finite-T point
 _FIRST_BLOCK = 16
-_MAX_BLOCK = 32
+_MAX_BLOCK = 64
+
+
+def _first_block(decay: float, rel_tol: float) -> int:
+    """Size of the first block for terms falling as exp(-decay l): 1.2 times
+    the ln(1/(rel_tol decay))/decay terms until they drop to rel_tol of their
+    sum, about 1/decay times the first, within [_FIRST_BLOCK, _MAX_BLOCK]."""
+    steps = 1.2 * (-math.log(rel_tol) - math.log(decay)) / decay
+    return max(_FIRST_BLOCK, math.ceil(min(steps, _MAX_BLOCK)))
 
 
 def _next_block(recent: deque, target: float) -> int:
@@ -235,7 +246,8 @@ def _next_block(recent: deque, target: float) -> int:
 
     The terms decay geometrically, so the ratio q of the last two predicts
     how many more fall below ``target`` (``rel_tol * |sum|``), plus the
-    ``_CONSECUTIVE_BELOW`` that must follow; capped at ``_MAX_BLOCK``.
+    ``_CONSECUTIVE_BELOW`` that must follow; capped, like every block, at
+    ``_MAX_BLOCK`` rows, which bounds the kernel arrays and so peak memory.
     """
     if len(recent) < 2:
         return _MAX_BLOCK
@@ -249,8 +261,8 @@ def _next_block(recent: deque, target: float) -> int:
 
 
 def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
-                     zero_integral: float,
-                     quad: QuadratureSpec) -> tuple[float, int, float]:
+                     zero_integral: float, quad: QuadratureSpec,
+                     first_block: int = _FIRST_BLOCK) -> tuple[float, int, float]:
     """Primed Matsubara sum: 0.5 * zero_integral + sum_{l>=1} I(tau l).
 
     ``block_integrals(l0, count)`` returns the v-integrals of l0, ...,
@@ -258,8 +270,9 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
     at a time in ascending l; the sum truncates once the term magnitude
     stays below ``rel_tol`` of the partial sum for ``_CONSECUTIVE_BELOW``
     successive l, and the rest of that block is not read.  The first block
-    has ``_FIRST_BLOCK`` terms; later ones are sized by :func:`_next_block`
-    and never reach past ``quad.max_terms``.  The block sizes decide only how
+    has ``first_block`` terms (:func:`_first_block` sizes it from the decay);
+    later ones are sized by :func:`_next_block`, at most ``_MAX_BLOCK``, and
+    never reach past ``quad.max_terms``.  The block sizes decide only how
     many terms are computed, never the sum, ``l_used`` or the estimate.
 
     Returns
@@ -270,7 +283,7 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
     recent: deque[float] = deque(maxlen=_CONSECUTIVE_BELOW)
     below = 0
     l = 0
-    count = _FIRST_BLOCK
+    count = first_block
     while True:
         count = min(count, quad.max_terms - l)
         if count == 0:
@@ -351,7 +364,8 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
         return (val for val, _ in rows)
 
     zero = _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)
-    return matsubara_reduce(block, zero, quad)
+    return matsubara_reduce(block, zero, quad,
+                            _first_block(tau * (1.0 - a_theta), quad.rel_tol))
 
 
 def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,

@@ -702,6 +702,68 @@ def test_blocked_sum_matches_term_by_term_bits(name, a_nm):
             assert _bits(got) == _bits(want), (obs, a_theta)
 
 
+def _block_sizes(monkeypatch) -> list[int]:
+    """Rows of every lockstep block the engine computes from now on, in order."""
+    sizes: list[int] = []
+
+    def rows(f, a, b, **kw):
+        sizes.append(len(a))
+        return adaptive_quad_rows(f, a, b, **kw)
+    monkeypatch.setattr(casimir_core, "adaptive_quad_rows", rows)
+    return sizes
+
+
+@pytest.mark.parametrize("a_theta", [0.0, 0.5])
+@pytest.mark.parametrize("a_nm", [100.0, 2000.0])
+@pytest.mark.parametrize("name", ["ideal", "drude", "dielectric"])
+def test_block_schedule_changes_no_bits(monkeypatch, name, a_nm, a_theta):
+    # the block sizes decide only how many terms are computed
+    model, a, quad = MODELS[name], a_nm * 1e-9, QuadratureSpec()
+    tau = ThermalState.at(300.0, geometry_at(a_nm)).tau
+    predicted = casimir_core._first_block(tau * (1.0 - a_theta), quad.rel_tol)
+    want = _bits(_reduce(1.5, 0.5, model, a, tau, quad, a_theta))
+    sizes = _block_sizes(monkeypatch)
+    full = casimir_core._MAX_BLOCK
+    for first, cap in ([(n, full) for n in (1, 3, 16, predicted, full)]
+                       + [(predicted, c) for c in (8, 32)]):
+        monkeypatch.setattr(casimir_core, "_first_block", lambda decay, tol: first)
+        monkeypatch.setattr(casimir_core, "_MAX_BLOCK", cap)
+        sizes.clear()
+        got = _bits(_reduce(1.5, 0.5, model, a, tau, quad, a_theta))
+        assert got == want, (first, cap)
+        assert sizes[0] == first and max(sizes[1:], default=0) <= cap, (first, cap)
+
+
+@pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
+@pytest.mark.parametrize("name", ["ideal", "drude"])
+def test_block_work_is_bounded(monkeypatch, name, a_nm):
+    cap = casimir_core._MAX_BLOCK
+    sizes = _block_sizes(monkeypatch)
+    geom = geometry_at(a_nm)
+    th = ThermalState.at(300.0, geom)
+    for which in ("force", "gradient"):
+        for a_theta in (0.0, 0.1, 0.5):
+            sizes.clear()
+            if a_theta == 0.0:
+                fn = cylinder_force if which == "force" else cylinder_force_gradient
+                l_used = fn(geom, th, MODELS[name]).l_used
+            else:
+                fn = tilted_force if which == "force" else tilted_gradient
+                l_used = fn(geom, th, MODELS[name],
+                            TiltParams.from_a_theta(a_theta, geom)).l_used
+            case = (which, a_theta, l_used, sizes)
+            assert max(sizes) <= cap, case
+            assert len(sizes) <= math.ceil(l_used / cap) + 1, case
+            assert 0 <= sum(sizes) - l_used < cap, case
+
+
+def test_first_block_prediction_is_clamped():
+    rel_tol = QuadratureSpec().rel_tol
+    assert casimir_core._first_block(1e3, rel_tol) == _FIRST_BLOCK
+    assert casimir_core._first_block(1e-300, rel_tol) == casimir_core._MAX_BLOCK
+    assert casimir_core._first_block(5e-324, rel_tol) == casimir_core._MAX_BLOCK
+
+
 @pytest.mark.parametrize("a_nm", [100.0, 500.0])
 def test_max_terms_bound_is_exact(a_nm):
     geom = geometry_at(a_nm)
@@ -731,11 +793,13 @@ def test_failed_row_past_the_stop_is_not_read():
                 f, np.zeros(count), np.ones(count), rel_tol=quad.rel_tol * 0.1))
         return block
 
-    total, l_used, _ = matsubara_reduce(blocks(10**6), 2.0, quad)
-    assert l_used == 7 < _FIRST_BLOCK
-    assert matsubara_reduce(blocks(l_used + 1), 2.0, quad)[:2] == (total, l_used)
+    # the first block is sized, as in the engine, from the decay exp(-l ln 100)
+    first = casimir_core._first_block(math.log(100.0), quad.rel_tol)
+    total, l_used, _ = matsubara_reduce(blocks(10**6), 2.0, quad, first)
+    assert l_used == 7 < first
+    assert matsubara_reduce(blocks(l_used + 1), 2.0, quad, first)[:2] == (total, l_used)
     with pytest.raises(ConvergenceError, match=f"row {l_used - 1}"):
-        matsubara_reduce(blocks(l_used), 2.0, quad)
+        matsubara_reduce(blocks(l_used), 2.0, quad, first)
 
 
 # Recorded before the Matsubara terms were blocked (one adaptive_quad per
