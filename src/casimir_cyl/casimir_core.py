@@ -24,8 +24,11 @@ ones from the last two; at most 64 rows each, as a block's kernel arrays set
 the peak memory.  The sum still adds the terms one at a time in ascending l
 and stops on the same rule, so the block sizes decide only how many terms are
 computed.  T = 0 replaces the primed sum tau sum' I(tau l) by the integral of
-I(zeta) over zeta: the same lockstep rows, with the nodes of an outer
-quadrature over zeta = u**4 for tau l.
+I(zeta) over zeta = u**4, with v = w**2 inside: one tensor Gauss-Legendre
+rule in (u, w) and a coarser companion, all nodes in one kernel call, whose
+difference is the error estimate.  Where that estimate misses rel_tol, the
+fallback is an adaptive outer quadrature over u whose nodes take the place of
+tau l in the lockstep rows.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -36,6 +39,7 @@ of one array, so each kernel evaluation is one polylog call.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -50,7 +54,7 @@ from .dielectric import (PermittivityModel, ZeroFreqBehavior,
                          ZeroFreqMixed, ZeroFreqPlasmaLike, eps_imag_axis,
                          zero_frequency_character)
 from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
-                         adaptive_quad_rows)
+                         adaptive_quad_rows, gauss_legendre)
 from .reflection import log_r2_pair, zero_frequency_mu_terms
 from .specfun import ZETA_3, polylog, polylog_exp_neg
 
@@ -133,7 +137,9 @@ class ForceResult:
     Matsubara index added (0 for the continuous T = 0 integral).
     ``truncation_estimate`` is relative to the value: at finite T the
     magnitude of the last few terms, a same-order estimate of the neglected
-    tail; at T = 0 the error estimate of the outer frequency quadrature.
+    tail; at T = 0 the difference of the fixed product rule from its coarser
+    companion, at least 100 ulp, or, where the fallback ran, the error
+    estimate of its adaptive outer frequency quadrature.
     """
 
     value: float
@@ -300,17 +306,89 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
         count = _next_block(recent, quad.rel_tol * abs(total))
 
 
+# T = 0 product rule: Gauss nodes per unit of u = zeta**(1/4), at most
+# _T0_MAX_U of them (A up to about 0.978; the cap keeps the kernel arrays, at
+# most 13.3 k abscissae, near the 9.5 k of the fallback's first level), the
+# share of them in its coarser companion, and the nodes in w of both; the
+# estimate is floored at the roundoff of sums over some 5000 nodes
+_T0_U_DENSITY = 19.0
+_T0_MAX_U = 128
+_T0_COARSE_U = 5.0 / 6.0
+_T0_W_NODES = (64, 48)
+_T0_ROUNDOFF = 100.0 * sys.float_info.epsilon
+
+
 def zero_temperature_reduce(kernel_rows, span: float,
                             quad: QuadratureSpec) -> tuple[float, float]:
     """T = 0 limit of the primed sum tau sum' I(tau l): J = int_0^span dzeta I(zeta).
 
     I(zeta) = int_zeta^{zeta+span} dv K(v, zeta), as in a Matsubara term.  The
     outer integral runs over zeta = u**4, weight 4 u**3, which grades its nodes
-    toward zeta = 0, where I(zeta) is not smooth in sqrt(zeta); the pending
-    nodes of each of its levels are the rows of one lockstep quadrature, like a
-    finite-T block, whose integrand ``f(v, row)`` is ``kernel_rows(zetas)``.
-    The rows run over v = w**2, w from u**2 = sqrt(zeta), which smooths the
-    v**(1/2)-type behavior of the metallic kernels.
+    toward zeta = 0, where I(zeta) is not smooth in sqrt(zeta); the inner ones
+    over v = w**2, w from u**2 = sqrt(zeta), which smooths the v**(1/2)-type
+    behavior of the metallic kernels.  On these maps the integrand is analytic,
+    so J first comes from one tensor Gauss-Legendre rule
+    (:func:`_t0_product_rule`).  When its estimate is not finite or above
+    ``quad.rel_tol``, J falls back to :func:`_t0_adaptive`.  The integrand
+    ``f(v, row)`` of either is ``kernel_rows(zetas)``, one row per zeta.
+
+    Returns (J, relative error estimate): the product rule's, or that of the
+    fallback's outer integral.
+    """
+    value, rel = _t0_product_rule(kernel_rows, span)
+    if rel <= quad.rel_tol:  # NaN and inf fall back
+        return value, rel
+    return _t0_adaptive(kernel_rows, span, quad)
+
+
+def _t0_product_rule(kernel_rows, span: float) -> tuple[float, float]:
+    """J by a tensor Gauss-Legendre rule, with a coarser companion as its check.
+
+    The rule has n_u = ceil(_T0_U_DENSITY span**(1/4)) nodes in u over
+    [0, span**(1/4)], weight 4 u**3, so it widens with the span and so with
+    1/(1 - A) of a tilt, and ``_T0_W_NODES[0]`` nodes in w over
+    [u**2, sqrt(u**4 + span)] for each u, weight 2 w.  The companion has
+    ``_T0_COARSE_U`` of the u nodes and ``_T0_W_NODES[1]`` in w.  The nodes of
+    both go to one kernel call, eps(i xi) once per u node.
+
+    Returns (J, max(|J - J_coarse| / |J|, _T0_ROUNDOFF)), or (nan, inf)
+    without a kernel call when n_u would exceed ``_T0_MAX_U``.
+    """
+    top = math.sqrt(math.sqrt(span))
+    n_u = math.ceil(_T0_U_DENSITY * top)
+    if n_u > _T0_MAX_U:
+        return math.nan, math.inf
+    # (u nodes, u weights, w nodes, w weights) of the rule and its companion
+    rules = [gauss_legendre(n) + gauss_legendre(m) for n, m in
+             zip((n_u, math.ceil(_T0_COARSE_U * n_u)), _T0_W_NODES)]
+    u = 0.5 * top * (np.concatenate([rule[0] for rule in rules]) + 1.0)
+    root = u * u
+    zetas = root * root
+    half = 0.5 * (np.sqrt(zetas + span) - root)
+    # one row of w nodes per u node, the rows of both rules in one kernel call
+    grids, first = [], 0
+    for xu, wu, xw, ww in rules:
+        rows = np.arange(first, first + xu.size)
+        grids.append((rows, wu, ww, root[rows, None] + half[rows, None] * (xw + 1.0)))
+        first += xu.size
+    w = np.concatenate([grid.ravel() for *_, grid in grids])
+    owner = np.concatenate([np.repeat(rows, grid.shape[1]) for rows, *_, grid in grids])
+    vals = 2.0 * w * kernel_rows(zetas)(w * w, owner)
+    totals, first = [], 0
+    for rows, wu, ww, grid in grids:
+        inner = half[rows] * (vals[first:first + grid.size].reshape(grid.shape) @ ww)
+        totals.append(0.5 * top * float(wu @ (4.0 * u[rows] * root[rows] * inner)))
+        first += grid.size
+    fine, coarse = totals
+    rel = abs(fine - coarse) / abs(fine) if fine != 0.0 else math.inf
+    return fine, max(rel, _T0_ROUNDOFF)
+
+
+def _t0_adaptive(kernel_rows, span: float, quad: QuadratureSpec) -> tuple[float, float]:
+    """J by adaptive quadrature: the fallback of :func:`zero_temperature_reduce`.
+
+    The pending nodes of each level of the outer quadrature over u are the
+    rows of one lockstep quadrature over w, like a finite-T block.
 
     Returns (J, relative error estimate of the outer integral).
     """

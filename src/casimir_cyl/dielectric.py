@@ -26,6 +26,7 @@ quadrature nodes at construction and is read-only afterwards.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -133,8 +134,15 @@ class OpticalTableError(ValueError):
 # sub-segment width (in ln omega) for the cached dispersion-integral nodes;
 # 8-point Gauss-Legendre on segments this narrow is converged to ~1e-14
 _LN_STEP = 0.02
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+@functools.cache
+def _segment_rules():
+    """numpy's 8- and 4-point Gauss-Legendre rules, the nodes of every table.
+
+    numpy.polynomial is imported here, by the first table, not with the engine.
+    """
+    return np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(4)
 
 
 class OpticalTable:
@@ -184,7 +192,7 @@ class OpticalTable:
         centers = 0.5 * (lo + hi)
         halves = 0.5 * (hi - lo)
         nodes = []
-        for pts, wts in ((_GL_NODES, _GL_WEIGHTS), (_GL4_NODES, _GL4_WEIGHTS)):
+        for pts, wts in _segment_rules():
             ln_pts = (centers[:, None] + halves[:, None] * pts[None, :]).ravel()
             w_pts = (halves[:, None] * wts[None, :]).ravel()
             at = np.repeat(seg, pts.size)

@@ -26,7 +26,7 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
 import casimir_cyl
 from casimir_cyl import casimir_core
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
-                                     _GRADIENT, _li_finite, _li_kernel,
+                                     _GRADIENT, _ZERO_T, _li_finite, _li_kernel,
                                      _li_zero_freq, _reduce, _zero_freq_int,
                                      matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
@@ -426,9 +426,10 @@ def _t0_kernel(obs: str, model, geom: Geometry):
 def _nested_t0(obs: str, model, geom: Geometry) -> float:
     """T = 0 force or gradient with one lone inner quadrature per outer node.
 
-    The structure the engine batches: J = int_0^span**(1/4) du 4u**3 I(u**4),
-    with I(zeta) = int dw 2w K(w**2, zeta) over [u**2, sqrt(zeta + span)] and
-    the same tolerances, but each I(zeta) is its own ``adaptive_quad`` call.
+    The structure the engine's fallback batches:
+    J = int_0^span**(1/4) du 4u**3 I(u**4), with I(zeta) = int dw 2w K(w**2, zeta)
+    over [u**2, sqrt(zeta + span)] and the same tolerances, but each I(zeta) is
+    its own ``adaptive_quad`` call.
     """
     quad = QuadratureSpec()
     span = quad.v_span()
@@ -453,13 +454,35 @@ def _nested_t0(obs: str, model, geom: Geometry) -> float:
                                         for a in (100.0, 150.0, 500.0, 2000.0)]
                          + [("tabulated", 300.0)])
 def test_t0_batched_matches_nested_quadrature(name, a_nm):
-    # each batched inner integral is a lockstep row with a lone call's bits
+    # the product rule against one lone adaptive inner quadrature per outer node
     geom = geometry_at(a_nm)
     model = MODELS[name]
     for obs, fn in (("force", zero_temperature_force),
                     ("gradient", zero_temperature_gradient)):
         want = _nested_t0(obs, model, geom)
-        assert fn(geom, model).value.hex() == want.hex()
+        assert abs(fn(geom, model).value / want - 1.0) <= 1e-13
+
+
+def _coarse_product_rule(monkeypatch) -> None:
+    """Shrink the T = 0 product rule until its estimate fails every rel_tol."""
+    monkeypatch.setattr(casimir_core, "_T0_U_DENSITY", 2.0)
+    monkeypatch.setattr(casimir_core, "_T0_W_NODES", (8, 6))
+
+
+@pytest.mark.parametrize("name, a_nm", [("drude", 100.0), ("plasma", 500.0),
+                                        ("tabulated", 300.0)])
+def test_t0_fallback_keeps_nested_bits(monkeypatch, name, a_nm):
+    # a product rule whose estimate exceeds rel_tol hands J to the adaptive
+    # outer quadrature and its lockstep rows, which return the bits of one
+    # lone inner quadrature per outer node
+    _coarse_product_rule(monkeypatch)
+    geom = geometry_at(a_nm)
+    model = MODELS[name]
+    for obs, fn in (("force", zero_temperature_force),
+                    ("gradient", zero_temperature_gradient)):
+        got = fn(geom, model)
+        assert got.value.hex() == _nested_t0(obs, model, geom).hex()
+        assert got.truncation_estimate <= QuadratureSpec().rel_tol
 
 
 def _unit_strip_t0(obs: str, model, geom: Geometry, quad: QuadratureSpec) -> float:
@@ -518,40 +541,70 @@ def test_t0_eps_once_per_frequency(monkeypatch, name, a_nm):
 
 
 @pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
-@pytest.mark.parametrize("name", ["ideal", "drude", "plasma", "dielectric", "tabulated"])
-def test_t0_error_estimate_is_honest(name, a_nm):
-    # truncation_estimate at T = 0 is the outer quadrature's relative error
-    # estimate; it must cover the true error against a tight reference
+@pytest.mark.parametrize("name", ["ideal", "drude", "plasma", "plasma_osc", "dielectric",
+                                  "tabulated"])
+def test_t0_error_estimate_is_honest(monkeypatch, name, a_nm):
+    # truncation_estimate at T = 0 is the product rule's relative error
+    # estimate (or the fallback's); at every tilt up to A = 0.9 and every
+    # rel_tol it must cover the true error against a reference that the
+    # adaptive fallback computes at rel_tol 1e-12
     geom = geometry_at(a_nm)
     model = MODELS[name]
-    quad = QuadratureSpec()
-    for fn in (zero_temperature_force, zero_temperature_gradient):
-        got = fn(geom, model, quad)
-        ref = fn(geom, model, QuadratureSpec(rel_tol=1e-12)).value
-        err = abs(got.value / ref - 1.0)
-        assert err <= got.truncation_estimate
-        assert err <= quad.rel_tol
+    fns = (tilted_force, tilted_gradient)
+    cases = [(TiltParams.from_a_theta(a_theta, geom), fn)
+             for a_theta in (0.0, 0.1, 0.5, 0.9) for fn in fns]
+    with monkeypatch.context() as patch:
+        _coarse_product_rule(patch)
+        refs = [fn(geom, _ZERO_T, model, tp, QuadratureSpec(rel_tol=1e-12)).value
+                for tp, fn in cases]
+    for (tp, fn), ref in zip(cases, refs):
+        for rel_tol in (1e-6, 1e-9, 1e-11):
+            got = fn(geom, _ZERO_T, model, tp, QuadratureSpec(rel_tol=rel_tol))
+            err = abs(got.value / ref - 1.0)
+            assert err <= got.truncation_estimate <= rel_tol
+
+
+def _adaptive_calls(monkeypatch) -> list[str]:
+    """Names of the adaptive quadratures the engine calls from now on."""
+    calls = []
+
+    def counted(quad):
+        def run(*args, **kw):
+            calls.append(quad.__name__)
+            return quad(*args, **kw)
+        return run
+
+    for quad in (adaptive_quad, adaptive_quad_rows):
+        monkeypatch.setattr(casimir_core, quad.__name__, counted(quad))
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_t0_outer_levels_bounded(monkeypatch, name):
-    # zeta = u**4 grades the outer nodes toward zeta = 0, where I(zeta) is not
-    # smooth in sqrt(zeta): every model converges in one or two outer levels,
-    # each a whole lockstep call of inner rows
-    calls = []
-
-    def quad(f, a, b, **kw):
-        def counted(x):
-            calls.append(x.size)
-            return f(x)
-        return adaptive_quad(counted, a, b, **kw)
-
-    monkeypatch.setattr(casimir_core, "adaptive_quad", quad)
+    # the fixed product rule is accepted for every model at 100-2000 nm and
+    # A <= 0.5: no adaptive outer level and no lockstep row runs
+    calls = _adaptive_calls(monkeypatch)
     for a_nm in (100.0, 300.0, 1000.0, 2000.0):
-        for fn in (zero_temperature_force, zero_temperature_gradient):
-            calls.clear()
-            fn(geometry_at(a_nm), MODELS[name])
-            assert 1 <= len(calls) <= (1 if name == "dielectric" else 2)
+        geom = geometry_at(a_nm)
+        for a_theta in (0.0, 0.1, 0.5):
+            tp = TiltParams.from_a_theta(a_theta, geom)
+            for fn in (tilted_force, tilted_gradient):
+                assert fn(geom, _ZERO_T, MODELS[name], tp).truncation_estimate <= 1e-9
+        plate_pressure(geom.a, 0.0, MODELS[name])
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["drude", "plasma", "tabulated"])
+def test_t0_rule_widens_with_tilt(monkeypatch, name):
+    # the u nodes grow with span**(1/4), so with 1/(1 - A): at A = 0.9 and
+    # 100 nm the rule still meets rel_tol 1e-11, where a fixed 48-node u rule
+    # misses even 1e-9 and falls back
+    calls = _adaptive_calls(monkeypatch)
+    geom = geometry_at(100.0)
+    tp = TiltParams.from_a_theta(0.9, geom)
+    for fn in (tilted_force, tilted_gradient):
+        fn(geom, _ZERO_T, MODELS[name], tp, QuadratureSpec(rel_tol=1e-11))
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["drude", "plasma", "dielectric"])
@@ -863,3 +916,23 @@ print("numpy.ma" in sys.modules)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_engine_does_not_import_numpy_polynomial():
+    # the T = 0 product rule builds its own Gauss rules; numpy.polynomial
+    # comes in only with the first optical table
+    script = """
+import sys
+from casimir_cyl import (Geometry, IdealMetal, ThermalState, cylinder_force, gold_drude,
+                         zero_temperature_force)
+print("numpy.polynomial" in sys.modules, end=" ")
+geom = Geometry(a=300e-9, R=100e-6, L=100e-6)
+cylinder_force(geom, ThermalState.at(300.0, geom), gold_drude())
+zero_temperature_force(geom, gold_drude())
+zero_temperature_force(geom, IdealMetal())
+print("numpy.polynomial" in sys.modules)
+"""
+    src = str(Path(casimir_cyl.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False False"

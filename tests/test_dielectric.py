@@ -255,8 +255,7 @@ def _segment_loop_nodes(table: OpticalTable):
     """The dispersion nodes built one table segment at a time (the oracle)."""
     ln_w = np.log(table.omega)
     ln_g = np.log(table.im_eps)
-    rules = ((dielectric._GL_NODES, dielectric._GL_WEIGHTS),
-             (dielectric._GL4_NODES, dielectric._GL4_WEIGHTS))
+    rules = (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(4))
     sinks = ([], [])
     for i in range(table.omega.size - 1):
         width = ln_w[i + 1] - ln_w[i]

@@ -6,7 +6,7 @@ import pytest
 
 from casimir_cyl import quadrature
 from casimir_cyl.quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
-                                   adaptive_quad_rows)
+                                   adaptive_quad_rows, gauss_legendre)
 
 
 def test_gamma_integral():
@@ -209,3 +209,31 @@ def test_lockstep_failed_row_raises_naming_it(bad_row):
 def test_lockstep_rejects_empty_row():
     with pytest.raises(ValueError):
         adaptive_quad_rows(lambda x, row: x, [0.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 64, 128])
+def test_gauss_legendre_matches_mpmath(n):
+    # nodes are the roots of P_n and weights 2/((1 - x^2) P_n'(x)^2), both
+    # from 40-digit Newton iterates of P_n
+    import mpmath
+    x, w = gauss_legendre(n)
+    assert x.flags.writeable is False and w.flags.writeable is False
+    with mpmath.workdps(40):
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            root = mpmath.mpf(xi)
+            for _ in range(4):
+                dp = n * (root * mpmath.legendre(n, root) - mpmath.legendre(n - 1, root)) / (
+                    root * root - 1)
+                root -= mpmath.legendre(n, root) / dp
+            assert abs(xi - float(root)) <= 2e-16
+            assert abs(wi / float(2 / ((1 - root * root) * dp * dp)) - 1.0) <= 1e-13
+
+
+def test_gauss_legendre_is_exact_to_degree_2n_minus_1():
+    x, w = gauss_legendre(12)
+    for k in range(24):
+        assert math.isclose(float(w @ x**k), (1.0 + (-1.0)**k) / (k + 1),
+                            rel_tol=1e-14, abs_tol=1e-15)
+    assert gauss_legendre(12) is gauss_legendre(12)
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
