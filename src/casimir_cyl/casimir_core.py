@@ -27,8 +27,8 @@ computed.  T = 0 replaces the primed sum tau sum' I(tau l) by the integral of
 I(zeta) over zeta = u**4, with v = w**2 inside: one tensor Gauss-Legendre
 rule in (u, w) and a coarser companion, all nodes in one kernel call, whose
 difference is the error estimate.  Where that estimate misses rel_tol, the
-fallback is an adaptive outer quadrature over u whose nodes take the place of
-tau l in the lockstep rows.
+same rule runs again with every node count doubled, rung by rung, until one
+meets it or the next would pass a cap on the abscissae of one kernel call.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -137,9 +137,9 @@ class ForceResult:
     Matsubara index added (0 for the continuous T = 0 integral).
     ``truncation_estimate`` is relative to the value: at finite T the
     magnitude of the last few terms, a same-order estimate of the neglected
-    tail; at T = 0 the difference of the fixed product rule from its coarser
-    companion, at least 100 ulp, or, where the fallback ran, the error
-    estimate of its adaptive outer frequency quadrature.
+    tail; at T = 0 the difference of the product rule from its coarser
+    companion, at least 100 ulp, on the first rung of the node-doubling
+    ladder that meets ``rel_tol``.
     """
 
     value: float
@@ -306,15 +306,15 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
         count = _next_block(recent, quad.rel_tol * abs(total))
 
 
-# T = 0 product rule: Gauss nodes per unit of u = zeta**(1/4), at most
-# _T0_MAX_U of them (A up to about 0.978; the cap keeps the kernel arrays, at
-# most 13.3 k abscissae, near the 9.5 k of the fallback's first level), the
-# share of them in its coarser companion, and the nodes in w of both; the
-# estimate is floored at the roundoff of sums over some 5000 nodes
+# T = 0 product rule: Gauss nodes per unit of u = zeta**(1/4), the share of
+# them in its coarser companion, and the nodes in w of both.  Each rung of the
+# ladder doubles all four counts; the cap on the abscissae of one kernel call
+# leaves four rungs at A = 0 and three at A = 0.995, the top one near 60 MB.
+# The estimate is floored at the roundoff of sums over some 5000 nodes
 _T0_U_DENSITY = 19.0
-_T0_MAX_U = 128
 _T0_COARSE_U = 5.0 / 6.0
 _T0_W_NODES = (64, 48)
+_T0_MAX_ABSCISSAE = 2**19
 _T0_ROUNDOFF = 100.0 * sys.float_info.epsilon
 
 
@@ -326,41 +326,47 @@ def zero_temperature_reduce(kernel_rows, span: float,
     outer integral runs over zeta = u**4, weight 4 u**3, which grades its nodes
     toward zeta = 0, where I(zeta) is not smooth in sqrt(zeta); the inner ones
     over v = w**2, w from u**2 = sqrt(zeta), which smooths the v**(1/2)-type
-    behavior of the metallic kernels.  On these maps the integrand is analytic,
-    so J first comes from one tensor Gauss-Legendre rule
-    (:func:`_t0_product_rule`).  When its estimate is not finite or above
-    ``quad.rel_tol``, J falls back to :func:`_t0_adaptive`.  The integrand
-    ``f(v, row)`` of either is ``kernel_rows(zetas)``, one row per zeta.
+    behavior of the metallic kernels.  On these maps the integrand is analytic
+    and a Gauss rule converges geometrically, so J comes from a ladder of
+    tensor Gauss-Legendre rules (:func:`_t0_product_rule`): rung 1 has
+    ceil(_T0_U_DENSITY span**(1/4)) x _T0_W_NODES[0] nodes, so it widens with
+    the span and so with 1/(1 - A) of a tilt, and each further rung doubles
+    every node count of the rule and its companion.  The first
+    rung whose estimate is <= ``quad.rel_tol`` gives J.  The integrand
+    ``f(v, row)`` is ``kernel_rows(zetas)``, one row per zeta.
 
-    Returns (J, relative error estimate): the product rule's, or that of the
-    fallback's outer integral.
+    Returns (J, relative error estimate).  Raises ConvergenceError when J or
+    its estimate is not finite, or when the next rung would pass
+    _T0_MAX_ABSCISSAE abscissae.
     """
-    value, rel = _t0_product_rule(kernel_rows, span)
-    if rel <= quad.rel_tol:  # NaN and inf fall back
-        return value, rel
-    return _t0_adaptive(kernel_rows, span, quad)
+    n_u = math.ceil(_T0_U_DENSITY * math.sqrt(math.sqrt(span)))
+    counts = ((n_u, _T0_W_NODES[0]), (math.ceil(_T0_COARSE_U * n_u), _T0_W_NODES[1]))
+    rel = math.inf
+    while sum(n * m for n, m in counts) <= _T0_MAX_ABSCISSAE:
+        value, rel = _t0_product_rule(kernel_rows, span, counts)
+        if not (math.isfinite(value) and math.isfinite(rel)):
+            raise ConvergenceError(f"T = 0 integral {value} has estimate {rel}")
+        if rel <= quad.rel_tol:
+            return value, rel
+        counts = tuple((2 * n, 2 * m) for n, m in counts)
+    raise ConvergenceError(
+        f"T = 0 integral: estimate {rel:.3e} above rel_tol {quad.rel_tol:.3e}, "
+        f"and the next rule would exceed {_T0_MAX_ABSCISSAE} abscissae")
 
 
-def _t0_product_rule(kernel_rows, span: float) -> tuple[float, float]:
+def _t0_product_rule(kernel_rows, span: float, counts) -> tuple[float, float]:
     """J by a tensor Gauss-Legendre rule, with a coarser companion as its check.
 
-    The rule has n_u = ceil(_T0_U_DENSITY span**(1/4)) nodes in u over
-    [0, span**(1/4)], weight 4 u**3, so it widens with the span and so with
-    1/(1 - A) of a tilt, and ``_T0_W_NODES[0]`` nodes in w over
-    [u**2, sqrt(u**4 + span)] for each u, weight 2 w.  The companion has
-    ``_T0_COARSE_U`` of the u nodes and ``_T0_W_NODES[1]`` in w.  The nodes of
-    both go to one kernel call, eps(i xi) once per u node.
+    ``counts`` holds (n_u, n_w) of the rule, then of its companion: n_u nodes
+    in u over [0, span**(1/4)], weight 4 u**3, and n_w nodes in w over
+    [u**2, sqrt(u**4 + span)] for each u, weight 2 w.  The nodes of both go to
+    one kernel call, eps(i xi) once per u node.
 
-    Returns (J, max(|J - J_coarse| / |J|, _T0_ROUNDOFF)), or (nan, inf)
-    without a kernel call when n_u would exceed ``_T0_MAX_U``.
+    Returns (J, max(|J - J_coarse| / |J|, _T0_ROUNDOFF)).
     """
     top = math.sqrt(math.sqrt(span))
-    n_u = math.ceil(_T0_U_DENSITY * top)
-    if n_u > _T0_MAX_U:
-        return math.nan, math.inf
     # (u nodes, u weights, w nodes, w weights) of the rule and its companion
-    rules = [gauss_legendre(n) + gauss_legendre(m) for n, m in
-             zip((n_u, math.ceil(_T0_COARSE_U * n_u)), _T0_W_NODES)]
+    rules = [gauss_legendre(n) + gauss_legendre(m) for n, m in counts]
     u = 0.5 * top * (np.concatenate([rule[0] for rule in rules]) + 1.0)
     root = u * u
     zetas = root * root
@@ -382,29 +388,6 @@ def _t0_product_rule(kernel_rows, span: float) -> tuple[float, float]:
     fine, coarse = totals
     rel = abs(fine - coarse) / abs(fine) if fine != 0.0 else math.inf
     return fine, max(rel, _T0_ROUNDOFF)
-
-
-def _t0_adaptive(kernel_rows, span: float, quad: QuadratureSpec) -> tuple[float, float]:
-    """J by adaptive quadrature: the fallback of :func:`zero_temperature_reduce`.
-
-    The pending nodes of each level of the outer quadrature over u are the
-    rows of one lockstep quadrature over w, like a finite-T block.
-
-    Returns (J, relative error estimate of the outer integral).
-    """
-    def level(u: np.ndarray) -> np.ndarray:
-        root = u * u
-        zetas = root * root
-        f = kernel_rows(zetas)
-        rows = adaptive_quad_rows(lambda w, row: 2.0 * w * f(w * w, row),
-                                  root, np.sqrt(zetas + span),
-                                  rel_tol=quad.rel_tol * 0.1, initial_panels=6)
-        return 4.0 * u * root * np.array([val for val, _ in rows])
-
-    value, err = adaptive_quad(level, 0.0, math.sqrt(math.sqrt(span)),
-                               rel_tol=quad.rel_tol, initial_panels=7)
-    rel = abs(err / value) if value != 0.0 else 0.0
-    return value, rel
 
 
 def _zero_freq_int(integrand, span: float, quad: QuadratureSpec) -> float:

@@ -426,10 +426,10 @@ def _t0_kernel(obs: str, model, geom: Geometry):
 def _nested_t0(obs: str, model, geom: Geometry) -> float:
     """T = 0 force or gradient with one lone inner quadrature per outer node.
 
-    The structure the engine's fallback batches:
+    The engine's maps with adaptive quadrature in place of its Gauss rules:
     J = int_0^span**(1/4) du 4u**3 I(u**4), with I(zeta) = int dw 2w K(w**2, zeta)
-    over [u**2, sqrt(zeta + span)] and the same tolerances, but each I(zeta) is
-    its own ``adaptive_quad`` call.
+    over [u**2, sqrt(zeta + span)], each I(zeta) its own ``adaptive_quad``
+    call at 0.1 rel_tol inside the outer one.
     """
     quad = QuadratureSpec()
     span = quad.v_span()
@@ -463,26 +463,82 @@ def test_t0_batched_matches_nested_quadrature(name, a_nm):
         assert abs(fn(geom, model).value / want - 1.0) <= 1e-13
 
 
-def _coarse_product_rule(monkeypatch) -> None:
-    """Shrink the T = 0 product rule until its estimate fails every rel_tol."""
+def _coarse_first_rung(monkeypatch) -> None:
+    """Shrink rung 1 of the T = 0 product rule until it misses every rel_tol,
+    so that the node-doubling ladder starts coarse and climbs."""
     monkeypatch.setattr(casimir_core, "_T0_U_DENSITY", 2.0)
     monkeypatch.setattr(casimir_core, "_T0_W_NODES", (8, 6))
 
 
+def _rung_calls(monkeypatch) -> list:
+    """Node counts of every product rule the engine runs from now on."""
+    calls = []
+    rule = casimir_core._t0_product_rule
+
+    def counted(kernel_rows, span, counts):
+        calls.append(counts)
+        return rule(kernel_rows, span, counts)
+
+    monkeypatch.setattr(casimir_core, "_t0_product_rule", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name, a_nm", [("drude", 100.0), ("plasma", 500.0),
                                         ("tabulated", 300.0)])
-def test_t0_fallback_keeps_nested_bits(monkeypatch, name, a_nm):
-    # a product rule whose estimate exceeds rel_tol hands J to the adaptive
-    # outer quadrature and its lockstep rows, which return the bits of one
-    # lone inner quadrature per outer node
-    _coarse_product_rule(monkeypatch)
+def test_t0_ladder_matches_nested_quadrature(monkeypatch, name, a_nm):
+    # a rung whose estimate exceeds rel_tol hands J to the same rule with
+    # every node count doubled; the rung that meets rel_tol agrees with one
+    # lone adaptive inner quadrature per outer node
+    _coarse_first_rung(monkeypatch)
+    calls = _rung_calls(monkeypatch)
     geom = geometry_at(a_nm)
     model = MODELS[name]
     for obs, fn in (("force", zero_temperature_force),
                     ("gradient", zero_temperature_gradient)):
+        calls.clear()
         got = fn(geom, model)
-        assert got.value.hex() == _nested_t0(obs, model, geom).hex()
+        assert len(calls) >= 2
+        assert calls[1] == tuple((2 * n, 2 * m) for n, m in calls[0])
+        assert abs(got.value / _nested_t0(obs, model, geom) - 1.0) <= 1e-13
         assert got.truncation_estimate <= QuadratureSpec().rel_tol
+
+
+@pytest.mark.parametrize("name", ["drude", "plasma"])
+def test_t0_ladder_meets_tight_tol_at_steep_tilt(name):
+    # at rel_tol 1e-12 near A = 1 rung 1 misses and the ladder climbs; a
+    # nested adaptive quadrature stalls here on a negligible inner row, the
+    # ladder returns a finite value whose estimate meets rel_tol
+    geom = geometry_at(100.0)
+    quad = QuadratureSpec(rel_tol=1e-12)
+    for a_theta in (0.95, 0.98, 0.99):
+        tp = TiltParams.from_a_theta(a_theta, geom)
+        for fn in (tilted_force, tilted_gradient):
+            got = fn(geom, _ZERO_T, MODELS[name], tp, quad)
+            assert math.isfinite(got.value)
+            assert got.truncation_estimate <= quad.rel_tol
+
+
+def test_t0_non_finite_integral_raises_after_one_kernel_call():
+    kernel_calls = []
+
+    def kernel_rows(zetas):
+        kernel_calls.append(zetas.size)
+        return lambda v, row: np.full(v.shape, np.nan)
+
+    with pytest.raises(ConvergenceError):
+        casimir_core.zero_temperature_reduce(kernel_rows, 45.0, QuadratureSpec())
+    assert len(kernel_calls) == 1
+
+
+def test_t0_ladder_raises_past_abscissa_cap(monkeypatch):
+    # a coarse rung 1 that misses rel_tol, and a cap that leaves no room for
+    # rung 2: the call raises after one rule instead of returning its value
+    _coarse_first_rung(monkeypatch)
+    calls = _rung_calls(monkeypatch)
+    monkeypatch.setattr(casimir_core, "_T0_MAX_ABSCISSAE", 200)
+    with pytest.raises(ConvergenceError, match="abscissae"):
+        zero_temperature_force(geometry_at(500.0), AU)
+    assert len(calls) == 1
 
 
 def _unit_strip_t0(obs: str, model, geom: Geometry, quad: QuadratureSpec) -> float:
@@ -545,16 +601,16 @@ def test_t0_eps_once_per_frequency(monkeypatch, name, a_nm):
                                   "tabulated"])
 def test_t0_error_estimate_is_honest(monkeypatch, name, a_nm):
     # truncation_estimate at T = 0 is the product rule's relative error
-    # estimate (or the fallback's); at every tilt up to A = 0.9 and every
-    # rel_tol it must cover the true error against a reference that the
-    # adaptive fallback computes at rel_tol 1e-12
+    # estimate; at every tilt up to A = 0.9 and every rel_tol it must cover
+    # the true error against a reference at rel_tol 1e-12 from a rule ladder
+    # started coarse, so that its accepted rung differs from the engine's
     geom = geometry_at(a_nm)
     model = MODELS[name]
     fns = (tilted_force, tilted_gradient)
     cases = [(TiltParams.from_a_theta(a_theta, geom), fn)
              for a_theta in (0.0, 0.1, 0.5, 0.9) for fn in fns]
     with monkeypatch.context() as patch:
-        _coarse_product_rule(patch)
+        _coarse_first_rung(patch)
         refs = [fn(geom, _ZERO_T, model, tp, QuadratureSpec(rel_tol=1e-12)).value
                 for tp, fn in cases]
     for (tp, fn), ref in zip(cases, refs):
@@ -564,47 +620,35 @@ def test_t0_error_estimate_is_honest(monkeypatch, name, a_nm):
             assert err <= got.truncation_estimate <= rel_tol
 
 
-def _adaptive_calls(monkeypatch) -> list[str]:
-    """Names of the adaptive quadratures the engine calls from now on."""
-    calls = []
-
-    def counted(quad):
-        def run(*args, **kw):
-            calls.append(quad.__name__)
-            return quad(*args, **kw)
-        return run
-
-    for quad in (adaptive_quad, adaptive_quad_rows):
-        monkeypatch.setattr(casimir_core, quad.__name__, counted(quad))
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_t0_outer_levels_bounded(monkeypatch, name):
-    # the fixed product rule is accepted for every model at 100-2000 nm and
-    # A <= 0.5: no adaptive outer level and no lockstep row runs
-    calls = _adaptive_calls(monkeypatch)
+    # rung 1 of the product rule is accepted for every model at 100-2000 nm
+    # and A <= 0.5: one kernel call per point
+    calls = _rung_calls(monkeypatch)
+    points = 0
     for a_nm in (100.0, 300.0, 1000.0, 2000.0):
         geom = geometry_at(a_nm)
         for a_theta in (0.0, 0.1, 0.5):
             tp = TiltParams.from_a_theta(a_theta, geom)
             for fn in (tilted_force, tilted_gradient):
                 assert fn(geom, _ZERO_T, MODELS[name], tp).truncation_estimate <= 1e-9
+                points += 1
         plate_pressure(geom.a, 0.0, MODELS[name])
-    assert calls == []
+        points += 1
+    assert len(calls) == points
 
 
 @pytest.mark.parametrize("name", ["drude", "plasma", "tabulated"])
 def test_t0_rule_widens_with_tilt(monkeypatch, name):
     # the u nodes grow with span**(1/4), so with 1/(1 - A): at A = 0.9 and
-    # 100 nm the rule still meets rel_tol 1e-11, where a fixed 48-node u rule
-    # misses even 1e-9 and falls back
-    calls = _adaptive_calls(monkeypatch)
+    # 100 nm rung 1 still meets rel_tol 1e-11, where a fixed 48-node u rule
+    # misses even 1e-9
+    calls = _rung_calls(monkeypatch)
     geom = geometry_at(100.0)
     tp = TiltParams.from_a_theta(0.9, geom)
     for fn in (tilted_force, tilted_gradient):
         fn(geom, _ZERO_T, MODELS[name], tp, QuadratureSpec(rel_tol=1e-11))
-    assert calls == []
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["drude", "plasma", "dielectric"])

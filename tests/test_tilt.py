@@ -77,17 +77,20 @@ def test_small_tilt_approaches_parallel(a_theta):
 
 
 def test_ideal_t0_multiplicative_exactness():
-    # tilted force for perfect reflectors at T = 0 is exactly kappa * untilted
+    # tilted force for perfect reflectors at T = 0 is exactly kappa * untilted,
+    # a closed form that the error estimate must cover up to A = 0.995
     geom = geometry_at(100.0)
     th0 = ThermalState.at(0.0, geom)
-    for a_theta in (0.1, 0.5):
-        tilt = TiltParams.from_a_theta(a_theta, geom)
-        tilted = tilted_force(geom, th0, IdealMetal(), tilt).value
-        want = kappa(a_theta) * ideal_metal_force_t0(geom)
-        assert tilted == pytest.approx(want, rel=1e-8)
-        # and multiplicative_force agrees with tilted_force identically here
-        approx_mult = multiplicative_force(geom, th0, IdealMetal(), tilt).value
-        assert tilted == pytest.approx(approx_mult, rel=1e-8)
+    for rel_tol in (1e-9, 1e-12):
+        quad = QuadratureSpec(rel_tol=rel_tol)
+        for a_theta in (0.1, 0.5, 0.98, 0.99, 0.995):
+            tilt = TiltParams.from_a_theta(a_theta, geom)
+            tilted = tilted_force(geom, th0, IdealMetal(), tilt, quad)
+            want = kappa(a_theta) * ideal_metal_force_t0(geom)
+            assert abs(tilted.value / want - 1.0) <= tilted.truncation_estimate <= rel_tol
+            # and multiplicative_force agrees with tilted_force identically here
+            approx_mult = multiplicative_force(geom, th0, IdealMetal(), tilt, quad).value
+            assert tilted.value == pytest.approx(approx_mult, rel=1e-8)
 
 
 def test_table_reference_points():
