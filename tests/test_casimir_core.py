@@ -454,18 +454,21 @@ def _nested_t0(obs: str, model, geom: Geometry) -> float:
                                         for a in (100.0, 150.0, 500.0, 2000.0)]
                          + [("tabulated", 300.0)])
 def test_t0_batched_matches_nested_quadrature(name, a_nm):
-    # the product rule against one lone adaptive inner quadrature per outer node
+    # the product rule, sized for rel_tol 1e-12, against one lone adaptive
+    # inner quadrature per outer node
     geom = geometry_at(a_nm)
     model = MODELS[name]
+    quad = QuadratureSpec(rel_tol=1e-12)
     for obs, fn in (("force", zero_temperature_force),
                     ("gradient", zero_temperature_gradient)):
         want = _nested_t0(obs, model, geom)
-        assert abs(fn(geom, model).value / want - 1.0) <= 1e-13
+        assert abs(fn(geom, model, quad).value / want - 1.0) <= 1e-13
 
 
 def _coarse_first_rung(monkeypatch) -> None:
-    """Shrink rung 1 of the T = 0 product rule until it misses every rel_tol,
-    so that the node-doubling ladder starts coarse and climbs."""
+    """Shrink the full rung-1 counts of the T = 0 product rule, of which rung 1
+    takes a share at looser rel_tol, until rung 1 misses every rel_tol, so
+    that the node-doubling ladder starts coarse and climbs."""
     monkeypatch.setattr(casimir_core, "_T0_U_DENSITY", 2.0)
     monkeypatch.setattr(casimir_core, "_T0_W_NODES", (8, 6))
 
@@ -487,20 +490,21 @@ def _rung_calls(monkeypatch) -> list:
                                         ("tabulated", 300.0)])
 def test_t0_ladder_matches_nested_quadrature(monkeypatch, name, a_nm):
     # a rung whose estimate exceeds rel_tol hands J to the same rule with
-    # every node count doubled; the rung that meets rel_tol agrees with one
-    # lone adaptive inner quadrature per outer node
+    # every node count doubled; the rung that meets rel_tol 1e-12 agrees with
+    # one lone adaptive inner quadrature per outer node
     _coarse_first_rung(monkeypatch)
     calls = _rung_calls(monkeypatch)
     geom = geometry_at(a_nm)
     model = MODELS[name]
+    quad = QuadratureSpec(rel_tol=1e-12)
     for obs, fn in (("force", zero_temperature_force),
                     ("gradient", zero_temperature_gradient)):
         calls.clear()
-        got = fn(geom, model)
+        got = fn(geom, model, quad)
         assert len(calls) >= 2
         assert calls[1] == tuple((2 * n, 2 * m) for n, m in calls[0])
         assert abs(got.value / _nested_t0(obs, model, geom) - 1.0) <= 1e-13
-        assert got.truncation_estimate <= QuadratureSpec().rel_tol
+        assert got.truncation_estimate <= quad.rel_tol
 
 
 @pytest.mark.parametrize("name", ["drude", "plasma"])
@@ -528,6 +532,56 @@ def test_t0_non_finite_integral_raises_after_one_kernel_call():
     with pytest.raises(ConvergenceError):
         casimir_core.zero_temperature_reduce(kernel_rows, 45.0, QuadratureSpec())
     assert len(kernel_calls) == 1
+
+
+def test_t0_raises_at_once_below_the_roundoff_floor(monkeypatch):
+    # no rung reports less than the 100-ulp floor, so a rel_tol below it
+    # raises before any kernel call instead of climbing the ladder to the
+    # abscissa cap
+    calls = _rung_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match="roundoff"):
+        zero_temperature_force(geometry_at(100.0), AU, QuadratureSpec(rel_tol=1e-15))
+    assert calls == []
+
+
+def test_t0_first_rung_sized_from_rel_tol(monkeypatch):
+    # rung 1 takes fewer nodes as rel_tol loosens, never more than the
+    # ceil(19 span**(1/4)) x 64 rule with its ceil(5/6 n_u) x 48 companion,
+    # all of them from rel_tol 1e-12 down, and at most 60% of their
+    # abscissae at the default rel_tol and A = 0
+    first_rungs = []
+
+    def rule(kernel_rows, span, counts):
+        first_rungs.append(counts)
+        return 1.0, 0.0     # accepted, so rung 1 is the only rule run
+
+    monkeypatch.setattr(casimir_core, "_t0_product_rule", rule)
+    # rung 1 also runs below the roundoff floor, where the call would raise
+    monkeypatch.setattr(casimir_core, "_T0_ROUNDOFF", 0.0)
+
+    def abscissae(counts):
+        return sum(n * m for n, m in counts)
+
+    for a_theta in (0.0, 0.5, 0.9):
+        previous = None
+        for rel_tol in sorted([5e-324, 1e-30, 1e-12, 1e-9, 1e-4]
+                              + [float(x) for x in np.geomspace(1e-16, 1e-4, 49)]):
+            quad = QuadratureSpec(rel_tol=rel_tol)
+            span = quad.v_span() / (1.0 - a_theta)
+            casimir_core.zero_temperature_reduce(None, span, quad)
+            first = first_rungs.pop()
+            n_u = math.ceil(19.0 * math.sqrt(math.sqrt(span)))
+            full = ((n_u, 64), (math.ceil(5.0 / 6.0 * n_u), 48))
+            assert all(n <= n_max and m <= m_max
+                       for (n, m), (n_max, m_max) in zip(first, full))
+            if rel_tol <= 1e-12:
+                assert first == full
+            if previous is not None:
+                assert all(n <= n_prev and m <= m_prev
+                           for (n, m), (n_prev, m_prev) in zip(first, previous))
+            previous = first
+            if a_theta == 0.0 and rel_tol == QuadratureSpec().rel_tol:
+                assert abscissae(first) <= 0.6 * abscissae(full)
 
 
 def test_t0_ladder_raises_past_abscissa_cap(monkeypatch):
@@ -581,7 +635,8 @@ def test_t0_integration_order_oracle(name, a_nm):
 @pytest.mark.parametrize("name, a_nm", [("tabulated", 300.0), ("drude", 100.0)])
 def test_t0_eps_once_per_frequency(monkeypatch, name, a_nm):
     # eps(i xi) is evaluated per outer frequency node, not per (zeta, v) node:
-    # 120-240 elements per point, where one eps per kernel node costs 1e4-6e4
+    # 72 elements per point at the default rel_tol (39 u nodes in the rule,
+    # 33 in its companion), where one eps per kernel node would cost 2949
     counted = []
 
     def eps(model, xi):
@@ -596,53 +651,74 @@ def test_t0_eps_once_per_frequency(monkeypatch, name, a_nm):
         assert 0 < sum(counted) <= 600
 
 
+def _doubled_rule(kernel_rows, span, quad):
+    """J from one product rule at twice the largest rung-1 counts, whatever
+    rel_tol asks: 2 ceil(19 span**(1/4)) x 128 nodes with a
+    2 ceil(5/6 n_u) x 96 companion.  A reference that does not depend on how
+    the engine sizes rung 1."""
+    n_u = math.ceil(19.0 * math.sqrt(math.sqrt(span)))
+    return casimir_core._t0_product_rule(
+        kernel_rows, span, ((2 * n_u, 128), (2 * math.ceil(5.0 / 6.0 * n_u), 96)))
+
+
+def _doubled_rule_reference(monkeypatch, fn, *args) -> float:
+    """fn(*args) with every T = 0 integral from :func:`_doubled_rule`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(casimir_core, "zero_temperature_reduce", _doubled_rule)
+        got = fn(*args)
+    return got if isinstance(got, float) else got.value
+
+
+_T0_REL_TOLS = (1e-6, 1e-9, 1e-11, 1e-12)
+
+
 @pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
 @pytest.mark.parametrize("name", ["ideal", "drude", "plasma", "plasma_osc", "dielectric",
                                   "tabulated"])
 def test_t0_error_estimate_is_honest(monkeypatch, name, a_nm):
     # truncation_estimate at T = 0 is the product rule's relative error
     # estimate; at every tilt up to A = 0.9 and every rel_tol it must cover
-    # the true error against a reference at rel_tol 1e-12 from a rule ladder
-    # started coarse, so that its accepted rung differs from the engine's
+    # the true error against the doubled rule, run at the widest span of
+    # these rel_tol (the narrower spans cut off less than 1e-15 of J)
     geom = geometry_at(a_nm)
     model = MODELS[name]
-    fns = (tilted_force, tilted_gradient)
-    cases = [(TiltParams.from_a_theta(a_theta, geom), fn)
-             for a_theta in (0.0, 0.1, 0.5, 0.9) for fn in fns]
-    with monkeypatch.context() as patch:
-        _coarse_first_rung(patch)
-        refs = [fn(geom, _ZERO_T, model, tp, QuadratureSpec(rel_tol=1e-12)).value
-                for tp, fn in cases]
-    for (tp, fn), ref in zip(cases, refs):
-        for rel_tol in (1e-6, 1e-9, 1e-11):
-            got = fn(geom, _ZERO_T, model, tp, QuadratureSpec(rel_tol=rel_tol))
-            err = abs(got.value / ref - 1.0)
-            assert err <= got.truncation_estimate <= rel_tol
+    widest = QuadratureSpec(rel_tol=min(_T0_REL_TOLS))
+    for a_theta in (0.0, 0.1, 0.5, 0.9):
+        tp = TiltParams.from_a_theta(a_theta, geom)
+        for fn in (tilted_force, tilted_gradient):
+            ref = _doubled_rule_reference(monkeypatch, fn, geom, _ZERO_T, model, tp, widest)
+            for rel_tol in _T0_REL_TOLS:
+                got = fn(geom, _ZERO_T, model, tp, QuadratureSpec(rel_tol=rel_tol))
+                err = abs(got.value / ref - 1.0)
+                assert err <= got.truncation_estimate <= rel_tol
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_t0_outer_levels_bounded(monkeypatch, name):
-    # rung 1 of the product rule is accepted for every model at 100-2000 nm
-    # and A <= 0.5: one kernel call per point
+    # rung 1 of the product rule, sized for each rel_tol, is accepted for
+    # every model at 100-2000 nm and A <= 0.5: one kernel call per point
     calls = _rung_calls(monkeypatch)
     points = 0
-    for a_nm in (100.0, 300.0, 1000.0, 2000.0):
-        geom = geometry_at(a_nm)
-        for a_theta in (0.0, 0.1, 0.5):
-            tp = TiltParams.from_a_theta(a_theta, geom)
-            for fn in (tilted_force, tilted_gradient):
-                assert fn(geom, _ZERO_T, MODELS[name], tp).truncation_estimate <= 1e-9
-                points += 1
-        plate_pressure(geom.a, 0.0, MODELS[name])
-        points += 1
+    for rel_tol in (1e-6, 1e-9, 1e-11):
+        quad = QuadratureSpec(rel_tol=rel_tol)
+        for a_nm in (100.0, 300.0, 1000.0, 2000.0):
+            geom = geometry_at(a_nm)
+            for a_theta in (0.0, 0.1, 0.5):
+                tp = TiltParams.from_a_theta(a_theta, geom)
+                for fn in (tilted_force, tilted_gradient):
+                    got = fn(geom, _ZERO_T, MODELS[name], tp, quad)
+                    assert got.truncation_estimate <= rel_tol
+                    points += 1
+            plate_pressure(geom.a, 0.0, MODELS[name], quad)
+            points += 1
     assert len(calls) == points
 
 
 @pytest.mark.parametrize("name", ["drude", "plasma", "tabulated"])
 def test_t0_rule_widens_with_tilt(monkeypatch, name):
     # the u nodes grow with span**(1/4), so with 1/(1 - A): at A = 0.9 and
-    # 100 nm rung 1 still meets rel_tol 1e-11, where a fixed 48-node u rule
-    # misses even 1e-9
+    # 100 nm rung 1, sized for 11 digits, still meets rel_tol 1e-11, where a
+    # fixed 48-node u rule misses even 1e-9
     calls = _rung_calls(monkeypatch)
     geom = geometry_at(100.0)
     tp = TiltParams.from_a_theta(0.9, geom)
@@ -652,22 +728,36 @@ def test_t0_rule_widens_with_tilt(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["drude", "plasma", "dielectric"])
-def test_t0_matches_tight_reference(name):
-    # at the default rel_tol every T = 0 value, tilted or not, and the T = 0
-    # pressure lie within 1e-13 of their rel_tol 1e-12 values
+def test_t0_matches_tight_reference(monkeypatch, name):
+    # at every rel_tol every T = 0 value, tilted or not, and the T = 0
+    # pressure lie within their estimate of the doubled rule at the same
+    # rel_tol, and the estimate within rel_tol; at rel_tol 1e-12, where rung 1
+    # is the full rule, within 1e-13
     model = MODELS[name]
-    tight = QuadratureSpec(rel_tol=1e-12)
-    for a_nm in (100.0, 2000.0):
-        geom = geometry_at(a_nm)
-        thermal = ThermalState.at(0.0, geom)
-        for a_theta in (0.0, 0.5):
-            tp = TiltParams.from_a_theta(a_theta, geom)
-            for fn in (tilted_force, tilted_gradient):
-                got = fn(geom, thermal, model, tp).value
-                ref = fn(geom, thermal, model, tp, tight).value
-                assert abs(got / ref - 1.0) <= 1e-13
-        got = plate_pressure(geom.a, 0.0, model)
-        assert abs(got / plate_pressure(geom.a, 0.0, model, tight) - 1.0) <= 1e-13
+    estimates = []
+    reduce = casimir_core.zero_temperature_reduce
+
+    def recorded(kernel_rows, span, quad):
+        total, rel = reduce(kernel_rows, span, quad)
+        estimates.append(rel)
+        return total, rel
+
+    monkeypatch.setattr(casimir_core, "zero_temperature_reduce", recorded)
+    for rel_tol in _T0_REL_TOLS:
+        quad = QuadratureSpec(rel_tol=rel_tol)
+        for a_nm in (100.0, 2000.0):
+            geom = geometry_at(a_nm)
+            thermal = ThermalState.at(0.0, geom)
+            cases = [(fn, (geom, thermal, model, TiltParams.from_a_theta(a_theta, geom), quad))
+                     for a_theta in (0.0, 0.5) for fn in (tilted_force, tilted_gradient)]
+            cases.append((plate_pressure, (geom.a, 0.0, model, quad)))
+            for fn, args in cases:
+                got = fn(*args)
+                got = got if isinstance(got, float) else got.value
+                err = abs(got / _doubled_rule_reference(monkeypatch, fn, *args) - 1.0)
+                assert err <= estimates[-1] <= rel_tol
+                if rel_tol <= 1e-12:
+                    assert err <= 1e-13
 
 
 # Euler-Maclaurin at small tau.  F(T)/F(0) = tau sum' I(tau l) / J with
