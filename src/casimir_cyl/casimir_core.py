@@ -236,6 +236,7 @@ def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: fl
 
 # successive terms below rel_tol of the partial sum that end the Matsubara sum
 _CONSECUTIVE_BELOW = 3
+_V_TOL_SHARE = 0.1  # of rel_tol, per v-integral of the sum: the l = 0 term and each block row
 # fewest Matsubara terms in a first block, and most in any block: the kernel
 # arrays of one block set the peak memory of a finite-T point
 _FIRST_BLOCK = 16
@@ -418,7 +419,7 @@ def _t0_product_rule(kernel_rows, span: float, counts) -> tuple[float, float]:
 def _zero_freq_int(integrand, span: float, quad: QuadratureSpec) -> float:
     """l = 0 v-integral of integrand(v) with the v = w**2 substitution."""
     val, _ = adaptive_quad(lambda w: 2.0 * w * integrand(w * w), 0.0,
-                           math.sqrt(span), rel_tol=quad.rel_tol * 0.1)
+                           math.sqrt(span), rel_tol=quad.rel_tol * _V_TOL_SHARE)
     return val
 
 
@@ -446,7 +447,7 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
         # one lockstep quadrature: each row is the lone term's integral, bit for bit
         zetas = tau * np.arange(l0, l0 + count)
         rows = adaptive_quad_rows(kernel_rows(zetas), zetas, zetas + span,
-                                  rel_tol=quad.rel_tol * 0.1, initial_panels=4)
+                                  rel_tol=quad.rel_tol * _V_TOL_SHARE, initial_panels=4)
         return (val for val, _ in rows)
 
     zero = _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)

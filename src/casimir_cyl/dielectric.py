@@ -26,7 +26,6 @@ quadrature nodes at construction and is read-only afterwards.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -34,6 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .constants import HBAR_C_EV_NM
+from .quadrature import gauss_legendre
 
 __all__ = [
     "Drude", "Oscillator", "PlasmaOscillators", "Dielectric", "IdealMetal",
@@ -131,18 +131,9 @@ class OpticalTableError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-# sub-segment width (in ln omega) for the cached dispersion-integral nodes;
-# 8-point Gauss-Legendre on segments this narrow is converged to ~1e-14
+# sub-segment width (in ln omega) for the cached dispersion-integral nodes; the
+# 8-point gauss_legendre rule on segments this narrow is converged to ~1e-14
 _LN_STEP = 0.02
-
-
-@functools.cache
-def _segment_rules():
-    """numpy's 8- and 4-point Gauss-Legendre rules, the nodes of every table.
-
-    numpy.polynomial is imported here, by the first table, not with the engine.
-    """
-    return np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(4)
 
 
 class OpticalTable:
@@ -192,7 +183,7 @@ class OpticalTable:
         centers = 0.5 * (lo + hi)
         halves = 0.5 * (hi - lo)
         nodes = []
-        for pts, wts in _segment_rules():
+        for pts, wts in (gauss_legendre(8), gauss_legendre(4)):
             ln_pts = (centers[:, None] + halves[:, None] * pts[None, :]).ravel()
             w_pts = (halves[:, None] * wts[None, :]).ravel()
             at = np.repeat(seg, pts.size)

@@ -14,7 +14,8 @@ the panels of several integrals concatenated is not bit-stable, so integrals
 with equal panel counts are stacked and reduced together, one group per
 distinct count.
 
-Fixed rules come from :func:`gauss_legendre`, built on first use per order.
+:func:`gauss_legendre` is the engine's one source of fixed rules (the T = 0
+product rule's and the optical-table nodes'), built on first use per order.
 """
 from __future__ import annotations
 
@@ -112,8 +113,8 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, max_panels: int,
     """Adaptive (G7, K15) refinement of integrals, integral s over ``[a[s], b[s]]``.
 
     Each integral is held to ``rel_tol * |its total|`` on its own panels.  A
-    panel is bisected when an open integral has more than its share of its
-    budget there, else where an open integral has its largest error.  The
+    panel is bisected where an open integral has over half its per-panel
+    share of its budget, which one with a finite error sum always has.  The
     panels live in one table (rows lo, hi, value, error), each integral's
     contiguous: kept, left halves, right halves.  Each level is one call
     ``f(x, owner)`` and a fixed number of numpy calls, plus one stack per
@@ -171,17 +172,11 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, max_panels: int,
         open_ = ~(sums[1, live] <= tol) & (count < max_panels)  # NaN stays open
         slot = np.repeat(np.arange(live.size), count)
         err = table[3]
-        # bisect every panel on which an open integral exceeds its share of the budget
+        # bisect every panel on which an open integral exceeds half its share of the budget
         bad = err > np.where(open_, 0.5 * tol / count, np.inf)[slot]
-        hits = np.bincount(slot, bad, live.size)
-        fall = open_ & (hits == 0)
-        if fall.any():  # then bisect where such an integral's largest error sits
-            peak = np.maximum.reduceat(err, np.cumsum(count) - count)
-            bad |= err >= np.where(fall, peak, np.nan)[slot]
-            hits = np.bincount(slot, bad, live.size)
         # an integral with nothing to bisect (converged, out of panels, or a
         # NaN estimate) is done and leaves the table
-        go = hits > 0
+        go = np.bincount(slot, bad, live.size) > 0
         if not go.any():
             break
         lo, hi = table[:2, bad]

@@ -41,8 +41,8 @@ __all__ = ["polylog", "polylog_exp_neg", "riemann_zeta", "ZETA_3"]
 ZETA_3 = 1.2020569031595943  # Apery's constant zeta(3)
 
 # crossover between the direct series and the small-mu expansion
-X_CROSS = math.exp(-0.5)
 _MU_CROSS = 0.5
+X_CROSS = math.exp(-_MU_CROSS)
 _EXPANSION_TERMS = 30
 # Tail width at which the direct series switches from one suffix update per
 # term to a single (terms, elements) block.  The block costs a fixed number of

@@ -46,7 +46,8 @@ class TiltParams:
     """Tilt angle theta (rad) with the derived parameter a_theta = theta L/(2a).
 
     The formulas diverge as a_theta -> 1, where the cylinder end would touch
-    the plate; construction rejects a_theta >= 1.
+    the plate; construction rejects a_theta >= 1.  a_theta depends on a, so
+    the functions below reject a tilt built for another geometry.
     """
 
     theta: float
@@ -90,6 +91,15 @@ def kappa(a_theta: float) -> float:
     return ((1.0 - a_theta)**-2.5 - (1.0 + a_theta)**-2.5) / (5.0 * a_theta)
 
 
+def _check_tilt(geometry: Geometry, tilt: TiltParams) -> float:
+    """tilt.a_theta, once it is checked against theta L/(2a) of this geometry."""
+    expected = tilt.theta * geometry.L / (2.0 * geometry.a)
+    if not abs(tilt.a_theta - expected) <= 1e-12 * max(tilt.a_theta, 1e-300):
+        raise ValueError("TiltParams.a_theta is inconsistent with this geometry; "
+                         "build it with TiltParams.from_angle(theta, geometry)")
+    return tilt.a_theta
+
+
 def tilted_force(geometry: Geometry, thermal: ThermalState,
                  model: PermittivityModel, tilt: TiltParams,
                  quad: QuadratureSpec | None = None) -> ForceResult:
@@ -98,7 +108,7 @@ def tilted_force(geometry: Geometry, thermal: ThermalState,
     theta = 0 reduces identically to :func:`cylinder_force`; the separation
     in the geometry is the mean minimum separation.
     """
-    return _evaluate(_FORCE, geometry, thermal, model, quad, tilt.a_theta)
+    return _evaluate(_FORCE, geometry, thermal, model, quad, _check_tilt(geometry, tilt))
 
 
 def tilted_gradient(geometry: Geometry, thermal: ThermalState,
@@ -109,7 +119,7 @@ def tilted_gradient(geometry: Geometry, thermal: ThermalState,
     Consistent with differentiating :func:`tilted_force` at fixed physical
     angle, i.e. through the separation dependence of a_theta.
     """
-    return _evaluate(_GRADIENT, geometry, thermal, model, quad, tilt.a_theta)
+    return _evaluate(_GRADIENT, geometry, thermal, model, quad, _check_tilt(geometry, tilt))
 
 
 def kappa_nm(geometry: Geometry, thermal: ThermalState,
@@ -130,7 +140,7 @@ def multiplicative_force(geometry: Geometry, thermal: ThermalState,
     between material dispersion and the tilt geometry that
     :func:`tilted_force` retains.
     """
+    k = kappa(_check_tilt(geometry, tilt))
     base = cylinder_force(geometry, thermal, model, quad)
-    k = kappa(tilt.a_theta)
     return ForceResult(k * base.value, k * base.per_length,
                        base.l_used, base.truncation_estimate)

@@ -1053,17 +1053,23 @@ print("numpy.ma" in sys.modules)
 
 
 def test_engine_does_not_import_numpy_polynomial():
-    # the T = 0 product rule builds its own Gauss rules; numpy.polynomial
-    # comes in only with the first optical table
+    # the T = 0 product rule and the optical-table nodes take their Gauss
+    # rules from quadrature.gauss_legendre, not from numpy.polynomial
     script = """
 import sys
-from casimir_cyl import (Geometry, IdealMetal, ThermalState, cylinder_force, gold_drude,
-                         zero_temperature_force)
+import numpy as np
+from casimir_cyl import (Geometry, IdealMetal, OpticalTable, Tabulated, ThermalState,
+                         cylinder_force, gold_drude, zero_temperature_force)
 print("numpy.polynomial" in sys.modules, end=" ")
 geom = Geometry(a=300e-9, R=100e-6, L=100e-6)
 cylinder_force(geom, ThermalState.at(300.0, geom), gold_drude())
 zero_temperature_force(geom, gold_drude())
 zero_temperature_force(geom, IdealMetal())
+omega = np.geomspace(0.125, 1.0e4, 100)
+gold = Tabulated(table=OpticalTable(omega, 81.0 * 0.035 / (omega * (omega**2 + 0.035**2))),
+                 tail=gold_drude())
+cylinder_force(geom, ThermalState.at(300.0, geom), gold)
+zero_temperature_force(geom, gold)
 print("numpy.polynomial" in sys.modules)
 """
     src = str(Path(casimir_cyl.__file__).resolve().parent.parent)

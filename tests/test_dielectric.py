@@ -13,6 +13,7 @@ from casimir_cyl.dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
                                     eps_imag_axis, gold_drude, kk_transform,
                                     load_optical_table,
                                     zero_frequency_character)
+from casimir_cyl.quadrature import gauss_legendre
 
 AU = gold_drude()
 
@@ -255,7 +256,7 @@ def _segment_loop_nodes(table: OpticalTable):
     """The dispersion nodes built one table segment at a time (the oracle)."""
     ln_w = np.log(table.omega)
     ln_g = np.log(table.im_eps)
-    rules = (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(4))
+    rules = (gauss_legendre(8), gauss_legendre(4))
     sinks = ([], [])
     for i in range(table.omega.size - 1):
         width = ln_w[i + 1] - ln_w[i]

@@ -70,14 +70,17 @@ def test_oscillatory_failure_raises():
 
 
 def test_nan_integrand_raises():
-    calls = []
+    # NaN everywhere, then NaN on [0.7, 1] only: a NaN estimate marks no
+    # panel, so the first level is the only one
+    for nan_from in (0.0, 0.7):
+        calls = []
 
-    def f(x):
-        calls.append(x.size)
-        return np.full_like(x, np.nan)
-    with pytest.raises(ConvergenceError):
-        adaptive_quad(f, 0.0, 1.0)
-    assert len(calls) <= 2
+        def f(x):
+            calls.append(x.size)
+            return np.where(x < nan_from, x, np.nan)
+        with pytest.raises(ConvergenceError):
+            adaptive_quad(f, 0.0, 1.0)
+        assert len(calls) == 1
 
 
 def test_scalar_result_bits_pinned():
@@ -211,7 +214,7 @@ def test_lockstep_rejects_empty_row():
         adaptive_quad_rows(lambda x, row: x, [0.0, 1.0], [1.0, 1.0])
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 64, 128])
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 40, 64, 128])
 def test_gauss_legendre_matches_mpmath(n):
     # nodes are the roots of P_n and weights 2/((1 - x^2) P_n'(x)^2), both
     # from 40-digit Newton iterates of P_n

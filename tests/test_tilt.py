@@ -50,6 +50,17 @@ def test_tilt_params():
         TiltParams(theta=-1e-6, a_theta=0.1)
 
 
+def test_tilt_built_for_another_geometry_raises():
+    # a_theta = theta L/(2a) belongs to one separation, like ThermalState.tau
+    near, far = geometry_at(100.0), geometry_at(200.0)
+    tilt = TiltParams.from_angle(2e-4, near)  # a_theta 0.1 at 100 nm, 0.05 at 200 nm
+    th = ThermalState.at(300.0, far)
+    for fn in (tilted_force, tilted_gradient, kappa_nm, multiplicative_force):
+        with pytest.raises(ValueError, match="TiltParams"):
+            fn(far, th, AU, tilt)
+    assert tilted_force(near, ThermalState.at(300.0, near), AU, tilt).value < 0.0
+
+
 def test_zero_angle_reduces_exactly():
     geom = geometry_at(300.0)
     th = ThermalState.at(300.0, geom)
