@@ -154,11 +154,12 @@ def test_kk_high_frequency_limit():
 
 
 def test_kk_confluent_tail_branch():
-    # xi == gamma hits the double pole of the partial-fraction split
+    # xi == gamma hits the double pole of the partial-fraction split; eps is
+    # smooth there, so it is the mean of its values 1e-8 away (curvature ~2e-16)
     table = synthetic_drude_table(100)
     at = kk_transform(table, AU, 0.035)
-    near = kk_transform(table, AU, 0.035 * (1 + 1e-6))
-    assert at == pytest.approx(near, rel=1e-4)
+    around = kk_transform(table, AU, 0.035 * np.array([1 - 1e-8, 1 + 1e-8]))
+    assert at == pytest.approx(around.mean(), rel=1e-14)
 
 
 def test_kk_vectorized_matches_scalar():
@@ -256,12 +257,15 @@ def _segment_loop_nodes(table: OpticalTable):
     """The dispersion nodes built one table segment at a time (the oracle)."""
     ln_w = np.log(table.omega)
     ln_g = np.log(table.im_eps)
-    rules = (gauss_legendre(8), gauss_legendre(4))
+    rules = (gauss_legendre(dielectric._RULE_NODES), gauss_legendre(dielectric._PROBE_NODES))
     sinks = ([], [])
     for i in range(table.omega.size - 1):
         width = ln_w[i + 1] - ln_w[i]
-        slope = (ln_g[i + 1] - ln_g[i]) / width
-        nsub = max(1, int(math.ceil(width / dielectric._LN_STEP)))
+        rise = ln_g[i + 1] - ln_g[i]
+        slope = rise / width
+        span = max(width, (abs(rise + width) + width) / dielectric._SLOPE_SCALE)
+        nsub = min(max(1, int(math.ceil(span / dielectric._LN_STEP))),
+                   dielectric._MAX_SUBSEGMENTS)
         edges = np.linspace(ln_w[i], ln_w[i + 1], nsub + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         halves = 0.5 * np.diff(edges)
@@ -270,7 +274,7 @@ def _segment_loop_nodes(table: OpticalTable):
             w_pts = (halves[:, None] * wts[None, :]).ravel()
             om = np.exp(ln_pts)
             gval = np.exp(ln_g[i] + slope * (ln_pts - ln_w[i]))
-            sink.append(np.stack([om, w_pts * om * om * gval]))
+            sink.append(np.stack([om * om, w_pts * om * om * gval]))
     return [np.concatenate(sink, axis=1) for sink in sinks]
 
 
@@ -286,10 +290,84 @@ def test_nodes_match_segment_loop_bits(omega):
     rng = np.random.default_rng(omega.size)
     table = OpticalTable(omega, [drude_im_eps(w) * rng.uniform(0.5, 2.0) for w in omega])
     full, half = _segment_loop_nodes(table)
-    for got, want in ((table._om, full[0]), (table._wt, full[1]),
-                      (table._om4, half[0]), (table._wt4, half[1])):
+    for got, want in ((table._om2, full[0]), (table._wt, full[1]),
+                      (table._om2_probe, half[0]), (table._wt_probe, half[1])):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_smooth_dense_table_takes_six_nodes_per_segment():
+    # Drude slope ~-3 at steps of 0.019 in ln omega: one sub-segment each
+    table = synthetic_drude_table(600)
+    assert (table._om2.size, table._om2_probe.size) == (4 * 599, 2 * 599)
+
+
+def _stress_table(n: int, lo: float, hi: float) -> OpticalTable:
+    """Drude rows on 0.1-100 eV, each scaled by a random factor in [lo, hi]."""
+    omega = np.geomspace(0.1, 100.0, n)
+    scale = np.random.default_rng(n).uniform(lo, hi, n)
+    return OpticalTable(omega, drude_im_eps(omega) * scale)
+
+
+def _probe_gap(table: OpticalTable, xi: np.ndarray) -> float:
+    """Largest relative gap between the rule and the probe, as kk_transform checks it."""
+    eps = kk_transform(table, AU, xi)
+    gap = table.dispersion_integral(xi) - table.dispersion_integral_coarse(xi)
+    return float(np.max(np.abs(gap) / eps))
+
+
+# the probe's worst relative miss on one sub-segment of an exponential
+# integrand that changes by _SLOPE_SCALE * _LN_STEP in its log: 5.6e-9
+_PROBE_BOUND = (dielectric._SLOPE_SCALE * dielectric._LN_STEP) ** 4 / 4320
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (100, 0.5, 2.0), (400, 0.5, 2.0), (600, 0.5, 2.0), (400, 0.1, 10.0), (2000, 0.1, 10.0),
+], ids=["100x2", "400x2", "600x2", "400x10", "2000x10"])
+def test_steep_tables_accepted(n, lo, hi):
+    # rows scaled by random factors: |slope| up to 78 (400x2) and 1242 (2000x10);
+    # a width-only 8/4-point rule refuses the last two
+    table = _stress_table(n, lo, hi)
+    assert _probe_gap(table, np.geomspace(1e-4, 1e3, 60)) <= _PROBE_BOUND
+
+
+@pytest.mark.parametrize("slope", [-60.0, -7.0, -3.0, -1.0, 0.0, 2.0, 5.0, 60.0])
+def test_probe_gap_bounded_on_widest_sub_segment(slope):
+    # one segment as wide as a single sub-segment may be, with Im eps so large
+    # that it dominates eps; where the slope sets that width the gap reaches
+    # the bound
+    growth = abs(slope + 1.0) + 1.0  # max(|slope|, |slope + 2|)
+    width = dielectric._LN_STEP * min(1.0, dielectric._SLOPE_SCALE / growth)
+    omega = np.array([1.0, math.exp(width * 0.999)])
+    table = OpticalTable(omega, 1e8 * omega**slope)
+    assert table._om2.size == dielectric._RULE_NODES
+    gap = _probe_gap(table, np.geomspace(1e-6, 1e6, 200))
+    assert gap <= 1.01 * _PROBE_BOUND
+    if growth >= dielectric._SLOPE_SCALE:
+        assert gap > 0.9 * _PROBE_BOUND
+
+
+def test_pathological_table_bounded_and_rejected():
+    # Im eps jumping by 1e400 between rows would need ~1.3e4 sub-segments each
+    omega = np.geomspace(0.1, 100.0, 20)
+    table = OpticalTable(omega, np.where(np.arange(20) % 2, 1e-200, 1e200))
+    assert table._om2.size <= 19 * dielectric._MAX_SUBSEGMENTS * dielectric._RULE_NODES
+    with pytest.raises(OpticalTableError, match="accuracy check"):
+        kk_transform(table, AU, np.array([0.1, 1.0, 10.0]))
+
+
+def test_table_copies_and_freezes_its_inputs():
+    omega = np.geomspace(0.125, 1.0e4, 50)
+    im_eps = drude_im_eps(omega)
+    table = OpticalTable(omega, im_eps)
+    omega[0] = 5.0
+    im_eps[0] = 5.0
+    assert table.omega[0] == 0.125 and table.im_eps[0] == drude_im_eps(0.125)
+    for arr in (table.omega, table.im_eps, table._om2, table._wt,
+                table._om2_probe, table._wt_probe):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        table.omega[0] = 5.0
 
 
 @pytest.mark.parametrize("omega, im_eps", [

@@ -7,12 +7,13 @@ coefficients evaluated at 40 digits from the same float inputs.
 ``kk_transform`` is checked against the analytic Drude eps(i xi) on a table
 sampled from that Drude model, and against mpmath's 30-digit integral of the
 same log-log interpolant (plus the Drude tail below the table) on a table
-with an interband Lorentz term.
+with an interband Lorentz term and on a steep one.  The Drude tail's closed
+form is checked at 40 digits around its double pole xi = gamma.
 """
 import numpy as np
 import pytest
 
-from casimir_cyl.dielectric import Drude, OpticalTable, kk_transform
+from casimir_cyl.dielectric import Drude, OpticalTable, _drude_tail_integral, kk_transform
 from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import polylog_exp_neg
 
@@ -82,11 +83,8 @@ def test_kk_of_sampled_drude_matches_analytic():
     assert np.max(np.abs(got / want - 1.0)) <= 3e-8
 
 
-def test_kk_matches_mpmath_integral_of_the_interpolant():
-    w = np.geomspace(0.1, 100.0, 40)
-    strength, w_0, width = 20.0, 3.0, 1.0  # Lorentz term: eV^2, eV, eV
-    im = _drude_im_eps(w) + strength * width * w / ((w_0**2 - w * w) ** 2
-                                                    + width**2 * w * w)
+def _check_against_interpolant(w, im):
+    """kk_transform against mpmath's integral of the same log-log interpolant."""
     got = kk_transform(OpticalTable(w, im), Drude(OMEGA_P, GAMMA), XI)
     with mpmath.workdps(30):
         ws = [mpmath.mpf(float(x)) for x in w]
@@ -102,3 +100,39 @@ def test_kk_matches_mpmath_integral_of_the_interpolant():
                     lambda o: o * g0 * (o / w0) ** slope / (o * o + x2), [w0, w1])
             want = 1 + 2 / mpmath.pi * total
             assert float(abs(mpmath.mpf(float(eps)) / want - 1)) <= 1e-13, xi
+
+
+def test_kk_matches_mpmath_integral_of_the_interpolant():
+    w = np.geomspace(0.1, 100.0, 40)
+    strength, w_0, width = 20.0, 3.0, 1.0  # Lorentz term: eV^2, eV, eV
+    _check_against_interpolant(w, _drude_im_eps(w) + strength * width * w / (
+        (w_0**2 - w * w) ** 2 + width**2 * w * w))
+
+
+def test_kk_matches_mpmath_integral_of_a_steep_interpolant():
+    # 40 rows on 0.5-2 eV, each scaled by a random factor in [0.2, 5]: |slope| up to 72
+    w = np.geomspace(0.5, 2.0, 40)
+    _check_against_interpolant(
+        w, _drude_im_eps(w) * np.random.default_rng(1).uniform(0.2, 5.0, w.size))
+
+
+# xi/gamma - 1: 0 and +-1e-12 to +-1e-1 around the double pole of the tail's
+# partial fractions, and on both sides of |xi - gamma| = gamma/2, where the
+# closed form switches to them
+TAIL_OFFSETS = np.array([0.0] + [s * 10.0**-k for s in (-1.0, 1.0) for k in range(1, 13)]
+                        + [-0.9, -0.5000001, -0.5, 0.4999999, 0.5, 10.0])
+
+
+@pytest.mark.parametrize("omega_hi", [1e-3, 0.1, 0.5])
+def test_drude_tail_near_gamma_matches_mpmath(omega_hi):
+    xi = GAMMA * (1.0 + TAIL_OFFSETS)
+    got = _drude_tail_integral(Drude(OMEGA_P, GAMMA), omega_hi, xi)
+    with mpmath.workdps(40):
+        wp2g, g = mpmath.mpf(OMEGA_P) ** 2 * mpmath.mpf(GAMMA), mpmath.mpf(GAMMA)
+        top = mpmath.mpf(omega_hi)
+        for x, v in zip(xi, got):
+            x2 = mpmath.mpf(float(x)) ** 2
+            want = 2 / mpmath.pi * mpmath.quad(
+                lambda o: wp2g / ((o * o + g * g) * (o * o + x2)),
+                [0, top] if top <= g else [0, g, top])
+            assert float(abs(mpmath.mpf(float(v)) / want - 1)) <= 1e-14, x
