@@ -14,7 +14,7 @@ from .casimir_core import (ForceResult, Geometry, PFAValidityWarning,
 from .dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
                          OpticalTableError, Oscillator, PlasmaOscillators,
                          Tabulated, ZeroFreqDielectric, ZeroFreqDrudeLike,
-                         ZeroFreqIdeal, ZeroFreqMixed, ZeroFreqPlasmaLike,
+                         ZeroFreqIdeal, ZeroFreqPlasmaLike,
                          eps_imag_axis, gold_drude, kk_transform,
                          load_optical_table, zero_frequency_character)
 from .edge import (EDGE_FORCE_COEFF, EDGE_GRADIENT_COEFF, PFA_FORCE_COEFF,

@@ -31,6 +31,11 @@ with the digits that rel_tol asks for.  Where its estimate misses rel_tol,
 the same rule runs again with every node count doubled, rung by rung, until
 one meets it or the next would pass a cap on the abscissae of one kernel call.
 
+The l = 0 term depends on the behavior, the kernel, the tilt and rel_tol but
+not on a, so it is computed once per (behavior, observable, tilt, rel_tol), in
+a bounded cache, and a separation sweep reuses it; only plasma's behavior,
+alpha = delta_0/(2a), changes with a.
+
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
 :func:`_evaluate`, runs either row at finite T or T = 0, parallel or tilted
@@ -39,6 +44,7 @@ of one array, so each kernel evaluation is one polylog call.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -52,8 +58,7 @@ from .constants import (BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M, HBAR_J_S,
                         SPEED_OF_LIGHT_M_S, SQRT_PI)
 from .dielectric import (PermittivityModel, ZeroFreqBehavior,
                          ZeroFreqDielectric, ZeroFreqDrudeLike, ZeroFreqIdeal,
-                         ZeroFreqMixed, ZeroFreqPlasmaLike, eps_imag_axis,
-                         zero_frequency_character)
+                         ZeroFreqPlasmaLike, eps_imag_axis, zero_frequency_character)
 from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
                          adaptive_quad_rows, gauss_legendre)
 from .reflection import log_r2_pair, zero_frequency_mu_terms
@@ -423,12 +428,33 @@ def _zero_freq_int(integrand, span: float, quad: QuadratureSpec) -> float:
     return val
 
 
+# A sweep needs one l = 0 key per observable, tilt and rel_tol, plasma one per
+# separation too; the bound keeps a long plasma sweep or a tilt scan from
+# growing the cache for the life of the process (full, it holds about 80 kB).
+_ZERO_FREQ_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_ZERO_FREQ_CACHE_SIZE)
+def _zero_freq_term(behavior: ZeroFreqBehavior, p: float, s: float, a_theta: float,
+                    rel_tol: float) -> float:
+    """The l = 0 integral of ``v**p Li_s``, once per key: all that
+    :func:`_zero_freq_int` reads, the span following from rel_tol and the
+    tilt.  lru_cache stores no exception, so a failed integral raises on
+    every call."""
+    quad = QuadratureSpec(rel_tol=rel_tol)
+    return _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta),
+                          quad.v_span() / (1.0 - a_theta), quad)
+
+
 def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
             quad: QuadratureSpec, a_theta: float = 0.0) -> tuple[float, int, float]:
     """Matsubara sum (tau > 0) or T = 0 integral of the kernel ``v**p Li_s``.
 
     A tilt a_theta widens every window by 1/(1 - a_theta) for the slower
-    exp(-v(1 - a_theta)) decay.  Returns (total, l_used, error estimate).
+    exp(-v(1 - a_theta)) decay.  The l = 0 term is computed once per
+    (behavior, p, s, a_theta, rel_tol) by :func:`_zero_freq_term`, so a
+    separation sweep reuses it, except for plasma, whose behavior carries
+    alpha = delta_0/(2a).  Returns (total, l_used, error estimate).
     """
     omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
     span = quad.v_span() / (1.0 - a_theta)
@@ -441,7 +467,6 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     if tau == 0.0:
         total, rel = zero_temperature_reduce(kernel_rows, span, quad)
         return total, 0, rel
-    behavior = zero_frequency_character(model, a)
 
     def block(l0: int, count: int) -> Iterator[float]:
         # one lockstep quadrature: each row is the lone term's integral, bit for bit
@@ -450,7 +475,8 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
                                   rel_tol=quad.rel_tol * _V_TOL_SHARE, initial_panels=4)
         return (val for val, _ in rows)
 
-    zero = _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)
+    zero = _zero_freq_term(zero_frequency_character(model, a), p, s, a_theta,
+                           quad.rel_tol)
     return matsubara_reduce(block, zero, quad,
                             _first_block(tau * (1.0 - a_theta), quad.rel_tol))
 
@@ -568,8 +594,6 @@ def _high_temperature(obs: _Observable, geometry: Geometry, temperature: float,
         return base * (1.0 - c1 * x + c2 * x**2)
     if isinstance(behavior, ZeroFreqDielectric):
         return 0.5 * base * polylog(3.0, behavior.r0**2) / ZETA_3
-    if isinstance(behavior, ZeroFreqMixed):
-        return 0.5 * base * polylog(3.0, behavior.r0) / ZETA_3
     raise TypeError(f"unknown behavior {type(behavior).__name__}")
 
 
@@ -578,8 +602,8 @@ def high_temperature_force(geometry: Geometry, temperature: float,
     """Closed-form high-temperature (zero-frequency) force asymptote (N).
 
     Ideal metal, Drude-like (exactly half the ideal value), plasma with the
-    skin-depth expansion through second order, static dielectric through
-    Li_3(r0^2), and the metal-dielectric cross case through Li_3(r0).
+    skin-depth expansion through second order, and static dielectric through
+    Li_3(r0^2).
     """
     return _high_temperature(_FORCE, geometry, temperature, behavior)
 

@@ -39,7 +39,7 @@ __all__ = [
     "Drude", "Oscillator", "PlasmaOscillators", "Dielectric", "IdealMetal",
     "OpticalTable", "OpticalTableError", "Tabulated", "PermittivityModel",
     "ZeroFreqIdeal", "ZeroFreqDrudeLike", "ZeroFreqPlasmaLike",
-    "ZeroFreqDielectric", "ZeroFreqMixed", "ZeroFreqBehavior",
+    "ZeroFreqDielectric", "ZeroFreqBehavior",
     "eps_imag_axis", "kk_transform", "zero_frequency_character",
     "load_optical_table", "gold_drude",
 ]
@@ -281,14 +281,8 @@ class ZeroFreqDielectric:
     r0: float
 
 
-@dataclass(frozen=True)
-class ZeroFreqMixed:
-    """Metal facing a static dielectric: the high-T sum runs over r0^n, not r0^(2n)."""
-    r0: float
-
-
 ZeroFreqBehavior = Union[ZeroFreqIdeal, ZeroFreqDrudeLike, ZeroFreqPlasmaLike,
-                         ZeroFreqDielectric, ZeroFreqMixed]
+                         ZeroFreqDielectric]
 
 
 # ---------------------------------------------------------------------------

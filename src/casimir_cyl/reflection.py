@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .dielectric import (ZeroFreqBehavior, ZeroFreqDielectric, ZeroFreqDrudeLike,
-                         ZeroFreqIdeal, ZeroFreqMixed, ZeroFreqPlasmaLike)
+                         ZeroFreqIdeal, ZeroFreqPlasmaLike)
 
 __all__ = ["log_r2_pair", "zero_frequency_mu_terms"]
 
@@ -53,9 +53,7 @@ def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> np.nda
 
     One row of axis 0 per polarization that contributes to the l = 0 term;
     the plasma TE exponent uses the identity ln(sqrt(1+x^2) - x) = -asinh(x)
-    to stay exact for alpha*v anywhere from 0 to overflow.  ``ZeroFreqMixed``
-    encodes the metal-dielectric cross term whose series runs over r0^n, i.e.
-    a single channel with mu = v - ln r0.
+    to stay exact for alpha*v anywhere from 0 to overflow.
     """
     v = np.asarray(v, dtype=float)
     if isinstance(behavior, ZeroFreqIdeal):
@@ -66,6 +64,4 @@ def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> np.nda
         return np.stack((v, v + 4.0 * np.arcsinh(behavior.alpha * v)))
     if isinstance(behavior, ZeroFreqDielectric):
         return np.stack((v - 2.0 * math.log(behavior.r0),))
-    if isinstance(behavior, ZeroFreqMixed):
-        return np.stack((v - math.log(behavior.r0),))
     raise TypeError(f"unknown zero-frequency behavior {type(behavior).__name__}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from casimir_cyl.dielectric import (ZeroFreqBehavior, ZeroFreqDielectric,
                                     ZeroFreqDrudeLike, ZeroFreqIdeal,
-                                    ZeroFreqMixed, ZeroFreqPlasmaLike)
+                                    ZeroFreqPlasmaLike)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def zero_frequency_pair(behavior: ZeroFreqBehavior, v: float) -> ReflectionPair:
         return ReflectionPair(1.0, -1.0)
     if isinstance(behavior, ZeroFreqDrudeLike):
         return ReflectionPair(1.0, 0.0)
-    if isinstance(behavior, (ZeroFreqDielectric, ZeroFreqMixed)):
+    if isinstance(behavior, ZeroFreqDielectric):
         return ReflectionPair(behavior.r0, 0.0)
     if isinstance(behavior, ZeroFreqPlasmaLike):
         av = behavior.alpha * v

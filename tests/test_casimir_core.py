@@ -16,7 +16,7 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          IdealMetal, Oscillator, PFAValidityWarning, PlasmaOscillators,
                          QuadratureSpec, ThermalState, TiltParams,
                          ZeroFreqDielectric,
-                         ZeroFreqDrudeLike, ZeroFreqIdeal, ZeroFreqMixed,
+                         ZeroFreqDrudeLike, ZeroFreqIdeal,
                          ZeroFreqPlasmaLike, cylinder_force,
                          cylinder_force_gradient, gold_drude,
                          high_temperature_force, high_temperature_gradient,
@@ -349,10 +349,6 @@ def test_high_t_closed_forms():
     want = 0.5 * base * polylog(3.0, 0.25) / ZETA_3
     assert high_temperature_force(geom, T, ZeroFreqDielectric(r0=0.5)) == \
         pytest.approx(want, rel=1e-12)
-    # metal-dielectric cross case replaces r0^2 by r0
-    want_mixed = 0.5 * base * polylog(3.0, 0.5) / ZETA_3
-    assert high_temperature_force(geom, T, ZeroFreqMixed(r0=0.5)) == \
-        pytest.approx(want_mixed, rel=1e-12)
 
 
 def test_high_t_gradient_forms():
@@ -1027,6 +1023,77 @@ def test_finite_t_bits_pinned(name, which, a_nm, a_theta, value, l_used, trunc):
         res = fn(geom, th, model, TiltParams.from_a_theta(a_theta, geom))
     assert (res.value.hex(), res.l_used, res.truncation_estimate.hex()) == (
         value, l_used, trunc)
+
+
+# ------------------------------------------------- the l = 0 cache
+
+
+def _point_bits(name, which, a_nm, a_theta, rel_tol) -> tuple[str, int, str]:
+    geom = geometry_at(a_nm)
+    th = ThermalState.at(300.0, geom)
+    quad = QuadratureSpec(rel_tol=rel_tol)
+    if a_theta == 0.0:
+        fn = cylinder_force if which == "force" else cylinder_force_gradient
+        res = fn(geom, th, MODELS[name], quad)
+    else:
+        fn = tilted_force if which == "force" else tilted_gradient
+        res = fn(geom, th, MODELS[name], TiltParams.from_a_theta(a_theta, geom), quad)
+    return res.value.hex(), res.l_used, res.truncation_estimate.hex()
+
+
+def test_cached_zero_term_changes_no_bits():
+    # each point cold, then all warm in reverse order: a key that missed a
+    # field the l = 0 integral reads would serve one point another's term
+    grid = [(name, which, a_nm, a_theta, rel_tol) for name in sorted(MODELS)
+            for which in ("force", "gradient") for a_theta in (0.0, 0.5)
+            for a_nm in (150.0, 1000.0) for rel_tol in (1e-9, 1e-11)]
+    cold = {}
+    for case in grid:
+        casimir_core._zero_freq_term.cache_clear()
+        cold[case] = _point_bits(*case)
+    for case in reversed(grid):
+        assert _point_bits(*case) == cold[case], case
+
+
+def test_zero_term_is_keyed_on_separation_for_plasma_only():
+    cache = casimir_core._zero_freq_term
+    for model, misses in ((AU, 1), (PLASMA, 2)):
+        cache.cache_clear()
+        behaviors = set()
+        for a_nm in (300.0, 700.0):
+            geom = geometry_at(a_nm)
+            cylinder_force(geom, ThermalState.at(300.0, geom), model)
+            behaviors.add(zero_frequency_character(model, geom.a))
+        assert cache.cache_info().misses == misses
+        terms = {b: cache(b, 1.5, 0.5, 0.0, 1e-9) for b in behaviors}
+        assert len(set(terms.values())) == misses
+        for b, term in terms.items():
+            assert term.hex() == cache.__wrapped__(b, 1.5, 0.5, 0.0, 1e-9).hex()
+
+
+def test_zero_term_is_keyed_on_rel_tol():
+    cache = casimir_core._zero_freq_term
+    cache.cache_clear()
+    geom = geometry_at(500.0)
+    for rel_tol in (1e-9, 1e-11):
+        cylinder_force(geom, ThermalState.at(300.0, geom), AU, QuadratureSpec(rel_tol=rel_tol))
+    assert cache.cache_info().misses == 2
+    for rel_tol in (1e-9, 1e-11):
+        key = (ZeroFreqDrudeLike(), 1.5, 0.5, 0.0, rel_tol)
+        assert cache(*key).hex() == cache.__wrapped__(*key).hex()
+
+
+def test_failed_zero_term_raises_on_every_call(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(casimir_core, "adaptive_quad", stalled)
+    casimir_core._zero_freq_term.cache_clear()
+    geom = geometry_at(500.0)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="stalled"):
+            cylinder_force(geom, ThermalState.at(300.0, geom), AU)
+    assert casimir_core._zero_freq_term.cache_info().currsize == 0
 
 
 def test_engine_does_not_import_numpy_ma():

@@ -53,3 +53,22 @@ def test_traced_point_is_bit_identical_and_counted(op):
     assert trace.counts["casimir_core.matsubara_terms"] == plain[1]
     assert trace.counts["specfun.calls"] > 0
     assert trace.counts["reflection.elements"] > 0
+
+
+@pytest.mark.parametrize("model, l0_calls", [("drude", 0), ("plasma", 1)])
+def test_l0_term_is_integrated_once_per_key(model, l0_calls):
+    # a point at another separation warms the cache; Drude's l = 0 term does
+    # not depend on the separation and plasma's does, so only plasma integrates
+    # it again (the l >= 1 rows run through adaptive_quad_rows, not counted)
+    models = workloads.build_models(casimir_cyl, (model,))
+    casimir_cyl.casimir_core._zero_freq_term.cache_clear()
+    workloads.run_point(casimir_cyl, models, workloads.Point("force", model, 400.0))
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        _, l_used, _ = workloads.run_point(casimir_cyl, models,
+                                           workloads.Point("force", model, 700.0))
+    finally:
+        trace.remove()
+    assert trace.counts["quadrature.calls"] == l0_calls
+    assert trace.counts["casimir_core.matsubara_terms"] == l_used
