@@ -317,11 +317,11 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
 
 # T = 0 product rule: Gauss nodes per unit of u = zeta**(1/4), the share of
 # them in its coarser companion, and the nodes in w of both, all of which
-# rung 1 takes from 12 digits of rel_tol on.  A Gauss rule's error falls
-# geometrically with its node count, so the nodes needed grow linearly with
-# the digits d = -log10(rel_tol): below 12, rung 1 takes the share
-# (d + c)/(12 + c) of the u density and of the w nodes, c = 1.5 for u and
-# -1.5 for w.  That fits the companion's worst estimate over six models at
+# rung 1 takes at 12 digits, the least rel_tol (1e-12) that QuadratureSpec
+# accepts.  A Gauss rule's error falls geometrically with its node count, so
+# the nodes needed grow linearly with the digits d = -log10(rel_tol): below
+# 12, rung 1 takes the share (d + c)/(12 + c) of the u density and of the w
+# nodes, c = 1.5 for u and -1.5 for w.  That fits the companion's worst estimate over six models at
 # 100-2000 nm, A <= 0.9, force and gradient, which meets rel_tol with about
 # 55%/45% of the u/w counts at d = 6, 75%/70% at d = 9 and 90%/90% at d = 11.
 # Each rung of the ladder doubles all four counts; the cap on the abscissae of
@@ -348,7 +348,7 @@ def zero_temperature_reduce(kernel_rows, span: float,
     behavior of the metallic kernels.  On these maps the integrand is analytic
     and a Gauss rule converges geometrically, so J comes from a ladder of
     tensor Gauss-Legendre rules (:func:`_t0_product_rule`).  Rung 1 takes
-    the share (d + c)/(12 + c), capped at 1, of
+    the share (d + c)/(12 + c), at most 1 as rel_tol >= 1e-12, of
     ceil(_T0_U_DENSITY span**(1/4)) u nodes and of _T0_W_NODES w nodes, with
     d = -log10(rel_tol) and one offset c per direction (_T0_DIGIT_OFFSETS);
     so it grows with the digits asked for, and with the span and so with
@@ -357,18 +357,12 @@ def zero_temperature_reduce(kernel_rows, span: float,
     <= ``quad.rel_tol`` gives J.  The integrand ``f(v, row)`` is
     ``kernel_rows(zetas)``, one row per zeta.
 
-    Returns (J, relative error estimate).  Raises ConvergenceError before any
-    kernel call when ``quad.rel_tol`` is below _T0_ROUNDOFF, the least
-    estimate a rung reports; when J or its estimate is not finite; or when
-    the next rung would pass _T0_MAX_ABSCISSAE abscissae.
+    Returns (J, relative error estimate).  Raises ConvergenceError when J or
+    its estimate is not finite, or when the next rung would pass
+    _T0_MAX_ABSCISSAE abscissae.
     """
-    if quad.rel_tol < _T0_ROUNDOFF:
-        raise ConvergenceError(
-            f"T = 0 integral: rel_tol {quad.rel_tol:.3e} is below the roundoff "
-            f"floor {_T0_ROUNDOFF:.3e} of every rung's estimate")
     digits = -math.log10(quad.rel_tol)
-    share_u, share_w = (min(1.0, (digits + c) / (_T0_FULL_DIGITS + c))
-                        for c in _T0_DIGIT_OFFSETS)
+    share_u, share_w = ((digits + c) / (_T0_FULL_DIGITS + c) for c in _T0_DIGIT_OFFSETS)
     n_u = math.ceil(share_u * _T0_U_DENSITY * math.sqrt(math.sqrt(span)))
     counts = ((n_u, math.ceil(share_w * _T0_W_NODES[0])),
               (math.ceil(_T0_COARSE_U * n_u), math.ceil(share_w * _T0_W_NODES[1])))
@@ -385,38 +379,40 @@ def zero_temperature_reduce(kernel_rows, span: float,
         f"and the next rule would exceed {_T0_MAX_ABSCISSAE} abscissae")
 
 
-def _t0_product_rule(kernel_rows, span: float, counts) -> tuple[float, float]:
-    """J by a tensor Gauss-Legendre rule, with a coarser companion as its check.
+def _t0_rule_nodes(span: float, n_u: int, n_w: int):
+    """Flat nodes of one T = 0 tensor Gauss-Legendre rule in (u, w).
 
-    ``counts`` holds (n_u, n_w) of the rule, then of its companion: n_u nodes
-    in u over [0, span**(1/4)], weight 4 u**3, and n_w nodes in w over
-    [u**2, sqrt(u**4 + span)] for each u, weight 2 w.  The nodes of both go to
-    one kernel call, eps(i xi) once per u node.
-
-    Returns (J, max(|J - J_coarse| / |J|, _T0_ROUNDOFF)).
+    n_u nodes in u over [0, span**(1/4)], weight 4 u**3, and n_w nodes in w
+    over [u**2, sqrt(u**4 + span)] for each u, weight 2 w.  Returns the zeta
+    = u**4 of each u node and, per abscissa, v = w**2, the index of its zeta
+    and its product weight, so that J = weight @ K(v, zeta[row]).
     """
     top = math.sqrt(math.sqrt(span))
-    # (u nodes, u weights, w nodes, w weights) of the rule and its companion
-    rules = [gauss_legendre(n) + gauss_legendre(m) for n, m in counts]
-    u = 0.5 * top * (np.concatenate([rule[0] for rule in rules]) + 1.0)
+    xu, wu = gauss_legendre(n_u)
+    xw, ww = gauss_legendre(n_w)
+    u = 0.5 * top * (xu + 1.0)
     root = u * u
     zetas = root * root
     half = 0.5 * (np.sqrt(zetas + span) - root)
-    # one row of w nodes per u node, the rows of both rules in one kernel call
-    grids, first = [], 0
-    for xu, wu, xw, ww in rules:
-        rows = np.arange(first, first + xu.size)
-        grids.append((rows, wu, ww, root[rows, None] + half[rows, None] * (xw + 1.0)))
-        first += xu.size
-    w = np.concatenate([grid.ravel() for *_, grid in grids])
-    owner = np.concatenate([np.repeat(rows, grid.shape[1]) for rows, *_, grid in grids])
-    vals = 2.0 * w * kernel_rows(zetas)(w * w, owner)
-    totals, first = [], 0
-    for rows, wu, ww, grid in grids:
-        inner = half[rows] * (vals[first:first + grid.size].reshape(grid.shape) @ ww)
-        totals.append(0.5 * top * float(wu @ (4.0 * u[rows] * root[rows] * inner)))
-        first += grid.size
-    fine, coarse = totals
+    w = root[:, None] + half[:, None] * (xw + 1.0)
+    weight = (0.5 * top * wu * 4.0 * u * root * half)[:, None] * (ww * 2.0 * w)
+    return zetas, (w * w).ravel(), np.repeat(np.arange(n_u), n_w), weight.ravel()
+
+
+def _t0_product_rule(kernel_rows, span: float, counts) -> tuple[float, float]:
+    """J by a tensor Gauss-Legendre rule, with a coarser companion as its check.
+
+    ``counts`` holds (n_u, n_w) of the rule, then of its companion (see
+    :func:`_t0_rule_nodes`).  The nodes of both go to one kernel call,
+    eps(i xi) once per u node.
+
+    Returns (J, max(|J - J_coarse| / |J|, _T0_ROUNDOFF)).
+    """
+    (z_f, v_f, row_f, wt_f), (z_c, v_c, row_c, wt_c) = (
+        _t0_rule_nodes(span, n_u, n_w) for n_u, n_w in counts)
+    vals = kernel_rows(np.concatenate((z_f, z_c)))(
+        np.concatenate((v_f, v_c)), np.concatenate((row_f, row_c + z_f.size)))
+    fine, coarse = float(wt_f @ vals[:v_f.size]), float(wt_c @ vals[v_f.size:])
     rel = abs(fine - coarse) / abs(fine) if fine != 0.0 else math.inf
     return fine, max(rel, _T0_ROUNDOFF)
 

@@ -9,6 +9,7 @@ length, K for temperature, eV for model parameters.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -20,9 +21,8 @@ from .casimir_core import (Geometry, ThermalState, cylinder_force,
                            cylinder_force_gradient, high_temperature_force,
                            high_temperature_gradient, thermal_correction)
 from .dielectric import (Dielectric, Drude, IdealMetal, Oscillator,
-                         OpticalTableError, PlasmaOscillators, Tabulated,
-                         eps_imag_axis, load_optical_table,
-                         zero_frequency_character)
+                         PlasmaOscillators, Tabulated, eps_imag_axis,
+                         load_optical_table, zero_frequency_character)
 from .edge import (EdgeParams, edge_corrected_force, overhang_force,
                    total_pfa_error)
 from .quadrature import ConvergenceError, QuadratureSpec
@@ -465,7 +465,7 @@ def _option_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-theta", dest="a_theta", type=float,
                    help="dimensionless tilt parameter theta L/(2a)")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9,
-                   help="quadrature tolerance")
+                   help="relative tolerance, in [1e-12, 1e-4]")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--plot", help="write an SVG line chart here")
     p.add_argument("--out", help="output file (default stdout)")
@@ -493,31 +493,25 @@ def make_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPars
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; ``--out`` (or stdout) gets its text only on success."""
     try:
         args = make_parser().parse_args(argv)
         if args.config:
             args = make_parser(read_config_file(args.config)).parse_args(argv)
         build_config(args)
-    except (ConfigError, OpticalTableError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    stream = sys.stdout
-    close_stream = False
-    try:
+        buffer = io.StringIO()
+        _COMMANDS[args.command][0](args, buffer)
         if args.out:
-            stream = open(args.out, "w", encoding="utf-8")
-            close_stream = True
-        _COMMANDS[args.command][0](args, stream)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(buffer.getvalue())
+        else:
+            sys.stdout.write(buffer.getvalue())
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ConfigError, OpticalTableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, OpticalTableError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        if close_stream:
-            stream.close()
     return EXIT_OK
 
 

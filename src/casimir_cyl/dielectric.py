@@ -76,8 +76,10 @@ class Oscillator:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.g):
-            raise ValueError(f"oscillator strength g must be finite, got {self.g}")
+        # g >= 0 keeps eps(i xi) >= 1 for every model
+        if not (math.isfinite(self.g) and self.g >= 0.0):
+            raise ValueError("oscillator strength g must be finite and nonnegative, "
+                             f"got {self.g}")
         _check_positive("oscillator resonance omega", self.omega)
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError("oscillator width gamma must be finite and nonnegative, "

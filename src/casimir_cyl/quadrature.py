@@ -41,7 +41,9 @@ class QuadratureSpec:
     Attributes
     ----------
     rel_tol : float
-        Target relative error, in (0, 1e-4].  Each v-integral runs to the
+        Target relative error, in [1e-12, 1e-4].  Below 1e-12 the v-integrals,
+        held to a tenth of it, ask more than the 15-digit (G7, K15) constants
+        can report and refine to their panel cap.  Each v-integral runs to the
         cutoff where the envelope ``v**2.5 * exp(-v)`` has dropped below
         ``rel_tol`` times the running total (about v = 45 at the default).
     max_terms : int
@@ -52,8 +54,8 @@ class QuadratureSpec:
     max_terms: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-4):
-            raise ValueError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
+        if not (1e-12 <= self.rel_tol <= 1e-4):
+            raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {self.rel_tol}")
         if not (isinstance(self.max_terms, (int, np.integer))
                 and not isinstance(self.max_terms, bool) and self.max_terms >= 1):
             raise ValueError(f"max_terms must be an integer >= 1, got {self.max_terms}")

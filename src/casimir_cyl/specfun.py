@@ -42,7 +42,6 @@ ZETA_3 = 1.2020569031595943  # Apery's constant zeta(3)
 
 # crossover between the direct series and the small-mu expansion
 _MU_CROSS = 0.5
-X_CROSS = math.exp(-_MU_CROSS)
 _EXPANSION_TERMS = 30
 # Tail width at which the direct series switches from one suffix update per
 # term to a single (terms, elements) block.  The block costs a fixed number of
@@ -265,18 +264,11 @@ def polylog_exp_neg(s: float, mu):
 def polylog(s: float, x):
     r"""Polylogarithm :math:`\mathrm{Li}_s(x) = \sum_{n\ge1} x^n/n^s`.
 
-    Parameters
-    ----------
-    s : float
-        Real order, ``s > -1``.
-    x : float or ndarray
-        Argument in ``[0, 1)``.  ``x = 1`` is accepted only for ``s = 3``
-        (returning zeta(3)); the half-integer orders diverge there.
-
-    Returns
-    -------
-    float or ndarray
-        Relative accuracy better than 1e-12 over the full domain.
+    It is :func:`polylog_exp_neg` of ``mu = -ln x`` (``x = 0`` gives
+    ``mu = +inf`` and so 0), with the same order ``s > -1``.  ``x`` is a
+    float or ndarray in ``[0, 1)``; ``x = 1`` is accepted only for ``s = 3``
+    (returning zeta(3)), as the half-integer orders diverge there.  Relative
+    accuracy is better than 1e-12 over the full domain.
 
     Raises
     ------
@@ -284,24 +276,11 @@ def polylog(s: float, x):
         For ``x < 0``, ``x >= 1`` (except the ``s = 3, x = 1`` case) or
         ``s <= -1``.
     """
-    if not (math.isfinite(s) and s > -1.0):
-        raise ValueError(f"polylog order must be finite and exceed -1, got {s}")
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError("polylog argument must be nonnegative")
     if np.any(arr > 1.0) or (np.any(arr == 1.0) and s != 3.0):
         raise ValueError("polylog argument must lie in [0, 1) "
                          "(x = 1 is allowed only for s = 3)")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    at_one = arr == 1.0
-    lo = arr <= X_CROSS
-    hi = ~lo & ~at_one
-    if np.any(at_one):
-        out[at_one] = ZETA_3
-    if np.any(lo):
-        out[lo] = _series(s, arr[lo])
-    if np.any(hi):
-        out[hi] = polylog_exp_neg(s, -np.log(arr[hi]))
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore"):
+        return polylog_exp_neg(s, -np.log(arr))

@@ -531,20 +531,22 @@ def test_t0_non_finite_integral_raises_after_one_kernel_call():
 
 
 def test_t0_raises_at_once_below_the_roundoff_floor(monkeypatch):
-    # no rung reports less than the 100-ulp floor, so a rel_tol below it
-    # raises before any kernel call instead of climbing the ladder to the
-    # abscissa cap
+    # no rung reports less than the 100-ulp floor, so a rel_tol below it must
+    # not climb the ladder to the abscissa cap: QuadratureSpec refuses every
+    # rel_tol below 1e-12 at construction, before any kernel call
     calls = _rung_calls(monkeypatch)
-    with pytest.raises(ConvergenceError, match="roundoff"):
+    with pytest.raises(ValueError, match="rel_tol"):
         zero_temperature_force(geometry_at(100.0), AU, QuadratureSpec(rel_tol=1e-15))
     assert calls == []
 
 
 def test_t0_first_rung_sized_from_rel_tol(monkeypatch):
-    # rung 1 takes fewer nodes as rel_tol loosens, never more than the
+    # rung 1 takes fewer nodes as rel_tol loosens from 1e-12, the least that
+    # QuadratureSpec accepts, to 1e-4, never more than the
     # ceil(19 span**(1/4)) x 64 rule with its ceil(5/6 n_u) x 48 companion,
-    # all of them from rel_tol 1e-12 down, and at most 60% of their
-    # abscissae at the default rel_tol and A = 0
+    # all of them at 1e-12, and at most 60% of their abscissae at the
+    # default rel_tol and A = 0; the sub-floor rel_tol this sweep once
+    # covered now raise at construction
     first_rungs = []
 
     def rule(kernel_rows, span, counts):
@@ -552,16 +554,17 @@ def test_t0_first_rung_sized_from_rel_tol(monkeypatch):
         return 1.0, 0.0     # accepted, so rung 1 is the only rule run
 
     monkeypatch.setattr(casimir_core, "_t0_product_rule", rule)
-    # rung 1 also runs below the roundoff floor, where the call would raise
-    monkeypatch.setattr(casimir_core, "_T0_ROUNDOFF", 0.0)
+    for rel_tol in (5e-324, 1e-30, 1e-16, 1e-13, 9.99e-13):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=rel_tol)
 
     def abscissae(counts):
         return sum(n * m for n, m in counts)
 
     for a_theta in (0.0, 0.5, 0.9):
         previous = None
-        for rel_tol in sorted([5e-324, 1e-30, 1e-12, 1e-9, 1e-4]
-                              + [float(x) for x in np.geomspace(1e-16, 1e-4, 49)]):
+        for rel_tol in sorted([1e-12, 1e-9, 1e-4]
+                              + [float(x) for x in np.geomspace(1e-12, 1e-4, 33)]):
             quad = QuadratureSpec(rel_tol=rel_tol)
             span = quad.v_span() / (1.0 - a_theta)
             casimir_core.zero_temperature_reduce(None, span, quad)
@@ -570,7 +573,7 @@ def test_t0_first_rung_sized_from_rel_tol(monkeypatch):
             full = ((n_u, 64), (math.ceil(5.0 / 6.0 * n_u), 48))
             assert all(n <= n_max and m <= m_max
                        for (n, m), (n_max, m_max) in zip(first, full))
-            if rel_tol <= 1e-12:
+            if rel_tol == 1e-12:
                 assert first == full
             if previous is not None:
                 assert all(n <= n_prev and m <= m_prev

@@ -244,6 +244,45 @@ def test_out_file(tmp_path, capsys):
     assert "a_nm" in target.read_text()
 
 
+@pytest.mark.parametrize("failure, argv, expected", [
+    ("config", ("--model", "dielectric"), EXIT_CONFIG),
+    ("missing file", ("--model", "tabulated", "--optical-data", "missing.dat"),
+     EXIT_CONFIG),
+    ("convergence", ("--model", "ideal"), EXIT_CONVERGENCE),
+])
+def test_failed_command_keeps_out_file(tmp_path, monkeypatch, capsys, failure,
+                                       argv, expected):
+    # the text goes to --out only once the command has succeeded
+    import casimir_cyl.cli as climod
+
+    def boom(*args, **kwargs):
+        raise ConvergenceError("forced for the --out test")
+
+    monkeypatch.chdir(tmp_path)
+    if failure == "convergence":
+        monkeypatch.setattr(climod, "cylinder_force", boom)
+    (tmp_path / "k.csv").write_text("keep\n")
+    code, out, _ = run_cli(capsys, "force", "--a", "500", *argv, "--out", "k.csv")
+    assert (code, out) == (expected, "")
+    assert (tmp_path / "k.csv").read_text() == "keep\n"
+
+
+def test_rel_tol_below_floor_exits_2(capsys):
+    # below 1e-12 the finite-T rows would refine to their panel cap
+    code, out, err = run_cli(capsys, "force", "--a", "100", "--rel-tol", "1e-13")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "rel_tol" in err
+
+
+def test_negative_oscillator_strength_exits_2(capsys):
+    # rejected where it enters, before a kernel could raise the RuntimeWarning
+    # that this suite turns into an error
+    code, out, err = run_cli(capsys, "force", "--a", "500", "--model", "plasma",
+                             "--oscillators=-2000:3:0.5")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "strength g" in err
+
+
 def test_plot_svg(tmp_path, capsys):
     target = tmp_path / "sweep.svg"
     code, _, _ = run_cli(capsys, "force", "--a-sweep", "100:400:4",

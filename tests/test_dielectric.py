@@ -85,6 +85,10 @@ def test_parameter_validation():
         Dielectric(eps0=1.0)
     with pytest.raises(ValueError):
         Oscillator(g=1.0, omega=0.0)
+    # a negative strength would give eps(i 1 eV) = -108 here
+    with pytest.raises(ValueError, match=r"\bg\b.*nonnegative"):
+        Oscillator(g=-2000.0, omega=3.0, gamma=0.5)
+    assert Oscillator(g=0.0, omega=3.0).g == 0.0
     with pytest.raises(ValueError):
         PlasmaOscillators(omega_p=-9.0)
 

@@ -46,6 +46,11 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=1e-3)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    # below 1e-12 the finite-T rows ask past what the K15/G7 constants report
+    for tiny in (1e-13, 5e-324):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=tiny)
+    assert QuadratureSpec(rel_tol=1e-12).rel_tol == 1e-12
     for bad in (0, math.nan, 2.5, True, False, np.True_):
         with pytest.raises(ValueError, match="max_terms"):
             QuadratureSpec(max_terms=bad)

@@ -115,6 +115,25 @@ def test_exp_neg_matches_polylog():
             polylog(0.5, math.exp(-mu)), rel=1e-11)
 
 
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+def test_polylog_is_exp_neg_of_minus_log(s):
+    # Li_s(x) goes through polylog_exp_neg(s, -ln x), bit for bit, scalar and
+    # batch: x = 0 (mu = +inf, so 0), both sides of the crossover e^-1/2, and
+    # for s = 3 the x = 1 end (mu = -0.0, so the zeta table's zeta(3))
+    cross = math.exp(-0.5)
+    xs = np.array([0.0, 1e-300, 0.01, 0.3, np.nextafter(cross, 0.0), cross,
+                   np.nextafter(cross, 1.0), 0.7, 0.99, 1.0 - 2.0**-40]
+                  + ([1.0] if s == 3.0 else []))
+    with np.errstate(divide="ignore"):
+        mu = -np.log(xs)
+    assert np.array_equal(polylog(s, xs), polylog_exp_neg(s, mu))
+    for x, m in zip(xs, mu):
+        assert polylog(s, float(x)) == polylog_exp_neg(s, float(m))
+    assert polylog(s, 0.0) == 0.0
+    if s == 3.0:
+        assert polylog(s, 1.0) == ZETA_3
+
+
 def test_mu_infinity_is_zero():
     for s in (-0.5, 0.0, 0.5, 3.0):
         assert polylog_exp_neg(s, np.inf) == 0.0
