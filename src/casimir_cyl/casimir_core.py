@@ -246,6 +246,15 @@ _V_TOL_SHARE = 0.1  # of rel_tol, per v-integral of the sum: the l = 0 term and 
 # arrays of one block set the peak memory of a finite-T point
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 64
+_MAX_TERMS = 100_000  # Matsubara terms before a sum is declared not converged
+
+
+def _span(rel_tol: float, a_theta: float) -> float:
+    """Length of each v-window past its lower limit: where the envelope
+    v**2.5 exp(-v) has dropped far below rel_tol of the integral (at least 45,
+    growing as ln(1/rel_tol)), widened by 1/(1 - a_theta) for the slower
+    exp(-v(1 - a_theta)) decay of a tilt."""
+    return max(45.0, -math.log(rel_tol) + 25.0) / (1.0 - a_theta)
 
 
 def _first_block(decay: float, rel_tol: float) -> int:
@@ -287,7 +296,7 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
     successive l, and the rest of that block is not read.  The first block
     has ``first_block`` terms (:func:`_first_block` sizes it from the decay);
     later ones are sized by :func:`_next_block`, at most ``_MAX_BLOCK``, and
-    never reach past ``quad.max_terms``.  The block sizes decide only how
+    never reach past ``_MAX_TERMS``.  The block sizes decide only how
     many terms are computed, never the sum, ``l_used`` or the estimate.
 
     Returns
@@ -300,10 +309,10 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
     l = 0
     count = first_block
     while True:
-        count = min(count, quad.max_terms - l)
+        count = min(count, _MAX_TERMS - l)
         if count == 0:
             raise ConvergenceError(
-                f"Matsubara sum not converged after {quad.max_terms} terms")
+                f"Matsubara sum not converged after {_MAX_TERMS} terms")
         for term in block_integrals(l + 1, count):
             l += 1
             total += term
@@ -417,13 +426,6 @@ def _t0_product_rule(kernel_rows, span: float, counts) -> tuple[float, float]:
     return fine, max(rel, _T0_ROUNDOFF)
 
 
-def _zero_freq_int(integrand, span: float, quad: QuadratureSpec) -> float:
-    """l = 0 v-integral of integrand(v) with the v = w**2 substitution."""
-    val, _ = adaptive_quad(lambda w: 2.0 * w * integrand(w * w), 0.0,
-                           math.sqrt(span), rel_tol=quad.rel_tol * _V_TOL_SHARE)
-    return val
-
-
 # A sweep needs one l = 0 key per observable, tilt and rel_tol, plasma one per
 # separation too; the bound keeps a long plasma sweep or a tilt scan from
 # growing the cache for the life of the process (full, it holds about 80 kB).
@@ -433,27 +435,26 @@ _ZERO_FREQ_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=_ZERO_FREQ_CACHE_SIZE)
 def _zero_freq_term(behavior: ZeroFreqBehavior, p: float, s: float, a_theta: float,
                     rel_tol: float) -> float:
-    """The l = 0 integral of ``v**p Li_s``, once per key: all that
-    :func:`_zero_freq_int` reads, the span following from rel_tol and the
-    tilt.  lru_cache stores no exception, so a failed integral raises on
-    every call."""
-    quad = QuadratureSpec(rel_tol=rel_tol)
-    return _zero_freq_int(lambda v: _li_zero_freq(v, behavior, p, s, a_theta),
-                          quad.v_span() / (1.0 - a_theta), quad)
+    """The l = 0 v-integral of ``v**p Li_s`` over v = w**2, once per key (the
+    span follows from rel_tol and the tilt).  lru_cache stores no exception,
+    so a failed integral raises on every call."""
+    val, _ = adaptive_quad(lambda w: 2.0 * w * _li_zero_freq(w * w, behavior, p, s, a_theta),
+                           0.0, math.sqrt(_span(rel_tol, a_theta)),
+                           rel_tol=rel_tol * _V_TOL_SHARE)
+    return val
 
 
 def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
             quad: QuadratureSpec, a_theta: float = 0.0) -> tuple[float, int, float]:
     """Matsubara sum (tau > 0) or T = 0 integral of the kernel ``v**p Li_s``.
 
-    A tilt a_theta widens every window by 1/(1 - a_theta) for the slower
-    exp(-v(1 - a_theta)) decay.  The l = 0 term is computed once per
+    Every v-window is :func:`_span` long.  The l = 0 term is computed once per
     (behavior, p, s, a_theta, rel_tol) by :func:`_zero_freq_term`, so a
     separation sweep reuses it, except for plasma, whose behavior carries
     alpha = delta_0/(2a).  Returns (total, l_used, error estimate).
     """
     omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
-    span = quad.v_span() / (1.0 - a_theta)
+    span = _span(quad.rel_tol, a_theta)
 
     def kernel_rows(zetas: np.ndarray):
         # eps(i xi) once per frequency; each row reads its own
@@ -510,7 +511,7 @@ def cylinder_force(geometry: Geometry, thermal: ThermalState,
 
     At T = 0 this is :func:`zero_temperature_force`; otherwise it runs the
     primed Matsubara sum of polylogarithm v-integrals.  Temperatures so low
-    that the sum cannot truncate within ``quad.max_terms`` raise
+    that the sum cannot truncate within 100 000 terms raise
     ConvergenceError; the T = 0 limit should be requested exactly.
     """
     return _evaluate(_FORCE, geometry, thermal, model, quad)

@@ -73,11 +73,11 @@ def _parse_oscillators(text: str) -> tuple[Oscillator, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        fields = chunk.split(":")
-        if len(fields) != 3:
-            raise ConfigError(f"bad oscillator spec '{chunk}', want g:omega:gamma")
-        out.append(Oscillator(g=float(fields[0]), omega=float(fields[1]),
-                              gamma=float(fields[2])))
+        try:  # a count other than three fails the unpacking
+            g, omega, gamma = (float(x) for x in chunk.split(":"))
+        except ValueError:
+            raise ConfigError(f"bad oscillator spec '{chunk}', want g:omega:gamma") from None
+        out.append(Oscillator(g=g, omega=omega, gamma=gamma))
     return tuple(out)
 
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature and the tolerance/truncation policy.
+"""Adaptive Gauss-Kronrod quadrature and the tolerance spec.
 
 Each integral gets QUADPACK's (G7, K15) pair and error estimate (Piessens et
 al. 1983) with batched panel refinement: the integrand receives the abscissae
@@ -36,38 +36,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policies for the v-integrals and the sum.
+    """The target relative error ``rel_tol`` of a result, in [1e-12, 1e-4].
 
-    Attributes
-    ----------
-    rel_tol : float
-        Target relative error, in [1e-12, 1e-4].  Below 1e-12 the v-integrals,
-        held to a tenth of it, ask more than the 15-digit (G7, K15) constants
-        can report and refine to their panel cap.  Each v-integral runs to the
-        cutoff where the envelope ``v**2.5 * exp(-v)`` has dropped below
-        ``rel_tol`` times the running total (about v = 45 at the default).
-    max_terms : int
-        Hard cap on Matsubara terms before declaring failure, at least 1.
+    Below 1e-12 the v-integrals, held to a tenth of it, ask more than the
+    15-digit (G7, K15) constants can report and refine to their panel cap.
+    The truncation policy follows from rel_tol and is not a setting: each
+    v-integral runs to where the envelope ``v**2.5 * exp(-v)`` is far below
+    rel_tol of the integral (about v = 45 at the default), an integral takes
+    at most 4096 panels and a Matsubara sum at most 100 000 terms.
     """
 
     rel_tol: float = 1e-9
-    max_terms: int = 100_000
 
     def __post_init__(self) -> None:
         if not (1e-12 <= self.rel_tol <= 1e-4):
             raise ValueError(f"rel_tol must lie in [1e-12, 1e-4], got {self.rel_tol}")
-        if not (isinstance(self.max_terms, (int, np.integer))
-                and not isinstance(self.max_terms, bool) and self.max_terms >= 1):
-            raise ValueError(f"max_terms must be an integer >= 1, got {self.max_terms}")
-
-    def v_span(self) -> float:
-        """Integration span past the lower limit covering the decaying tail.
-
-        Chosen so the envelope ``v**2.5 exp(-v)`` at the cut is far below
-        ``rel_tol`` of the integral scale; 45 suffices at the default
-        tolerance and the span grows logarithmically for tighter ones.
-        """
-        return max(45.0, -math.log(self.rel_tol) + 25.0)
 
 
 # (G7, K15) abscissae and weights on [-1, 1]; Gauss nodes are every other
@@ -93,6 +76,7 @@ _WG = np.array([
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 _MAX_REFINEMENTS = 64
+_MAX_PANELS = 4096  # per integral
 
 
 def _stacks(count: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
@@ -110,8 +94,7 @@ def _stacks(count: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]
             list(zip(sizes.tolist(), tally[sizes].tolist())))
 
 
-def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, max_panels: int,
-            initial_panels: int) -> np.ndarray:
+def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int) -> np.ndarray:
     """Adaptive (G7, K15) refinement of integrals, integral s over ``[a[s], b[s]]``.
 
     Each integral is held to ``rel_tol * |its total|`` on its own panels.  A
@@ -171,7 +154,7 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, max_panels: int,
         if level == _MAX_REFINEMENTS:
             break
         tol = rel_tol * np.abs(sums[0, live])
-        open_ = ~(sums[1, live] <= tol) & (count < max_panels)  # NaN stays open
+        open_ = ~(sums[1, live] <= tol) & (count < _MAX_PANELS)  # NaN stays open
         slot = np.repeat(np.arange(live.size), count)
         err = table[3]
         # bisect every panel on which an open integral exceeds half its share of the budget
@@ -211,8 +194,7 @@ def _check_limits(a, b) -> None:
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  rel_tol: float = 1e-9, max_panels: int = 4096,
-                  initial_panels: int = 8) -> tuple[float, float]:
+                  rel_tol: float = 1e-9, initial_panels: int = 8) -> tuple[float, float]:
     """Integrate ``f`` over ``[a, b]`` with batched adaptive (G7, K15) panels.
 
     ``f`` maps a 1-D ndarray of abscissae, the nodes of every pending panel,
@@ -224,18 +206,18 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
     Returns (value, error_estimate) as floats.  Raises ValueError if a limit
     is not finite, and ConvergenceError if the total or error estimate is not
-    finite, or is still over 10x its target when the panel budget runs out.
+    finite, or is still over 10x its target when its 4096 panels run out.
     """
     _check_limits(a, b)
     if not b > a:
         return 0.0, 0.0
     total, err = _refine(lambda x, _: f(x), np.array([a], dtype=float),
-                         np.array([b], dtype=float), rel_tol, max_panels, initial_panels)
+                         np.array([b], dtype=float), rel_tol, initial_panels)
     return next(_checked(total, err, rel_tol, ""))
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
-                       rel_tol: float = 1e-9, max_panels: int = 4096,
+                       rel_tol: float = 1e-9,
                        initial_panels: int = 8) -> Iterator[tuple[float, float]]:
     """Integrate ``m`` scalar integrals, row i over ``[a[i], b[i]]``, in lockstep.
 
@@ -260,7 +242,7 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
         raise ValueError("every row needs b > a")
     if a.size == 0:
         return iter(())
-    total, err = _refine(f, a, b, rel_tol, max_panels, initial_panels)
+    total, err = _refine(f, a, b, rel_tol, initial_panels)
     return _checked(total, err, rel_tol, " (row {})")
 
 

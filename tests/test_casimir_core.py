@@ -27,7 +27,7 @@ import casimir_cyl
 from casimir_cyl import casimir_core
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
                                      _GRADIENT, _ZERO_T, _li_finite, _li_kernel,
-                                     _li_zero_freq, _reduce, _zero_freq_int,
+                                     _li_zero_freq, _reduce, _span,
                                      matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
 from casimir_cyl.dielectric import eps_imag_axis, zero_frequency_character
@@ -278,12 +278,26 @@ def test_gradient_central_difference():
     assert grad == pytest.approx(fd, rel=1e-5)
 
 
-def test_convergence_guard():
+def test_convergence_guard(monkeypatch):
     geom = geometry_at(100.0)
     th = ThermalState.at(300.0, geom)
     for max_terms in (1, 2):
+        monkeypatch.setattr(casimir_core, "_MAX_TERMS", max_terms)
         with pytest.raises(ConvergenceError, match=f"after {max_terms} terms"):
-            cylinder_force(geom, th, AU, QuadratureSpec(rel_tol=1e-9, max_terms=max_terms))
+            cylinder_force(geom, th, AU, QuadratureSpec(rel_tol=1e-9))
+
+
+def test_span_covers_envelope():
+    # the kernel envelope v**2.5 exp(-v) at the cut is far below rel_tol, and
+    # a tilt widens the window by 1/(1 - A) for its exp(-v(1 - A)) decay
+    for rel_tol in (1e-4, 1e-9, 1e-12):
+        cut = _span(rel_tol, 0.0)
+        assert cut >= 45.0
+        assert cut**2.5 * math.exp(-cut) < rel_tol * 1e-4
+        for a_theta in (0.5, 0.9):
+            assert _span(rel_tol, a_theta) == cut / (1.0 - a_theta)
+    assert _span(1e-4, 0.0) == 45.0
+    assert _span(1e-9, 0.0) == -math.log(1e-9) + 25.0
 
 
 def test_high_t_matsubara_matches_asymptote():
@@ -428,7 +442,7 @@ def _nested_t0(obs: str, model, geom: Geometry) -> float:
     call at 0.1 rel_tol inside the outer one.
     """
     quad = QuadratureSpec()
-    span = quad.v_span()
+    span = _span(quad.rel_tol, 0.0)
     kernel = _t0_kernel(obs, model, geom)
 
     def inner(root: float) -> float:
@@ -566,7 +580,7 @@ def test_t0_first_rung_sized_from_rel_tol(monkeypatch):
         for rel_tol in sorted([1e-12, 1e-9, 1e-4]
                               + [float(x) for x in np.geomspace(1e-12, 1e-4, 33)]):
             quad = QuadratureSpec(rel_tol=rel_tol)
-            span = quad.v_span() / (1.0 - a_theta)
+            span = _span(rel_tol, a_theta)
             casimir_core.zero_temperature_reduce(None, span, quad)
             first = first_rungs.pop()
             n_u = math.ceil(19.0 * math.sqrt(math.sqrt(span)))
@@ -604,7 +618,7 @@ def _unit_strip_t0(obs: str, model, geom: Geometry, quad: QuadratureSpec) -> flo
     engine's, the order of integration is not.
     """
     kernel = _t0_kernel(obs, model, geom)
-    w_hi = math.sqrt(quad.v_span())
+    w_hi = math.sqrt(_span(quad.rel_tol, 0.0))
 
     def outer(t):
         def f(w, row):
@@ -844,17 +858,18 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
     p, s = obs.v_power, obs.li_order
     omega_c = HBAR_C_EV_NM / (2.0 * (a * 1e9))
     behavior = zero_frequency_character(model, a)
-    span = quad.v_span() / (1.0 - a_theta)
-    total = 0.5 * _zero_freq_int(
-        lambda v: _li_zero_freq(v, behavior, p, s, a_theta), span, quad)
+    span = _span(quad.rel_tol, a_theta)
+    total = 0.5 * adaptive_quad(
+        lambda w: 2.0 * w * _li_zero_freq(w * w, behavior, p, s, a_theta), 0.0,
+        math.sqrt(span), rel_tol=quad.rel_tol * 0.1)[0]
     recent = deque(maxlen=_CONSECUTIVE_BELOW)
     below = 0
     l = 0
     while True:
         l += 1
-        if l > quad.max_terms:
+        if l > casimir_core._MAX_TERMS:
             raise ConvergenceError(
-                f"Matsubara sum not converged after {quad.max_terms} terms")
+                f"Matsubara sum not converged after {casimir_core._MAX_TERMS} terms")
         zeta = tau * l
         eps = eps_imag_axis(model, zeta * omega_c)
         term, _ = adaptive_quad(lambda v: _li_finite(v, zeta, eps, p, s, a_theta),
@@ -951,16 +966,17 @@ def test_first_block_prediction_is_clamped():
 
 
 @pytest.mark.parametrize("a_nm", [100.0, 500.0])
-def test_max_terms_bound_is_exact(a_nm):
+def test_max_terms_bound_is_exact(a_nm, monkeypatch):
     geom = geometry_at(a_nm)
     th = ThermalState.at(300.0, geom)
     free = cylinder_force(geom, th, AU)
-    exact = cylinder_force(geom, th, AU, QuadratureSpec(max_terms=free.l_used))
-    assert exact == free
+    monkeypatch.setattr(casimir_core, "_MAX_TERMS", free.l_used)
+    assert cylinder_force(geom, th, AU) == free
     short = free.l_used - 1
+    monkeypatch.setattr(casimir_core, "_MAX_TERMS", short)
     with pytest.raises(ConvergenceError,
                        match=f"^Matsubara sum not converged after {short} terms$"):
-        cylinder_force(geom, th, AU, QuadratureSpec(max_terms=short))
+        cylinder_force(geom, th, AU)
 
 
 def test_failed_row_past_the_stop_is_not_read():

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from casimir_cyl import (Geometry, ThermalState, TiltParams, cylinder_force,
-                         gold_drude, kappa, kappa_nm)
+from casimir_cyl import (Geometry, IdealMetal, ThermalState, TiltParams,
+                         cylinder_force, gold_drude, kappa, kappa_nm, tilted_force)
 from casimir_cyl.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main,
                              parse_sweep)
 from casimir_cyl.quadrature import ConvergenceError, QuadratureSpec
@@ -283,6 +283,48 @@ def test_negative_oscillator_strength_exits_2(capsys):
     assert "strength g" in err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (("force", "--a", "500", "--theta", "1e-4", "--a-theta", "0.01"), None,
+     "either theta or a_theta"),
+    (("force", "--a", "500"), "format = xml\n", "unknown format 'xml'"),
+    (("force", "--a", "500"), "which = both\n", "which must be force or gradient"),
+    (("force", "--a", "500"), "# separation\na 500\n", "run.cfg:2: expected 'key = value'"),
+    (("force", "--a-sweep=-1:100:3:log"), None, "log sweep needs positive endpoints"),
+    (("force", "--a", "500", "--model", "plasma", "--oscillators", "1:2"), None,
+     "bad oscillator spec '1:2'"),
+    (("force", "--a", "500", "--model", "plasma", "--oscillators", "20:3:1; a:3:0.5"), None,
+     "bad oscillator spec 'a:3:0.5'"),
+    (("force", "--a", "500", "--model", "tabulated"), None, "requires optical_data"),
+], ids=["theta_and_a_theta", "config_format", "config_which", "config_no_equals",
+        "log_sweep_negative", "oscillator_two_fields", "oscillator_non_numeric",
+        "tabulated_without_data"])
+def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ("--config", "run.cfg")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err
+
+
+def test_theta_through_cli(capsys):
+    # --theta goes through TiltParams.from_angle and is echoed as theta_rad
+    code, out, _ = run_cli(capsys, "force", "--a", "500", "--model", "ideal",
+                           "--theta", "1e-4", "--rel-tol", "1e-7")
+    assert code == EXIT_OK
+    assert "# theta_rad = 0.0001" in out.splitlines()
+    geom = Geometry(a=500e-9, R=100e-6, L=100e-6)
+    tilt = TiltParams.from_angle(1e-4, geom)
+    assert tilt.a_theta == pytest.approx(0.01, rel=1e-12)
+    want = tilted_force(geom, ThermalState.at(300.0, geom), IdealMetal(), tilt,
+                        QuadratureSpec(rel_tol=1e-7))
+    row = [ln for ln in out.splitlines() if not ln.startswith("#")][1]
+    assert row.split(",")[1:] == ["{:.11e}".format(x) for x in
+                                  (want.value, want.per_length)] + [
+        str(want.l_used), "{:.11e}".format(want.truncation_estimate)]
+
+
 def test_plot_svg(tmp_path, capsys):
     target = tmp_path / "sweep.svg"
     code, _, _ = run_cli(capsys, "force", "--a-sweep", "100:400:4",
@@ -362,6 +404,40 @@ def test_table1_untilted_force_once_per_separation(capsys, monkeypatch):
         ratios = [kappa_nm(geom, thermal, IdealMetal(), TiltParams.from_a_theta(A, geom), quad)
                   for A in (0.01, 0.05, 0.1, 0.5)]
         assert row[10:] == "".join(f"{k:<12.5f}" for k in ratios).rstrip()
+
+
+def test_table1_json(capsys):
+    argv = ("table1", "--model", "ideal", "--rel-tol", "1e-6")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["command"] == "table1"
+    assert payload["columns"] == ["a_nm", "A_theta_0.01", "A_theta_0.05",
+                                  "A_theta_0.1", "A_theta_0.5"]
+    rows = payload["rows"]
+    assert [row[0] for row in rows] == [100.0, 150.0, 200.0, 300.0, 400.0, 500.0]
+    # the same ratios as the text table, which prints them to 5 decimals
+    _, text, _ = run_cli(capsys, *argv)
+    lines = [ln for ln in text.splitlines() if ln[:1].isdigit()]
+    for row, line in zip(rows, lines, strict=True):
+        assert line[10:] == "".join(f"{v:<12.5f}" for v in row[1:]).rstrip()
+        assert all(1.0 < v < kappa(A) + 1e-6
+                   for v, A in zip(row[1:], (0.01, 0.05, 0.1, 0.5)))
+
+
+def test_edge_error_json(capsys):
+    argv = ("edge-error", "--a-sweep", "100:500:3")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["command"] == "edge-error"
+    assert "a_sweep_nm = 100:500:3" in payload["config"]
+    # the rows of the csv table: a_nm, quantity, error_percent
+    _, text, _ = run_cli(capsys, *argv)
+    body = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert body[0] == "a_nm,quantity,error_percent"
+    assert [f"{a:.6g},{q},{e:.11e}" for a, q, e in payload["rows"]] == body[1:]
+    assert len(payload["rows"]) == 3 * 4  # force, gradient, two overhangs
 
 
 def test_edge_error_command(capsys):

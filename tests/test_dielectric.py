@@ -241,6 +241,22 @@ def test_load_rejects_malformed(tmp_path):
     assert excinfo.value.line == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.5 1.0\n1.0 2.0 3.0\n", "inconsistent column count"),
+    ("0.5 1.0 2.0\n1.0 2.0\n", "inconsistent column count"),
+    ("0.5 1.0\n0.0 2.0\n", "photon energy must be positive"),
+    ("-0.5 1.0\n1.0 2.0\n", "photon energy must be positive"),
+], ids=["two_then_three", "three_then_two", "zero_energy", "negative_energy"])
+def test_load_rejects_bad_row_naming_its_line(tmp_path, text, message):
+    p = tmp_path / "bad.txt"
+    p.write_text("# header\n" + text)
+    bad_line = 2 if text.startswith("-") else 3
+    with pytest.raises(OpticalTableError, match=message) as excinfo:
+        load_optical_table(p)
+    assert excinfo.value.line == bad_line
+    assert str(excinfo.value).startswith(f"line {bad_line}: ")
+
+
 def test_load_rejects_single_row(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("0.5 1.0\n")
@@ -255,6 +271,9 @@ def test_table_invariants():
         OpticalTable([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(OpticalTableError):
         OpticalTable([1.0], [1.0])
+    for omega in ([0.0, 1.0], [-1.0, 1.0], [-2.0, -1.0]):
+        with pytest.raises(OpticalTableError, match="photon energies must be positive"):
+            OpticalTable(omega, [1.0, 1.0])
 
 
 def _segment_loop_nodes(table: OpticalTable):

@@ -8,12 +8,20 @@ coefficients evaluated at 40 digits from the same float inputs.
 sampled from that Drude model, and against mpmath's 30-digit integral of the
 same log-log interpolant (plus the Drude tail below the table) on a table
 with an interband Lorentz term and on a steep one.  The Drude tail's closed
-form is checked at 40 digits around its double pole xi = gamma.
+form is checked at 40 digits around its double pole xi = gamma.  One
+Matsubara term of the force, the v-integral that a lockstep row of the engine
+returns, is checked against ``mpmath.quad`` of the kernel with eps(i xi) and
+the Fresnel coefficients written out here at 20 digits.
 """
 import numpy as np
 import pytest
 
+from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
+                         QuadratureSpec, ThermalState, TiltParams, casimir_core,
+                         cylinder_force, tilted_force)
+from casimir_cyl.constants import HBAR_C_EV_NM
 from casimir_cyl.dielectric import Drude, OpticalTable, _drude_tail_integral, kk_transform
+from casimir_cyl.quadrature import adaptive_quad_rows
 from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import polylog_exp_neg
 
@@ -136,3 +144,70 @@ def test_drude_tail_near_gamma_matches_mpmath(omega_hi):
                 lambda o: wp2g / ((o * o + g * g) * (o * o + x2)),
                 [0, top] if top <= g else [0, g, top])
             assert float(abs(mpmath.mpf(float(v)) / want - 1)) <= 1e-14, x
+
+
+# eps(i xi) of each model, xi in eV; the ideal metal has r_TM^2 = r_TE^2 = 1
+TERM_MODELS = {
+    "ideal": (IdealMetal(), None),
+    "drude": (Drude(OMEGA_P, GAMMA), lambda xi: 1 + OMEGA_P**2 / (xi * (xi + GAMMA))),
+    "plasma": (PlasmaOscillators(omega_p=OMEGA_P), lambda xi: 1 + OMEGA_P**2 / xi**2),
+    "dielectric": (Dielectric(eps0=11.7), lambda xi: mpmath.mpf(11.7)),
+}
+TERM_A_NM = 150.0
+
+
+def _force_term(zeta: float, eps_of, a_theta: float):
+    """int_zeta^inf dv v**1.5 [Li_1/2(r_TM^2 e^-v) + Li_1/2(r_TE^2 e^-v)] at 20 digits.
+
+    A tilt averages e^-v over the length, e^-v(1 - A t) for t in [-1, 1], which
+    turns each Li_1/2(r^2 e^-v) into
+    [Li_3/2(r^2 e^-v(1-A)) - Li_3/2(r^2 e^-v(1+A))] / (2 A v).
+    """
+    with mpmath.workdps(20):
+        z = mpmath.mpf(zeta)
+        eps = None if eps_of is None else eps_of(z * HBAR_C_EV_NM / (2 * TERM_A_NM))
+        A = mpmath.mpf(a_theta)
+
+        def kernel(v):
+            if eps is None:
+                r2 = (1, 1)
+            else:
+                s = mpmath.sqrt(v * v + (eps - 1) * z * z)
+                r2 = (((eps * v - s) / (eps * v + s)) ** 2, ((v - s) / (v + s)) ** 2)
+            if a_theta == 0.0:
+                return v**1.5 * sum(mpmath.polylog(0.5, r * mpmath.exp(-v)) for r in r2)
+            return v**0.5 / (2 * A) * sum(mpmath.polylog(1.5, r * mpmath.exp(-v * (1 - A)))
+                                          - mpmath.polylog(1.5, r * mpmath.exp(-v * (1 + A)))
+                                          for r in r2)
+        return mpmath.quad(kernel, [z, z + 1, z + 10, mpmath.inf])
+
+
+@pytest.mark.parametrize("name, a_theta", [("ideal", 0.0), ("drude", 0.0), ("plasma", 0.0),
+                                           ("dielectric", 0.0), ("drude", 0.5)])
+def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
+    # the engine's rows l = 1 and l = 10 of a 300 K force at 150 nm, captured
+    # as the lockstep quadrature returns them
+    seen = []
+
+    def rows(f, a, b, **kw):
+        for zeta, row in zip(np.asarray(a).tolist(), adaptive_quad_rows(f, a, b, **kw)):
+            seen.append((zeta, row))
+            yield row
+    monkeypatch.setattr(casimir_core, "adaptive_quad_rows", rows)
+    model, eps_of = TERM_MODELS[name]
+    geom = Geometry(a=TERM_A_NM * 1e-9, R=100e-6, L=100e-6)
+    thermal = ThermalState.at(300.0, geom)
+    quad = QuadratureSpec()
+    if a_theta == 0.0:
+        cylinder_force(geom, thermal, model, quad)
+    else:
+        tilted_force(geom, thermal, model, TiltParams.from_a_theta(a_theta, geom), quad)
+    for l in (1, 10):
+        zeta, (got, err) = seen[l - 1]
+        assert zeta == thermal.tau * l
+        want = _force_term(zeta, eps_of, a_theta)
+        true_err = float(abs(mpmath.mpf(got) - want))
+        # the row's own estimate covers its error, and the error is inside
+        # the 0.1 rel_tol that each row is held to
+        assert true_err <= err, (l, true_err, err)
+        assert true_err <= 0.1 * quad.rel_tol * float(want), (l, true_err)

@@ -41,6 +41,11 @@ def test_zeta3_constant():
     assert riemann_zeta(3.0) == pytest.approx(ZETA_3, rel=1e-14)
 
 
+def test_zeta_pole_raises():
+    with pytest.raises(ValueError, match="pole at s = 1"):
+        riemann_zeta(1.0)
+
+
 def test_zeta4_pi4_over_90():
     assert riemann_zeta(4.0) == pytest.approx(math.pi**4 / 90.0, rel=1e-14)
 
