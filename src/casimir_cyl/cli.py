@@ -1,8 +1,9 @@
 """Command-line front end: single evaluations, sweeps, tables and reports.
 
 Exit codes: 0 on success, 2 for configuration or input errors, 3 for
-numerical convergence failures.  All numbers are serialized with 12
-significant digits, so identical configurations produce byte-identical
+numerical convergence failures.  The csv and text tables write each
+number with 12 significant digits; JSON writes each float's shortest
+``repr``, every bit of it.  Identical configurations produce byte-identical
 output.  Units on this surface: nm for the separation, um for radius and
 length, K for temperature, eV for model parameters.
 """
@@ -201,7 +202,8 @@ def emit_table(args: argparse.Namespace, command: str, header: Sequence[str],
             "command": command,
             "config": args.echo,
             "columns": list(header),
-            "rows": [[(int(x) if isinstance(x, (int, np.integer)) else float(x))
+            "rows": [[x if isinstance(x, str) else
+                      int(x) if isinstance(x, (int, np.integer)) else float(x)
                       for x in row] for row in rows],
         }
         stream.write(json.dumps(payload, indent=2) + "\n")
@@ -377,15 +379,14 @@ def cmd_edge_error(args: argparse.Namespace, stream) -> None:
             extra = overhang_force(geom, edge) / base - 1.0
             rows.append((float(a_nm), f"overhang_L1_{L1_um:g}um",
                          100.0 * abs(extra)))
+    header = ["a_nm", "quantity", "error_percent"]
     if args.format == "json":
-        payload = {"command": "edge-error", "config": args.echo,
-                   "rows": [[r[0], r[1], r[2]] for r in rows]}
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        emit_table(args, "edge-error", header, rows, stream)
         return
     stream.write("# casimir-cyl edge-error\n")
     for line in args.echo:
         stream.write(f"# {line}\n")
-    stream.write("a_nm,quantity,error_percent\n")
+    stream.write(",".join(header) + "\n")
     for a_nm, which, err in rows:
         stream.write(f"{a_nm:.6g},{which},{_FMT.format(err)}\n")
 

@@ -175,22 +175,16 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int
     return sums
 
 
-def _checked(total: np.ndarray, err: np.ndarray, rel_tol: float,
-             name: str) -> Iterator[tuple[float, float]]:
+def _checked(total: np.ndarray, err: np.ndarray, rel_tol: float) -> Iterator[tuple[float, float]]:
     """(total, error) per row; ConvergenceError at the first row whose total or
     error is not finite, or whose error is over 10x its target."""
     stalled = (~(np.isfinite(total) & np.isfinite(err))
                | ((err > 10.0 * rel_tol * np.abs(total)) & (err > 1e-300)))
     for i, stall in enumerate(stalled.tolist()):
         if stall:
-            raise ConvergenceError(f"quadrature stalled{name.format(i)}: error "
+            raise ConvergenceError(f"quadrature stalled (row {i}): error "
                                    f"{err[i]:.3e} on integral {total[i]:.3e}")
         yield float(total[i]), float(err[i])
-
-
-def _check_limits(a, b) -> None:
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError(f"integration limits must be finite, got a={a}, b={b}")
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -200,20 +194,17 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ``f`` maps a 1-D ndarray of abscissae, the nodes of every pending panel,
     to one value per abscissa; it is called once per refinement level.  The
     limits must be finite (callers cut exponential tails themselves); an
-    empty interval returns ``(0.0, 0.0)`` without calling ``f``.  The
-    integral has converged when the summed panel error estimate drops below
-    ``rel_tol * |integral|``.
+    empty interval, ``b <= a``, returns ``(0.0, 0.0)`` without calling ``f``,
+    and any other is the one-row :func:`adaptive_quad_rows`, converged when
+    the summed panel error estimate drops below ``rel_tol * |integral|``.
 
     Returns (value, error_estimate) as floats.  Raises ValueError if a limit
-    is not finite, and ConvergenceError if the total or error estimate is not
-    finite, or is still over 10x its target when its 4096 panels run out.
+    of a nonempty interval is not finite, and ConvergenceError if the total
+    or error estimate is not finite, or over 10x its target at 4096 panels.
     """
-    _check_limits(a, b)
-    if not b > a:
+    if b <= a:
         return 0.0, 0.0
-    total, err = _refine(lambda x, _: f(x), np.array([a], dtype=float),
-                         np.array([b], dtype=float), rel_tol, initial_panels)
-    return next(_checked(total, err, rel_tol, ""))
+    return next(adaptive_quad_rows(lambda x, _: f(x), [a], [b], rel_tol, initial_panels))
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
@@ -237,13 +228,12 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_limits(a, b)
-    if not np.all(b > a):
-        raise ValueError("every row needs b > a")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.all(b > a)):
+        raise ValueError(f"integration limits must be finite with b > a, got a={a}, b={b}")
     if a.size == 0:
         return iter(())
     total, err = _refine(f, a, b, rel_tol, initial_panels)
-    return _checked(total, err, rel_tol, " (row {})")
+    return _checked(total, err, rel_tol)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -180,37 +180,30 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expansion_noninteger(s: float, mu: np.ndarray) -> np.ndarray:
-    zt = _zeta_table(s)
-    # for s < 1 and subnormal mu, mu^(s-1) is past the float range: +inf, as at mu = 0
-    with np.errstate(over="ignore"):
-        out = math.gamma(1.0 - s) * mu ** (s - 1.0) + zt[0]
+def _expansion(s: float, mu: np.ndarray) -> np.ndarray:
+    """Li_s(e^-mu) for 0 < mu < 1/2: a head plus sum_k c_k (-mu)^k / k!.
+
+    c_k = zeta(s - k).  Non-integer s has the head Gamma(1-s) mu^(s-1); an
+    integer s >= 1 has none, and its c_{s-1} is H_{s-1} - ln mu instead.
+    """
+    coef = _zeta_table(s).tolist()
+    if s == math.floor(s):
+        head = np.zeros_like(mu)
+        if s <= len(coef):
+            coef[int(s) - 1] = sum(1.0 / j for j in range(1, int(s))) - np.log(mu)
+    else:
+        # for s < 1 and subnormal mu, mu^(s-1) is past the float range: +inf, as at mu = 0
+        with np.errstate(over="ignore"):
+            head = math.gamma(1.0 - s) * mu ** (s - 1.0)
+    out = head + coef[0]
     neg_mu = -mu
     term = np.ones_like(mu)
     scaled = np.empty_like(mu)
     for k in range(1, _EXPANSION_TERMS + 1):
         term *= neg_mu
         term /= k
-        np.multiply(term, zt[k], out=scaled)
+        np.multiply(term, coef[k], out=scaled)
         out += scaled
-    return out
-
-
-def _expansion_integer(s: int, mu: np.ndarray) -> np.ndarray:
-    zt = _zeta_table(float(s))
-    harmonic = sum(1.0 / j for j in range(1, s))
-    neg_mu = -mu
-    out = np.zeros_like(mu)
-    term = np.ones_like(mu)
-    scaled = np.empty_like(mu)
-    for k in range(_EXPANSION_TERMS + 1):
-        if k == s - 1:
-            np.multiply(term, harmonic - np.log(mu), out=scaled)
-        else:
-            np.multiply(term, zt[k], out=scaled)
-        out += scaled
-        term *= neg_mu
-        term /= k + 1
     return out
 
 
@@ -253,11 +246,7 @@ def polylog_exp_neg(s: float, mu):
         small &= ~at_one
         out[at_one] = _zeta_table(s)[0] if s > 1.0 else math.inf
     if small.any():
-        m = flat[small]
-        if s == math.floor(s) and s >= 1.0:
-            out[small] = _expansion_integer(int(s), m)
-        else:
-            out[small] = _expansion_noninteger(s, m)
+        out[small] = _expansion(s, flat[small])
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -266,21 +255,20 @@ def polylog(s: float, x):
 
     It is :func:`polylog_exp_neg` of ``mu = -ln x`` (``x = 0`` gives
     ``mu = +inf`` and so 0), with the same order ``s > -1``.  ``x`` is a
-    float or ndarray in ``[0, 1)``; ``x = 1`` is accepted only for ``s = 3``
-    (returning zeta(3)), as the half-integer orders diverge there.  Relative
-    accuracy is better than 1e-12 over the full domain.
+    float or ndarray in ``[0, 1]``; ``x = 1`` gives zeta(s) for ``s > 1``,
+    where the series converges (Li_{3/2}(1) = zeta(3/2) among them), and is
+    refused for ``s <= 1``, where it diverges.  Relative accuracy is better
+    than 1e-12 over the full domain.
 
     Raises
     ------
     ValueError
-        For ``x < 0``, ``x >= 1`` (except the ``s = 3, x = 1`` case) or
-        ``s <= -1``.
+        For ``x < 0``, ``x > 1``, ``x = 1`` with ``s <= 1``, or ``s <= -1``.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError("polylog argument must be nonnegative")
-    if np.any(arr > 1.0) or (np.any(arr == 1.0) and s != 3.0):
-        raise ValueError("polylog argument must lie in [0, 1) "
-                         "(x = 1 is allowed only for s = 3)")
+    if np.any(arr > 1.0) or (np.any(arr == 1.0) and not s > 1.0):
+        raise ValueError("polylog argument must lie in [0, 1], and below 1 for s <= 1")
     with np.errstate(divide="ignore"):
         return polylog_exp_neg(s, -np.log(arr))

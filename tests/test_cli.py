@@ -432,10 +432,12 @@ def test_edge_error_json(capsys):
     payload = json.loads(out)
     assert payload["command"] == "edge-error"
     assert "a_sweep_nm = 100:500:3" in payload["config"]
-    # the rows of the csv table: a_nm, quantity, error_percent
+    # the columns and rows of the csv table: a_nm, quantity, error_percent
     _, text, _ = run_cli(capsys, *argv)
     body = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert body[0] == "a_nm,quantity,error_percent"
+    assert payload["columns"] == body[0].split(",")
+    assert list(payload) == ["command", "config", "columns", "rows"]
     assert [f"{a:.6g},{q},{e:.11e}" for a, q, e in payload["rows"]] == body[1:]
     assert len(payload["rows"]) == 3 * 4  # force, gradient, two overhangs
 

@@ -11,14 +11,15 @@ with an interband Lorentz term and on a steep one.  The Drude tail's closed
 form is checked at 40 digits around its double pole xi = gamma.  One
 Matsubara term of the force, the v-integral that a lockstep row of the engine
 returns, is checked against ``mpmath.quad`` of the kernel with eps(i xi) and
-the Fresnel coefficients written out here at 20 digits.
+the Fresnel coefficients written out here at 20 digits; for the tabulated
+model eps(i xi) is that same mpmath integral of the table's interpolant.
 """
 import numpy as np
 import pytest
 
 from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
-                         QuadratureSpec, ThermalState, TiltParams, casimir_core,
-                         cylinder_force, tilted_force)
+                         QuadratureSpec, Tabulated, ThermalState, TiltParams,
+                         casimir_core, cylinder_force, tilted_force)
 from casimir_cyl.constants import HBAR_C_EV_NM
 from casimir_cyl.dielectric import Drude, OpticalTable, _drude_tail_integral, kk_transform
 from casimir_cyl.quadrature import adaptive_quad_rows
@@ -91,30 +92,43 @@ def test_kk_of_sampled_drude_matches_analytic():
     assert np.max(np.abs(got / want - 1.0)) <= 3e-8
 
 
+def _kk_of_interpolant(w, im):
+    """eps(i xi) of the table's log-log interpolant, plus the Drude tail below
+    it, as mpmath integrals at the working precision; xi in eV."""
+    ws = [mpmath.mpf(float(x)) for x in w]
+    gs = [mpmath.mpf(float(x)) for x in im]
+
+    def eps_of(xi):
+        wp2g, g = mpmath.mpf(OMEGA_P) ** 2 * mpmath.mpf(GAMMA), mpmath.mpf(GAMMA)
+        x2 = mpmath.mpf(xi) ** 2
+        total = mpmath.quad(lambda o: wp2g / ((o * o + g * g) * (o * o + x2)),
+                            [0, g, ws[0]])
+        for w0, w1, g0, g1 in zip(ws, ws[1:], gs, gs[1:]):
+            slope = mpmath.log(g1 / g0) / mpmath.log(w1 / w0)
+            total += mpmath.quad(
+                lambda o: o * g0 * (o / w0) ** slope / (o * o + x2), [w0, w1])
+        return 1 + 2 / mpmath.pi * total
+    return eps_of
+
+
 def _check_against_interpolant(w, im):
     """kk_transform against mpmath's integral of the same log-log interpolant."""
     got = kk_transform(OpticalTable(w, im), Drude(OMEGA_P, GAMMA), XI)
+    eps_of = _kk_of_interpolant(w, im)
     with mpmath.workdps(30):
-        ws = [mpmath.mpf(float(x)) for x in w]
-        gs = [mpmath.mpf(float(x)) for x in im]
-        wp2g, g = mpmath.mpf(OMEGA_P) ** 2 * mpmath.mpf(GAMMA), mpmath.mpf(GAMMA)
         for xi, eps in zip(XI, got):
-            x2 = mpmath.mpf(float(xi)) ** 2
-            total = mpmath.quad(lambda o: wp2g / ((o * o + g * g) * (o * o + x2)),
-                                [0, g, ws[0]])
-            for w0, w1, g0, g1 in zip(ws, ws[1:], gs, gs[1:]):
-                slope = mpmath.log(g1 / g0) / mpmath.log(w1 / w0)
-                total += mpmath.quad(
-                    lambda o: o * g0 * (o / w0) ** slope / (o * o + x2), [w0, w1])
-            want = 1 + 2 / mpmath.pi * total
+            want = eps_of(float(xi))
             assert float(abs(mpmath.mpf(float(eps)) / want - 1)) <= 1e-13, xi
 
 
+# 40 rows of Drude plus an interband Lorentz term (20 eV^2 at 3 eV, 1 eV wide)
+LORENTZ_W = np.geomspace(0.1, 100.0, 40)
+LORENTZ_IM = _drude_im_eps(LORENTZ_W) + 20.0 * 1.0 * LORENTZ_W / (
+    (3.0**2 - LORENTZ_W**2) ** 2 + 1.0**2 * LORENTZ_W**2)
+
+
 def test_kk_matches_mpmath_integral_of_the_interpolant():
-    w = np.geomspace(0.1, 100.0, 40)
-    strength, w_0, width = 20.0, 3.0, 1.0  # Lorentz term: eV^2, eV, eV
-    _check_against_interpolant(w, _drude_im_eps(w) + strength * width * w / (
-        (w_0**2 - w * w) ** 2 + width**2 * w * w))
+    _check_against_interpolant(LORENTZ_W, LORENTZ_IM)
 
 
 def test_kk_matches_mpmath_integral_of_a_steep_interpolant():
@@ -152,6 +166,9 @@ TERM_MODELS = {
     "drude": (Drude(OMEGA_P, GAMMA), lambda xi: 1 + OMEGA_P**2 / (xi * (xi + GAMMA))),
     "plasma": (PlasmaOscillators(omega_p=OMEGA_P), lambda xi: 1 + OMEGA_P**2 / xi**2),
     "dielectric": (Dielectric(eps0=11.7), lambda xi: mpmath.mpf(11.7)),
+    # the Lorentz table above; the Matsubara xi of l = 1 and 10 lie inside it
+    "tabulated": (Tabulated(OpticalTable(LORENTZ_W, LORENTZ_IM), Drude(OMEGA_P, GAMMA)),
+                  _kk_of_interpolant(LORENTZ_W, LORENTZ_IM)),
 }
 TERM_A_NM = 150.0
 
@@ -183,7 +200,8 @@ def _force_term(zeta: float, eps_of, a_theta: float):
 
 
 @pytest.mark.parametrize("name, a_theta", [("ideal", 0.0), ("drude", 0.0), ("plasma", 0.0),
-                                           ("dielectric", 0.0), ("drude", 0.5)])
+                                           ("dielectric", 0.0), ("drude", 0.5),
+                                           ("tabulated", 0.0)])
 def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
     # the engine's rows l = 1 and l = 10 of a 300 K force at 150 nm, captured
     # as the lockstep quadrature returns them

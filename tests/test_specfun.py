@@ -52,8 +52,26 @@ def test_zeta4_pi4_over_90():
 
 def test_li3_limit_to_zeta3():
     assert polylog(3.0, 1.0 - 1e-8) == pytest.approx(ZETA_3, abs=1e-6)
-    # x = 1 allowed only for s = 3
     assert polylog(3.0, 1.0) == ZETA_3
+
+
+@pytest.mark.parametrize("s", [1.5, 2.5, 3.0])
+def test_x_one_is_zeta_for_s_above_one(s):
+    # Li_s(1) = zeta(s) converges for s > 1, the half-integer orders included
+    got = polylog(s, 1.0)
+    assert got == polylog_exp_neg(s, 0.0)
+    assert got == pytest.approx(float(mpmath.zeta(s)), rel=1e-14)
+    batch = polylog(s, np.array([0.5, 1.0]))
+    assert batch[1] == got and batch[0] == polylog(s, 0.5)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 1.0])
+def test_x_one_raises_for_s_up_to_one(s):
+    # the series diverges at x = 1 for s <= 1
+    with pytest.raises(ValueError, match="below 1 for s <= 1"):
+        polylog(s, 1.0)
+    with pytest.raises(ValueError, match="below 1 for s <= 1"):
+        polylog(s, np.array([0.5, 1.0]))
 
 
 def test_monotone_in_x():
@@ -78,11 +96,11 @@ def test_li1_closed_form():
 
 def test_branch_overlap_agreement():
     # direct series and small-mu expansion must agree across the crossover
-    from casimir_cyl.specfun import _expansion_noninteger, _series
+    from casimir_cyl.specfun import _expansion, _series
     xs = np.linspace(math.exp(-0.6), math.exp(-0.4), 25)
     for s in (-0.5, 0.5, 1.5):
         series = _series(s, xs)
-        expansion = _expansion_noninteger(s, -np.log(xs))
+        expansion = _expansion(s, -np.log(xs))
         assert np.allclose(series, expansion, rtol=1e-10)
 
 
@@ -124,11 +142,11 @@ def test_exp_neg_matches_polylog():
 def test_polylog_is_exp_neg_of_minus_log(s):
     # Li_s(x) goes through polylog_exp_neg(s, -ln x), bit for bit, scalar and
     # batch: x = 0 (mu = +inf, so 0), both sides of the crossover e^-1/2, and
-    # for s = 3 the x = 1 end (mu = -0.0, so the zeta table's zeta(3))
+    # for s > 1 the x = 1 end (mu = -0.0, so the zeta table's zeta(s))
     cross = math.exp(-0.5)
     xs = np.array([0.0, 1e-300, 0.01, 0.3, np.nextafter(cross, 0.0), cross,
                    np.nextafter(cross, 1.0), 0.7, 0.99, 1.0 - 2.0**-40]
-                  + ([1.0] if s == 3.0 else []))
+                  + ([1.0] if s > 1.0 else []))
     with np.errstate(divide="ignore"):
         mu = -np.log(xs)
     assert np.array_equal(polylog(s, xs), polylog_exp_neg(s, mu))
@@ -233,18 +251,17 @@ def test_series_tail_sizes_match_masked_loop(s, tail):
 
 @pytest.mark.parametrize("s", [-0.5, 0.5, 1.5, 2.5, 1, 2, 3])
 def test_expansions_match_allocating_loops(s):
-    from casimir_cyl.specfun import (_EXPANSION_TERMS, _expansion_integer,
-                                     _expansion_noninteger, _zeta_table)
+    # one expansion for every order; integer s has the log-variant k = s - 1 term
+    from casimir_cyl.specfun import _EXPANSION_TERMS, _expansion, _zeta_table
     # dense: a term's last-bit change reaches the sum only now and then
     rng = np.random.default_rng(3)
     mu = np.concatenate([[1e-12, 0.4999999], np.geomspace(1e-9, 0.5, 400)[:-1],
                          rng.uniform(0.0, 0.5, 20000)])
     zt = _zeta_table(float(s))
+    got = _expansion(float(s), mu)
     if isinstance(s, int):
-        got = _expansion_integer(s, mu)
         want = expansion_integer_loop(s, mu, zt, _EXPANSION_TERMS)
     else:
-        got = _expansion_noninteger(s, mu)
         want = expansion_noninteger_loop(s, mu, zt, _EXPANSION_TERMS)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
