@@ -31,10 +31,15 @@ with the digits that rel_tol asks for.  Where its estimate misses rel_tol,
 the same rule runs again with every node count doubled, rung by rung, until
 one meets it or the next would pass a cap on the abscissae of one kernel call.
 
-The l = 0 term depends on the behavior, the kernel, the tilt and rel_tol but
-not on a, so it is computed once per (behavior, observable, tilt, rel_tol), in
-a bounded cache, and a separation sweep reuses it; only plasma's behavior,
-alpha = delta_0/(2a), changes with a.
+Two bounded caches serve a sweep.  The l = 0 term depends on the behavior,
+the kernel, the tilt and rel_tol but not on a, so it is computed once per
+(behavior, observable, tilt, rel_tol), in at most 256 entries, and a
+separation sweep reuses it; only plasma's behavior, alpha = delta_0/(2a),
+changes with a.  The nodes and weights of a T = 0 rule depend only on the
+span and the node counts, so each rule of up to 2**14 abscissae is built once
+and kept, in at most 12 entries (about 4.8 MB full); force, gradient, every
+separation and every X(0) of a thermal correction at one tilt and rel_tol
+share it.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -128,7 +133,11 @@ class ThermalState:
     @classmethod
     def at(cls, temperature: float, geometry: Geometry) -> "ThermalState":
         """Build the state for a geometry, deriving tau = 4 pi k_B T a/(hbar c)."""
-        return cls(temperature=temperature, tau=_tau(temperature, geometry.a))
+        tau = _tau(temperature, geometry.a)
+        if tau == 0.0 and temperature > 0.0:
+            raise ValueError(f"tau = 4 pi k_B T a/(hbar c) underflows to 0 at "
+                             f"T = {temperature} K and a = {geometry.a} m")
+        return cls(temperature=temperature, tau=tau)
 
 
 _ZERO_T = ThermalState(temperature=0.0, tau=0.0)
@@ -408,20 +417,45 @@ def _t0_rule_nodes(span: float, n_u: int, n_w: int):
     return zetas, (w * w).ravel(), np.repeat(np.arange(n_u), n_w), weight.ravel()
 
 
+# Rules of up to _T0_CACHED_ABSCISSAE abscissae are kept.  Larger ones, the
+# upper rungs of the ladder at a steep tilt or at rel_tol near 1e-12 (up to
+# _T0_MAX_ABSCISSAE), are built per call and not stored.  Full, the cache
+# holds at most about 4.8 MB (12 entries of 2**14 abscissae, measured with
+# tracemalloc); the default rel_tol at A = 0 takes one entry of about 75 kB
+_T0_RULE_CACHE_SIZE = 12
+_T0_CACHED_ABSCISSAE = 2**14
+
+
+@functools.lru_cache(maxsize=_T0_RULE_CACHE_SIZE)
+def _t0_rule(span: float, counts) -> tuple[np.ndarray, ...]:
+    """A T = 0 rule and its companion (see :func:`_t0_rule_nodes`) as flat,
+    read-only arrays: the zeta of every u node of both, then v and the row
+    index of every abscissa, the companion's rows offset by the rule's u
+    count, then the weights of the rule and of the companion."""
+    (z_f, v_f, row_f, wt_f), (z_c, v_c, row_c, wt_c) = (
+        _t0_rule_nodes(span, n_u, n_w) for n_u, n_w in counts)
+    arrays = (np.concatenate((z_f, z_c)), np.concatenate((v_f, v_c)),
+              np.concatenate((row_f, row_c + z_f.size)), wt_f, wt_c)
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 def _t0_product_rule(kernel_rows, span: float, counts) -> tuple[float, float]:
     """J by a tensor Gauss-Legendre rule, with a coarser companion as its check.
 
     ``counts`` holds (n_u, n_w) of the rule, then of its companion (see
     :func:`_t0_rule_nodes`).  The nodes of both go to one kernel call,
-    eps(i xi) once per u node.
+    eps(i xi) once per u node.  Rules of up to _T0_CACHED_ABSCISSAE
+    abscissae come from the bounded cache :func:`_t0_rule`.
 
     Returns (J, max(|J - J_coarse| / |J|, _T0_ROUNDOFF)).
     """
-    (z_f, v_f, row_f, wt_f), (z_c, v_c, row_c, wt_c) = (
-        _t0_rule_nodes(span, n_u, n_w) for n_u, n_w in counts)
-    vals = kernel_rows(np.concatenate((z_f, z_c)))(
-        np.concatenate((v_f, v_c)), np.concatenate((row_f, row_c + z_f.size)))
-    fine, coarse = float(wt_f @ vals[:v_f.size]), float(wt_c @ vals[v_f.size:])
+    cached = sum(n * m for n, m in counts) <= _T0_CACHED_ABSCISSAE
+    zetas, v, rows, wt_f, wt_c = (_t0_rule if cached else _t0_rule.__wrapped__)(
+        span, counts)
+    vals = kernel_rows(zetas)(v, rows)
+    fine, coarse = float(wt_f @ vals[:wt_f.size]), float(wt_c @ vals[wt_f.size:])
     rel = abs(fine - coarse) / abs(fine) if fine != 0.0 else math.inf
     return fine, max(rel, _T0_ROUNDOFF)
 

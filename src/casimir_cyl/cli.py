@@ -106,6 +106,22 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# options of which at most one may be set; a flag for one also drops a config
+# file's value for the other, so that flags win over the file
+_EXCLUSIVE_PAIRS = (("a", "a_sweep"), ("theta", "a_theta"))
+
+
+def _file_defaults(flags: argparse.Namespace) -> dict[str, str]:
+    """The config file's values, less those a flag's pair partner overrides;
+    ``flags`` are the options parsed without the file."""
+    values = read_config_file(flags.config)
+    for pair in _EXCLUSIVE_PAIRS:
+        for given, other in (pair, pair[::-1]):
+            if getattr(flags, given) is not None:
+                values.pop(other, None)
+    return values
+
+
 def build_config(args: argparse.Namespace) -> None:
     """Check what crosses options, then add the sweep grid and echo lines.
 
@@ -498,7 +514,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = make_parser().parse_args(argv)
         if args.config:
-            args = make_parser(read_config_file(args.config)).parse_args(argv)
+            args = make_parser(_file_defaults(args)).parse_args(argv)
         build_config(args)
         buffer = io.StringIO()
         _COMMANDS[args.command][0](args, buffer)

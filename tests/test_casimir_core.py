@@ -1047,9 +1047,10 @@ def test_finite_t_bits_pinned(name, which, a_nm, a_theta, value, l_used, trunc):
 # ------------------------------------------------- the l = 0 cache
 
 
-def _point_bits(name, which, a_nm, a_theta, rel_tol) -> tuple[str, int, str]:
+def _point_bits(name, which, a_nm, a_theta, rel_tol,
+                temperature=300.0) -> tuple[str, int, str]:
     geom = geometry_at(a_nm)
-    th = ThermalState.at(300.0, geom)
+    th = ThermalState.at(temperature, geom)
     quad = QuadratureSpec(rel_tol=rel_tol)
     if a_theta == 0.0:
         fn = cylinder_force if which == "force" else cylinder_force_gradient
@@ -1113,6 +1114,48 @@ def test_failed_zero_term_raises_on_every_call(monkeypatch):
         with pytest.raises(ConvergenceError, match="stalled"):
             cylinder_force(geom, ThermalState.at(300.0, geom), AU)
     assert casimir_core._zero_freq_term.cache_info().currsize == 0
+
+
+# ------------------------------------------------- the T = 0 rule cache
+
+
+def test_cached_t0_rule_changes_no_bits():
+    # each point cold, then all warm in reverse order; A = 0.95 at 1e-12
+    # climbs past rung 1 to rules too large to keep
+    grid = [(name, which, 300.0, a_theta, rel_tol)
+            for name in ("ideal", "drude", "plasma", "tabulated")
+            for which in ("force", "gradient") for a_theta in (0.0, 0.5, 0.95)
+            for rel_tol in (1e-9, 1e-12)]
+    cold = {}
+    for case in grid:
+        casimir_core._t0_rule.cache_clear()
+        cold[case] = _point_bits(*case, temperature=0.0)
+    for case in reversed(grid):
+        assert _point_bits(*case, temperature=0.0) == cold[case], case
+
+
+def test_cached_t0_rule_is_read_only_and_bounded():
+    cache = casimir_core._t0_rule
+    cache.cache_clear()
+    geom = geometry_at(500.0)
+    for a_theta in np.linspace(0.0, 0.9, 40):
+        tilted_force(geom, _ZERO_T, AU, TiltParams.from_a_theta(float(a_theta), geom))
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (40, casimir_core._T0_RULE_CACHE_SIZE)
+    span = _span(1e-9, 0.0)
+    for x in cache(span, ((39, 46), (33, 35))):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+    # a rule above the abscissa threshold is built per call, never stored
+    cache.cache_clear()
+    counts = ((128, 96), (107, 72))
+    assert sum(n * m for n, m in counts) > casimir_core._T0_CACHED_ABSCISSAE
+
+    def ones(zetas):
+        return lambda v, row: np.ones(v.shape)
+
+    casimir_core._t0_product_rule(ones, span, counts)
+    assert cache.cache_info().currsize == 0
 
 
 def test_engine_does_not_import_numpy_ma():

@@ -126,6 +126,16 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert over_file.startswith("# casimir-cyl force\n")
     assert "R_um = 60.0" in over_file
     assert "a_sweep_nm = 300:900:3" in over_file
+    # a flag for one option of an exclusive pair drops the file's value for
+    # the other: a over a_sweep, a_theta over theta
+    for text, flags in (("a_sweep = 100:300:3\n", ("--a", "500")),
+                        ("theta = 1e-4\n", ("--a", "500", "--a-theta", "0.2"))):
+        pair = tmp_path / "pair.cfg"
+        pair.write_text(text)
+        flags += ("--model", "ideal", "--rel-tol", "1e-6")
+        code, from_pair, _ = run_cli(capsys, "force", "--config", str(pair), *flags)
+        assert code == EXIT_OK
+        assert from_pair == run_cli(capsys, "force", *flags)[1]
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -295,9 +305,15 @@ def test_negative_oscillator_strength_exits_2(capsys):
     (("force", "--a", "500", "--model", "plasma", "--oscillators", "20:3:1; a:3:0.5"), None,
      "bad oscillator spec 'a:3:0.5'"),
     (("force", "--a", "500", "--model", "tabulated"), None, "requires optical_data"),
+    (("force",), "a = 100\na_sweep = 100:300:3\n", "either a or a-sweep"),
+    (("force", "--a", "500"), "theta = 1e-4\na_theta = 0.2\n", "either theta or a_theta"),
+    (("thermal-correction", "--a", "100", "--T", "1e-300"), None,
+     "underflows to 0 at T = 1e-300 K and a = 1.0000000000000001e-07 m"),
+    (("force", "--a", "1e-300"), None, "underflows to 0 at T = 300.0 K and a = 1e-309 m"),
 ], ids=["theta_and_a_theta", "config_format", "config_which", "config_no_equals",
         "log_sweep_negative", "oscillator_two_fields", "oscillator_non_numeric",
-        "tabulated_without_data"])
+        "tabulated_without_data", "config_a_and_a_sweep", "config_theta_and_a_theta",
+        "tau_underflow_low_T", "tau_underflow_small_a"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if config is not None:
