@@ -157,6 +157,18 @@ class ForceResult:
     ladder that meets ``rel_tol``.  Rung 1 is sized from the digits of
     ``rel_tol``, so the T = 0 estimate and error follow it: at the default
     the estimates run up to 1.6e-10 and the errors up to 3.4e-12.
+
+    Two under-reports are known:
+
+    * finite T, where the terms decay slowly and the tail is far longer than
+      the last few terms.  At the default ``rel_tol``, against the same call
+      at 1e-12, the ideal metal at 100 nm tilted to A = 0.9 reports 2.9e-9
+      for a true error of 5.9e-8, and Drude at 100 nm and 3 K reports 3.0e-9
+      for 5.3e-7;
+    * T = 0, where the companion difference sits below the true error in 17
+      of 3 744 grid cases (six models, 100-2000 nm, A up to 0.9, force and
+      gradient, rel_tol 1e-4 to 1e-12), by up to 48x; each of those errors
+      is at most 8.6e-3 ``rel_tol``.
     """
 
     value: float
@@ -224,12 +236,25 @@ def _li_kernel(v, exps, p: float, s: float, a_theta: float):
     sinh(A n v)/(A n v) of each n-th summand folds into ``(v**(p-1) / 2A) sum
     [Li_{s+1}(e^{-v(1-A)-m0}) - Li_{s+1}(e^{-v(1+A)-m0})]``.  One polylog call
     covers all channels and both tilt arguments, with the bits of separate calls.
+    Two channels with equal bits (the ideal metal, r^2 = 1 in both) go to it
+    as one, and its value is doubled: x + x == 2x exactly, so the result has
+    the bits of the two-channel sum from half the polylog elements.
     """
     A = a_theta
+    bits = exps.view(np.int64)  # equal bits, not just equal values (+0 vs -0)
+    twin = len(bits) == 2 and bool((bits[0] == bits[1]).all())
     if A == 0.0:
+        if twin:
+            return v**p * (2.0 * polylog_exp_neg(s, exps[0]))
         return v**p * polylog_exp_neg(s, exps).sum(axis=0)
-    li = polylog_exp_neg(s + 1.0, np.stack((v * (1.0 - A) + exps, v * (1.0 + A) + exps)))
-    return v**(p - 1.0) / (2.0 * A) * (li[0] - li[1]).sum(axis=0)
+    m0 = exps[0] if twin else exps
+    args = np.empty((2,) + m0.shape)
+    np.multiply(v, 1.0 - A, out=args[0])
+    np.multiply(v, 1.0 + A, out=args[1])
+    args += m0
+    li = polylog_exp_neg(s + 1.0, args)
+    diff = li[0] - li[1]
+    return v**(p - 1.0) / (2.0 * A) * (2.0 * diff if twin else diff.sum(axis=0))
 
 
 def _li_finite(v, zeta, eps, p: float, s: float, a_theta: float):

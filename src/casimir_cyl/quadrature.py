@@ -12,7 +12,14 @@ One driver, :func:`_refine`, advances the panels of all integrals, held in
 flat arrays, a whole level at a time.  A BLAS product or a pairwise sum over
 the panels of several integrals concatenated is not bit-stable, so integrals
 with equal panel counts are stacked and reduced together, one group per
-distinct count.
+distinct count.  A level costs one integrand call and about 60 numpy calls
+whatever its size: 7 to place the abscissae, 8 for the K15 and G7 products
+(written in place into the new panels' rows) and the panel values and errors,
+5 to merge the new panels into the table, 4 for the totals, 17 to decide
+which panels to bisect and about 20 to bisect them.  Each further distinct
+pending or total count adds 3, and unequal counts a handful more to sort by
+count.  At the deep levels of a finite-T sum, with a few open integrals and
+tens of panels, these calls and not the arithmetic set the cost of a level.
 
 :func:`gauss_legendre` is the engine's one source of fixed rules (the T = 0
 product rule's and the optical-table nodes'), built on first use per order.
@@ -73,7 +80,6 @@ _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870])
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 _MAX_REFINEMENTS = 64
 _MAX_PANELS = 4096  # per integral
@@ -94,6 +100,48 @@ def _stacks(count: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]
             list(zip(sizes.tolist(), tally[sizes].tolist())))
 
 
+def _kg_sums(vals: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
+    """K15 and G7 sums of each panel into ``out`` rows 0 and 1, panel order kept.
+
+    ``vals`` holds the 15 Kronrod values of each panel, ``count`` the panels of
+    each integral, integral-major.  One stacked product per distinct count, so
+    each integral's sums are those of a lone (panels, 15) product.
+    """
+    order, groups = _stacks(count)
+    if order is not None:
+        vals = vals.take(order, axis=0)
+    kg = out if order is None else np.empty_like(out)
+    start = 0
+    for n, k in groups:
+        stop = start + n * k
+        blk = vals[start:stop].reshape(k, n, _XK.size)
+        # a lone product reads the Gauss columns as a column-major copy
+        gauss = blk[:, :, 1::2].transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        np.matmul(blk, _WK, out=kg[0, start:stop].reshape(k, n))
+        np.matmul(gauss, _WG, out=kg[1, start:stop].reshape(k, n))
+        start = stop
+    if order is not None:
+        out[:, order] = kg
+
+
+def _panel_sums(est: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each integral's sums of the two rows of ``est`` over its panels, shape
+    ``(2, len(count))``: one stacked pairwise sum per distinct panel count, so
+    each is the sum of a lone integral's panels."""
+    order, groups = _stacks(count)
+    if order is None:
+        n, k = groups[0]
+        return np.add.reduce(est.reshape(2, k, n), axis=2)
+    est = est.take(order, axis=1)
+    parts, start = [], 0
+    for n, k in groups:
+        parts.append(np.add.reduce(est[:, start:start + n * k].reshape(2, k, n), axis=2))
+        start += n * k
+    sums = np.empty((2, count.size))
+    sums[:, np.argsort(count, kind="stable")] = np.concatenate(parts, axis=1)
+    return sums
+
+
 def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int) -> np.ndarray:
     """Adaptive (G7, K15) refinement of integrals, integral s over ``[a[s], b[s]]``.
 
@@ -108,32 +156,23 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int
     Returns the totals stacked on the error estimates, shape ``(2, len(a))``.
     """
     edges = np.linspace(a, b, initial_panels + 1, axis=1)
-    pend = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel()])  # lo, hi
+    new = np.empty((4, a.size * initial_panels))  # pending panels: lo, hi, value, error
+    new[0] = edges[:, :-1].ravel()
+    new[1] = edges[:, 1:].ravel()
     pend_owner = np.repeat(np.arange(a.size), initial_panels)
+    # per live integral: its pending panels, and its panels in the table
+    pend_count = count = np.full(a.size, initial_panels)
     live = np.arange(a.size)  # integrals still refining, ascending
     sums = np.empty((2, a.size))
     for level in range(_MAX_REFINEMENTS + 1):
-        half = 0.5 * (pend[1] - pend[0])
-        center = 0.5 * (pend[0] + pend[1])
+        half = 0.5 * (new[1] - new[0])
+        center = 0.5 * (new[0] + new[1])
         out = f((center[:, None] + half[:, None] * _XK).ravel(),
                 np.repeat(pend_owner, _XK.size))
-        # K15 and G7 sums, one stacked product per distinct pending count
-        order, groups = _stacks(np.bincount(pend_owner)[live])
-        vals = np.reshape(out, (half.size, _XK.size))
-        if order is not None:
-            vals = vals.take(order, axis=0)
-        prods, start = [], 0
-        for n, k in groups:
-            blk = vals[start:start + n * k].reshape(k, n, _XK.size)
-            # a lone product reads the Gauss columns as a column-major copy
-            gauss = blk.swapaxes(1, 2).take(_GAUSS_IDX, axis=1).swapaxes(1, 2)
-            prods.append(np.stack([blk @ _WK, gauss @ _WG]).reshape(2, k * n))
-            start += n * k
-        kg = np.concatenate(prods, axis=1)
-        if order is not None:
-            kg[:, order] = kg.copy()
-        kg *= half
-        new = np.concatenate([pend, kg[:1], np.abs(kg[:1] - kg[1:])])
+        _kg_sums(np.reshape(out, (half.size, _XK.size)), pend_count, new[2:])
+        new[2:] *= half
+        np.subtract(new[2], new[3], out=new[3])
+        np.abs(new[3], out=new[3])
         if level == 0:
             table, owner = new, pend_owner
         else:
@@ -141,37 +180,33 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int
             order = np.argsort(owner, kind="stable")
             table = np.concatenate([table, new], axis=1).take(order, axis=1)
             owner = owner[order]
-        # totals, one stacked pairwise sum per distinct panel count
-        count = np.bincount(owner)[live]
-        order, groups = _stacks(count)
-        est = table[2:] if order is None else table[2:].take(order, axis=1)
-        parts, start = [], 0
-        for n, k in groups:
-            parts.append(est[:, start:start + n * k].reshape(2, k, n).sum(axis=2))
-            start += n * k
-        ids = live if order is None else live[np.argsort(count, kind="stable")]
-        sums[:, ids] = np.concatenate(parts, axis=1)
+        total, err = live_sums = _panel_sums(table[2:], count)
+        sums[:, live] = live_sums
         if level == _MAX_REFINEMENTS:
             break
-        tol = rel_tol * np.abs(sums[0, live])
-        open_ = ~(sums[1, live] <= tol) & (count < _MAX_PANELS)  # NaN stays open
+        tol = rel_tol * np.abs(total)
+        open_ = ~(err <= tol) & (count < _MAX_PANELS)  # NaN stays open
         slot = np.repeat(np.arange(live.size), count)
-        err = table[3]
         # bisect every panel on which an open integral exceeds half its share of the budget
-        bad = err > np.where(open_, 0.5 * tol / count, np.inf)[slot]
+        bad = table[3] > np.where(open_, 0.5 * tol / count, np.inf)[slot]
+        n_bad = np.bincount(slot, bad, live.size).astype(np.int64)
         # an integral with nothing to bisect (converged, out of panels, or a
         # NaN estimate) is done and leaves the table
-        go = np.bincount(slot, bad, live.size) > 0
+        go = n_bad > 0
         if not go.any():
             break
         lo, hi = table[:2, bad]
         mid = 0.5 * (lo + hi)
-        pend_owner = np.concatenate([owner[bad], owner[bad]])
+        pend_owner = owner[bad]
+        pend_owner = np.concatenate([pend_owner, pend_owner])
         order = np.argsort(pend_owner, kind="stable")
-        pend = np.array([[lo, mid], [mid, hi]]).reshape(2, -1).take(order, axis=1)
+        new = np.empty((4, order.size))
+        np.array([[lo, mid], [mid, hi]]).reshape(2, -1).take(order, axis=1, out=new[:2])
         pend_owner = pend_owner[order]
         keep = ~bad & go[slot]
         table, owner, live = table[:, keep], owner[keep], live[go]
+        n_bad = n_bad[go]
+        pend_count, count = 2 * n_bad, count[go] + n_bad
     return sums
 
 

@@ -39,13 +39,15 @@ def log_r2_pair(v, zeta, eps):
     v = np.asarray(v, dtype=float)
     eps = np.asarray(eps, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    shape = np.broadcast_shapes(v.shape, eps.shape, zeta.shape)
     if np.all(np.isinf(eps)):
-        return np.zeros((2,) + shape)
+        return np.zeros((2,) + np.broadcast_shapes(v.shape, eps.shape, zeta.shape))
     s = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
+    out = np.empty((2,) + s.shape)
     with np.errstate(divide="ignore"):
-        return np.stack((2.0 * np.log1p(-2.0 * s / (eps * v + s)),
-                         2.0 * np.log1p(-2.0 * v / (v + s))))
+        np.log1p(-2.0 * s / (eps * v + s), out=out[0])
+        np.log1p(-2.0 * v / (v + s), out=out[1])
+    out *= 2.0
+    return out
 
 
 def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> np.ndarray:

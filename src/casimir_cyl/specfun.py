@@ -29,10 +29,22 @@ engine's) are sorted by count: each further term updates the suffix that still
 takes it while the tail is wide, and the last narrow stretch runs as one
 (terms x elements) block of sequential ``accumulate`` products and sums, read
 at each element's own count.
+
+:func:`polylog_exp_neg` picks the regime per element with one minimum over
+the batch.  A batch with no ``mu`` below the crossover (most of the engine's)
+goes to the series whole, with no mask; otherwise the series runs on the
+whole batch with ``x = 0``, one term, in place of each small ``mu``, and the
+expansion's values replace those.  The expansion's 30 terms are four numpy
+calls each over its elements, a fixed cost of some 120 calls that a finite-T
+refinement level pays for a dozen elements; a batch of at most 16 small
+``mu`` runs the same IEEE operations in the same order per element in Python
+floats instead.  Transcendentals stay in numpy on both sides, so the switch,
+chosen by size alone, changes no bit.
 """
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -43,6 +55,13 @@ ZETA_3 = 1.2020569031595943  # Apery's constant zeta(3)
 # crossover between the direct series and the small-mu expansion
 _MU_CROSS = 0.5
 _EXPANSION_TERMS = 30
+_TERM_INDICES = tuple(float(k) for k in range(1, _EXPANSION_TERMS + 1))
+# Batches of up to this many small-mu elements run the expansion per element
+# in Python floats.  On a 2-CPU Xeon host that loop costs about 4 us per
+# element and the numpy one about 140 us whatever the size, so they cross
+# near 30 elements; the finite-T kernel calls that reach the expansion hold a
+# median of 11
+_FLOAT_EXPANSION = 16
 # Tail width at which the direct series switches from one suffix update per
 # term to a single (terms, elements) block.  The block costs a fixed number of
 # numpy calls but computes every row for every element, past each one's own
@@ -100,6 +119,21 @@ def _zeta_table(s: float) -> np.ndarray:
     return tab
 
 
+_power_tables: dict[float, np.ndarray] = {}
+
+
+def _powers(s: float, top: int) -> np.ndarray:
+    """``float(n)**s`` at index n >= 1, for n up to at least ``top``; the table
+    of each s is kept, and rebuilt twice as long as the count that passes its
+    end."""
+    tab = _power_tables.get(s)
+    if tab is None or tab.size <= top:
+        size = max(128, 2 * top)
+        tab = np.array([math.nan] + [float(n)**s for n in range(1, size)])
+        _power_tables[s] = tab
+    return tab
+
+
 def _series_terms(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Term counts putting the series tail below 1e-16 of the x^1 term.
 
@@ -115,8 +149,7 @@ def _series_terms(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     near = np.flatnonzero(x > math.exp(-first / 2.9))
     decay = -np.log(x[near])
     n = first / decay
-    refine = n > 3.0
-    n[refine] = (36.9 + abs(s) * np.log(n[refine])) / decay[refine]
+    n = np.where(n > 3.0, (36.9 + abs(s) * np.log(n)) / decay, n)
     counts = n.astype(np.int64) + 1
     more = counts > 3
     return near[more], counts[more]
@@ -127,9 +160,9 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
 
     Every element adds its terms in order, ``out = (x/1 + x^2/2^s) + x^3/3^s
     + ...`` with ``x^n = x^(n-1) * x`` and ``n^s`` the Python float
-    ``float(n)**s``, up to its own count from ``_series_terms``.  The order of
-    operations is all that fixes the bits, so it is kept while the number of
-    numpy calls falls:
+    ``float(n)**s`` (tabled per s by ``_powers``), up to its own count from
+    ``_series_terms``.  The order of operations is all that fixes the bits,
+    so it is kept while the number of numpy calls falls:
 
     * head: terms 1-3, the floor of every count, for the whole batch in input
       order (term 1 of an ``x = 0`` element is its whole sum, and terms 2-3
@@ -160,10 +193,12 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
     # firsts[n - 4]: the first tail element, in sorted order, that takes term n
     firsts = np.searchsorted(counts, np.arange(4, top + 1)).tolist()
     n = 4
+    powers = _powers(s, top)
     while n <= top and xs.size - firsts[n - 4] > _TAIL_BLOCK:
         f = firsts[n - 4]
-        xn[f:] *= xs[f:]
-        acc[f:] += xn[f:] / float(n)**s
+        xn_f = xn[f:]
+        xn_f *= xs[f:]
+        acc[f:] += xn_f / powers[n]
         n += 1
     if n <= top:
         f = firsts[n - 4]
@@ -172,7 +207,7 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
         block[0] = xn[f:]
         block[1:] = xs[f:]
         np.multiply.accumulate(block, axis=0, out=block)  # row i: x^(n-1+i)
-        block[1:] /= np.array([float(j)**s for j in range(n, top + 1)])[:, None]
+        block[1:] /= powers[n:top + 1, None]
         block[0] = acc[f:]
         np.add.accumulate(block, axis=0, out=block)  # row i: sum to term n-1+i
         acc[f:] = block[counts[f:] - (n - 1), np.arange(width)]
@@ -184,7 +219,10 @@ def _expansion(s: float, mu: np.ndarray) -> np.ndarray:
     """Li_s(e^-mu) for 0 < mu < 1/2: a head plus sum_k c_k (-mu)^k / k!.
 
     c_k = zeta(s - k).  Non-integer s has the head Gamma(1-s) mu^(s-1); an
-    integer s >= 1 has none, and its c_{s-1} is H_{s-1} - ln mu instead.
+    integer s >= 1 has none, and its c_{s-1} is H_{s-1} - ln mu instead.  The
+    head and the log run in numpy; the terms run in numpy over the batch, or
+    per element in Python floats for at most ``_FLOAT_EXPANSION`` elements,
+    with the same operations in the same order and so the same bits.
     """
     coef = _zeta_table(s).tolist()
     if s == math.floor(s):
@@ -197,6 +235,19 @@ def _expansion(s: float, mu: np.ndarray) -> np.ndarray:
             head = math.gamma(1.0 - s) * mu ** (s - 1.0)
     out = head + coef[0]
     neg_mu = -mu
+    if mu.size <= _FLOAT_EXPANSION:
+        # the same IEEE operations per element in Python floats, in place of
+        # four numpy calls per term; the log-variant c_{s-1} is per element
+        per_element = zip(*(c.tolist() if isinstance(c, np.ndarray) else repeat(c)
+                            for c in coef[1:]))
+        vals = []
+        for acc, m, cs in zip(out.tolist(), neg_mu.tolist(), per_element):
+            t = 1.0
+            for k, c in zip(_TERM_INDICES, cs):
+                t = t * m / k
+                acc += t * c
+            vals.append(acc)
+        return np.array(vals)
     term = np.ones_like(mu)
     scaled = np.empty_like(mu)
     for k in range(1, _EXPANSION_TERMS + 1):
@@ -227,7 +278,9 @@ def polylog_exp_neg(s: float, mu):
     if not (math.isfinite(s) and s > -1.0):
         raise ValueError(f"polylog order must be finite and exceed -1, got {s}")
     arr = np.asarray(mu, dtype=float)
-    if not np.all(arr >= 0.0):
+    flat = arr.reshape(-1)
+    low = np.minimum.reduce(flat, initial=math.inf)  # NaN if any mu is NaN
+    if not low >= 0.0:
         raise ValueError("mu must be nonnegative")
     scalar = arr.ndim == 0
     if s == 0.0:  # closed form Li_0(e^-mu) = 1/(e^mu - 1)
@@ -235,18 +288,18 @@ def polylog_exp_neg(s: float, mu):
         with np.errstate(over="ignore", divide="ignore"):
             out = 1.0 / np.expm1(arr)
         return float(out) if scalar else out
-    flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    small = flat < _MU_CROSS
-    if not small.all():
-        large = ~small
-        out[large] = _series(s, np.exp(-flat[large]))
-    at_one = flat == 0.0  # x = 1, where the expansion would meet 0 * ln 0
-    if at_one.any():
-        small &= ~at_one
-        out[at_one] = _zeta_table(s)[0] if s > 1.0 else math.inf
-    if small.any():
-        out[small] = _expansion(s, flat[small])
+    if low >= _MU_CROSS:  # the direct series alone, with no gather or scatter
+        out = _series(s, np.exp(-flat))
+    else:
+        small = flat < _MU_CROSS
+        # x = 0 for the mu of the expansion: one series term each, replaced below
+        out = _series(s, np.exp(-np.where(small, np.inf, flat)))
+        at_one = flat == 0.0  # x = 1, where the expansion would meet 0 * ln 0
+        if at_one.any():
+            small &= ~at_one
+            out[at_one] = _zeta_table(s)[0] if s > 1.0 else math.inf
+        if small.any():
+            out[small] = _expansion(s, flat[small])
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

@@ -845,6 +845,35 @@ def test_kernel_is_one_polylog_call_with_per_channel_bits(monkeypatch, channels,
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("a_theta", [0.0, 0.1, 0.5])
+def test_equal_channels_take_one_polylog_row_with_summed_bits(monkeypatch, a_theta):
+    # the ideal metal, r^2 = 1 in both channels: Li_s of one channel, doubled,
+    # must carry the bits of the two channels summed
+    v = np.geomspace(1e-3, 40.0, 9)
+    zeta = np.array([[0.1], [0.5], [1.0]]) * v
+    ln_r2 = log_r2_pair(v, zeta, np.inf)
+    exps = v - ln_r2 if a_theta == 0.0 else -ln_r2
+    sizes = []
+
+    def counted(s, mu):
+        sizes.append(np.size(mu))
+        return polylog_exp_neg(s, mu)
+
+    monkeypatch.setattr(casimir_core, "polylog_exp_neg", counted)
+    got = _li_kernel(v, exps, 1.5, 0.5, a_theta)
+    assert sizes == [exps[0].size * (1 if a_theta == 0.0 else 2)]
+    A = a_theta
+    if A == 0.0:
+        terms = [polylog_exp_neg(0.5, mu) for mu in exps]
+        want = v**1.5 * (terms[0] + terms[1])
+    else:
+        terms = [polylog_exp_neg(1.5, v * (1.0 - A) + m0)
+                 - polylog_exp_neg(1.5, v * (1.0 + A) + m0) for m0 in exps]
+        want = v**0.5 / (2.0 * A) * (terms[0] + terms[1])
+    assert got.shape == zeta.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------- blocked Matsubara sum
 
 
@@ -1026,6 +1055,16 @@ _PINNED = (
      "-0x1.3fd24befb2111p-28", 162, "0x1.5c5fac4440d1cp-29"),
     ("dielectric", "gradient", 100.0, 0.5,
      "0x1.873b18b44eca7p-3", 265, "0x1.7b44ddd61384dp-29"),
+    # recorded before the equal-channel kernel and the small-batch expansion:
+    # ideal-metal channels equal, flat and tilted, and a slight plasma tilt
+    ("ideal", "force", 300.0, 0.1,
+     "-0x1.139e61f2a7ec3p-33", 52, "0x1.da778719bc339p-30"),
+    ("ideal", "gradient", 150.0, 0.5,
+     "0x1.a1829f298c6ccp-4", 181, "0x1.6a43a7298bfcbp-29"),
+    ("ideal", "force", 2000.0, 0.0,
+     "-0x1.80f007a1b506dp-43", 10, "0x1.fe69df3f1e860p-32"),
+    ("plasma", "force", 700.0, 0.01,
+     "-0x1.82888f7db8363p-38", 23, "0x1.0075678aa72c3p-31"),
 )
 
 
@@ -1042,6 +1081,21 @@ def test_finite_t_bits_pinned(name, which, a_nm, a_theta, value, l_used, trunc):
         res = fn(geom, th, model, TiltParams.from_a_theta(a_theta, geom))
     assert (res.value.hex(), res.l_used, res.truncation_estimate.hex()) == (
         value, l_used, trunc)
+
+
+# T = 0 force at 100 nm, ideal metal and Drude: their kernel batches put
+# hundreds of mu below the expansion crossover in one polylog call, the numpy
+# side of the expansion's size switch.  (value, truncation_estimate) as float.hex
+_PINNED_T0 = (
+    ("ideal", "-0x1.8843f73c3aff3p-28", "0x1.993c9b3b17a4ep-46"),
+    ("drude", "-0x1.73e99ec7c4a9ep-29", "0x1.917c139f81c22p-37"),
+)
+
+
+@pytest.mark.parametrize("name,value,trunc", _PINNED_T0)
+def test_t0_bits_pinned(name, value, trunc):
+    res = zero_temperature_force(geometry_at(100.0), MODELS[name])
+    assert (res.value.hex(), res.l_used, res.truncation_estimate.hex()) == (value, 0, trunc)
 
 
 # ------------------------------------------------- the l = 0 cache

@@ -258,12 +258,16 @@ def test_expansions_match_allocating_loops(s):
     mu = np.concatenate([[1e-12, 0.4999999], np.geomspace(1e-9, 0.5, 400)[:-1],
                          rng.uniform(0.0, 0.5, 20000)])
     zt = _zeta_table(float(s))
-    got = _expansion(float(s), mu)
-    if isinstance(s, int):
-        want = expansion_integer_loop(s, mu, zt, _EXPANSION_TERMS)
-    else:
-        want = expansion_noninteger_loop(s, mu, zt, _EXPANSION_TERMS)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    loop = expansion_integer_loop if isinstance(s, int) else expansion_noninteger_loop
+    want = loop(s, mu, zt, _EXPANSION_TERMS)
+    # the whole batch, then every element again in batches of 16 and 17, on
+    # both sides of any switch on batch size, and every 8th alone
+    for size in (mu.size, 16, 17):
+        got = np.concatenate([_expansion(float(s), mu[i:i + size])
+                              for i in range(0, mu.size, size)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), size
+    lone = np.concatenate([_expansion(float(s), mu[i:i + 1]) for i in range(0, mu.size, 8)])
+    assert np.array_equal(lone.view(np.int64), want[::8].view(np.int64))
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 4.0])
@@ -332,6 +336,16 @@ def test_exp_neg_batch_bits_match_scalar_calls(s):
         single = [polylog_exp_neg(s, float(m)).hex() for m in mu.ravel()]
     assert batch.shape == mu.shape
     assert [v.hex() for v in batch.ravel()] == single
+    # a batch with every mu past the crossover, and batches mixing 1, 16, 17
+    # and 300 mu below it among large ones, on both sides of any switch on
+    # the number of small elements
+    rng = np.random.default_rng(5)
+    large = rng.uniform(0.5, 60.0, 200)
+    batches = [large] + [rng.permutation(np.concatenate([rng.uniform(0.0, 0.5, n), large]))
+                         for n in (1, 16, 17, 300)]
+    for mu in batches:
+        single = [polylog_exp_neg(s, m).hex() for m in mu.tolist()]
+        assert [v.hex() for v in polylog_exp_neg(s, mu)] == single
 
 
 @pytest.mark.parametrize("call", [
