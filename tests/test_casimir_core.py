@@ -1098,6 +1098,38 @@ def test_t0_bits_pinned(name, value, trunc):
     assert (res.value.hex(), res.l_used, res.truncation_estimate.hex()) == (value, 0, trunc)
 
 
+# The l = 0 v-integral at 150 nm and rel_tol 1e-9, recorded while each
+# zero-frequency behavior had a class of its own: the channel record must
+# give every kernel the exponents, and so the integral the bits, it gave then.
+_PINNED_ZERO = (
+    ("ideal", "force", 0.0, "0x1.9912c7590b3c6p+1"),
+    ("ideal", "force", 0.5, "0x1.37744bb89badfp+2"),
+    ("ideal", "gradient", 0.0, "0x1.ff57792f4e0b8p+2"),
+    ("ideal", "gradient", 0.5, "0x1.0eb3dd8173f8ap+4"),
+    ("drude", "force", 0.0, "0x1.9912c7590b3c6p+0"),
+    ("drude", "force", 0.5, "0x1.37744bb89badfp+1"),
+    ("drude", "gradient", 0.0, "0x1.ff57792f4e0b8p+1"),
+    ("drude", "gradient", 0.5, "0x1.0eb3dd8173f8ap+3"),
+    ("plasma", "force", 0.0, "0x1.38b15afe7d492p+1"),
+    ("plasma", "force", 0.5, "0x1.c1078e214cb3dp+1"),
+    ("plasma", "gradient", 0.0, "0x1.68c59b760fd14p+2"),
+    ("plasma", "gradient", 0.5, "0x1.5fd53cd3da26ap+3"),
+    ("dielectric", "force", 0.0, "0x1.0dbabdc704fc1p+0"),
+    ("dielectric", "force", 0.5, "0x1.9ab9af43417b6p+0"),
+    ("dielectric", "gradient", 0.0, "0x1.51296d38c63b3p+1"),
+    ("dielectric", "gradient", 0.5, "0x1.64fc159b14b2ep+2"),
+)
+
+
+@pytest.mark.parametrize("name,which,a_theta,value", _PINNED_ZERO)
+def test_zero_term_bits_pinned(name, which, a_theta, value):
+    obs = _FORCE if which == "force" else _GRADIENT
+    behavior = zero_frequency_character(MODELS[name], 150e-9)
+    got = casimir_core._zero_freq_term.__wrapped__(behavior, obs.v_power, obs.li_order,
+                                                   a_theta, 1e-9)
+    assert got.hex() == value
+
+
 # ------------------------------------------------- the l = 0 cache
 
 
