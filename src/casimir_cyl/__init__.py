@@ -13,10 +13,9 @@ from .casimir_core import (ForceResult, Geometry, PFAValidityWarning,
                            zero_temperature_gradient)
 from .dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
                          OpticalTableError, Oscillator, PlasmaOscillators,
-                         Tabulated, ZeroFreqDielectric, ZeroFreqDrudeLike,
-                         ZeroFreqIdeal, ZeroFreqPlasmaLike,
-                         eps_imag_axis, gold_drude, kk_transform,
-                         load_optical_table, zero_frequency_character)
+                         Tabulated, ZeroFreqBehavior, eps_imag_axis,
+                         gold_drude, kk_transform, load_optical_table,
+                         zero_frequency_character)
 from .edge import (EDGE_FORCE_COEFF, EDGE_GRADIENT_COEFF, PFA_FORCE_COEFF,
                    PFA_GRADIENT_COEFF, WORLD_LINE_EDGE_COEFF, EdgeParams,
                    EdgeValidityWarning, edge_corrected_force,

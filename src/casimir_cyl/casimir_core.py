@@ -61,13 +61,13 @@ import numpy as np
 
 from .constants import (BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M, HBAR_J_S,
                         SPEED_OF_LIGHT_M_S, SQRT_PI)
-from .dielectric import (PermittivityModel, ZeroFreqBehavior,
-                         ZeroFreqDielectric, ZeroFreqDrudeLike, ZeroFreqIdeal,
-                         ZeroFreqPlasmaLike, eps_imag_axis, zero_frequency_character)
+from .dielectric import (PermittivityModel, ZeroFreqBehavior, eps_imag_axis,
+                         zero_frequency_character)
 from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
                          adaptive_quad_rows, gauss_legendre)
 from .reflection import log_r2_pair, zero_frequency_mu_terms
-from .specfun import ZETA_3, polylog, polylog_exp_neg
+# polylog is unused here: bench/tracer.py wraps it as an attribute of this module
+from .specfun import polylog, polylog_exp_neg  # noqa: F401
 
 __all__ = [
     "Geometry", "ThermalState", "ForceResult", "PFAValidityWarning",
@@ -204,22 +204,21 @@ class _Observable:
 
     The prefactor is ``sign k_B T L / (4 sqrt(pi) a**a_power)`` at finite T
     and ``sign hbar c L / (16 pi**1.5 a**(a_power + 1))`` at T = 0, both times
-    sqrt(R/2a).  The high-temperature asymptote of an ideal metal is
-    ``sign (num zeta(3) k_B T L / (den a**a_power)) sqrt(R/2a)`` with
-    ``high_t = (num, den)``; the plasma model multiplies it by
-    ``1 - c1 x + c2 x**2`` in the skin-depth ratio x, ``skin_depth = (c1, c2)``.
+    sqrt(R/2a).  The high-temperature asymptote is the l = 0 term alone, in
+    closed form but for plasma's TE channel: that one counts at r^2 = 1, and
+    the sum is multiplied by ``1 - c1 x + c2 x**2`` in the skin-depth ratio
+    x = delta_0/a, ``skin_depth = (c1, c2)``.
     """
 
     v_power: float
     li_order: float
     sign: float
     a_power: int
-    high_t: tuple[float, float]
     skin_depth: tuple[float, float]
 
 
-_FORCE = _Observable(1.5, 0.5, -1.0, 2, (3.0, 16.0), (2.5, 8.75))
-_GRADIENT = _Observable(2.5, -0.5, 1.0, 3, (15.0, 32.0), (3.5, 15.75))
+_FORCE = _Observable(1.5, 0.5, -1.0, 2, (2.5, 8.75))
+_GRADIENT = _Observable(2.5, -0.5, 1.0, 3, (3.5, 15.75))
 _OBSERVABLES = {"force": _FORCE, "gradient": _GRADIENT}
 
 
@@ -547,16 +546,21 @@ def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,
     quad = quad or QuadratureSpec()
     _check_thermal(geometry, thermal)
     _warn_pfa(geometry, stacklevel=4)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    total, l_used, err = _reduce(obs.v_power, obs.li_order, model, a,
+    total, l_used, err = _reduce(obs.v_power, obs.li_order, model, geometry.a,
                                  thermal.tau, quad, a_theta)
-    if thermal.temperature == 0.0:
+    value = _prefactor(obs, geometry, thermal.temperature) * total
+    return ForceResult(value, value / geometry.L, l_used, err)
+
+
+def _prefactor(obs: _Observable, geometry: Geometry, temperature: float) -> float:
+    """The SI factor of the observable's dimensionless sum or T = 0 integral."""
+    a, R, L = geometry.a, geometry.R, geometry.L
+    if temperature == 0.0:
         scale = HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**(obs.a_power + 1))
     else:
-        scale = (BOLTZMANN_J_PER_K * thermal.temperature * L
+        scale = (BOLTZMANN_J_PER_K * temperature * L
                  / (4.0 * SQRT_PI * a**obs.a_power))
-    value = obs.sign * scale * math.sqrt(R / (2.0 * a)) * total
-    return ForceResult(value, value / L, l_used, err)
+    return obs.sign * scale * math.sqrt(R / (2.0 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -632,34 +636,30 @@ def ideal_metal_gradient_t0(geometry: Geometry) -> float:
 
 def _high_temperature(obs: _Observable, geometry: Geometry, temperature: float,
                       behavior: ZeroFreqBehavior) -> float:
+    """The l = 0 term at half weight: a channel of constant r^2 integrates to
+    Gamma(p + 1) Li_{s+p+1}(r^2), plasma's TE channel counts at r^2 = 1 and
+    the skin-depth factor scales the sum."""
     _check_temperature(temperature)
-    a, R, L = geometry.a, geometry.R, geometry.L
-    num, den = obs.high_t
-    base = obs.sign * (num * ZETA_3 * BOLTZMANN_J_PER_K * temperature * L
-                       / (den * a**obs.a_power)) * math.sqrt(R / (2.0 * a))
-    if isinstance(behavior, ZeroFreqIdeal):
-        return base
-    if isinstance(behavior, ZeroFreqDrudeLike):
-        return 0.5 * base
-    if isinstance(behavior, ZeroFreqPlasmaLike):
+    order = obs.v_power + obs.li_order + 1.0
+    li = sum(polylog_exp_neg(order, -log_r2) for log_r2 in behavior.log_r2)
+    if behavior.alpha is not None:
         x = 2.0 * behavior.alpha  # alpha = delta_0/(2a)
-        if not 0.0 <= x < 0.5:
+        if not x < 0.5:
             raise ValueError(
                 f"skin-depth expansion invalid: delta_0/a = {x} is not in [0, 0.5)")
         c1, c2 = obs.skin_depth
-        return base * (1.0 - c1 * x + c2 * x**2)
-    if isinstance(behavior, ZeroFreqDielectric):
-        return 0.5 * base * polylog(3.0, behavior.r0**2) / ZETA_3
-    raise TypeError(f"unknown behavior {type(behavior).__name__}")
+        li = (li + polylog_exp_neg(order, 0.0)) * (1.0 - c1 * x + c2 * x**2)
+    return (_prefactor(obs, geometry, temperature)
+            * (0.5 * math.gamma(obs.v_power + 1.0) * li))
 
 
 def high_temperature_force(geometry: Geometry, temperature: float,
                            behavior: ZeroFreqBehavior) -> float:
     """Closed-form high-temperature (zero-frequency) force asymptote (N).
 
-    Ideal metal, Drude-like (exactly half the ideal value), plasma with the
-    skin-depth expansion through second order, and static dielectric through
-    Li_3(r0^2).
+    The l = 0 term of ``behavior`` alone: ideal metal, Drude-like (exactly half
+    the ideal value), static dielectric through Li_3(r0^2), and plasma with
+    the skin-depth expansion through second order.
     """
     return _high_temperature(_FORCE, geometry, temperature, behavior)
 

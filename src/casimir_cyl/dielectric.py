@@ -38,8 +38,7 @@ from .quadrature import gauss_legendre
 __all__ = [
     "Drude", "Oscillator", "PlasmaOscillators", "Dielectric", "IdealMetal",
     "OpticalTable", "OpticalTableError", "Tabulated", "PermittivityModel",
-    "ZeroFreqIdeal", "ZeroFreqDrudeLike", "ZeroFreqPlasmaLike",
-    "ZeroFreqDielectric", "ZeroFreqBehavior",
+    "ZeroFreqBehavior",
     "eps_imag_axis", "kk_transform", "zero_frequency_character",
     "load_optical_table", "gold_drude",
 ]
@@ -258,33 +257,30 @@ PermittivityModel = Union[IdealMetal, Drude, PlasmaOscillators, Dielectric, Tabu
 
 
 # ---------------------------------------------------------------------------
-# zero-frequency behavior tags
+# zero-frequency behavior
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ZeroFreqIdeal:
-    """r_TM^2 = r_TE^2 = 1."""
+class ZeroFreqBehavior:
+    """The reflection channels that survive at zero frequency, for one separation.
 
+    ``log_r2`` holds ln r^2 of each channel whose zero-frequency reflection is
+    constant: (0, 0) for the ideal metal, (0,) for the Drude-like TM channel,
+    (2 ln r0,) for a static dielectric's.  ``alpha`` = delta_0/(2a) adds the
+    plasma TE channel, whose r^2 falls from 1 as alpha v grows.
+    """
 
-@dataclass(frozen=True)
-class ZeroFreqDrudeLike:
-    """r_TM = 1, r_TE = 0 (any dissipative low-frequency continuation)."""
+    log_r2: tuple[float, ...]
+    alpha: float | None = None
 
-
-@dataclass(frozen=True)
-class ZeroFreqPlasmaLike:
-    """TE reflection survives at zero frequency, controlled by alpha = delta_0/(2a)."""
-    alpha: float
-
-
-@dataclass(frozen=True)
-class ZeroFreqDielectric:
-    """r_TM = r0 = (eps0 - 1)/(eps0 + 1), r_TE = 0."""
-    r0: float
-
-
-ZeroFreqBehavior = Union[ZeroFreqIdeal, ZeroFreqDrudeLike, ZeroFreqPlasmaLike,
-                         ZeroFreqDielectric]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log_r2", tuple(self.log_r2))
+        if not self.log_r2 and self.alpha is None:
+            raise ValueError("log_r2 is empty and alpha is None: no channel survives")
+        if not all(math.isfinite(c) and c <= 0.0 for c in self.log_r2):
+            raise ValueError(f"log_r2 must be finite and <= 0 (r^2 <= 1), got {self.log_r2}")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be None or finite and >= 0, got {self.alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +362,7 @@ def kk_transform(table: OpticalTable, tail: Drude, xi):
 
 
 def zero_frequency_character(model: PermittivityModel, a: float) -> ZeroFreqBehavior:
-    """Classify the zero-frequency reflection behavior for separation a (m).
+    """The zero-frequency reflection channels of a model at separation a (m).
 
     Drude and tabulated models lose the TE channel entirely; the plasma model
     keeps it with strength set by alpha = delta_0/(2a), delta_0 = c/omega_p.
@@ -374,14 +370,14 @@ def zero_frequency_character(model: PermittivityModel, a: float) -> ZeroFreqBeha
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError(f"separation must be positive and finite, got {a}")
     if isinstance(model, IdealMetal):
-        return ZeroFreqIdeal()
+        return ZeroFreqBehavior((0.0, 0.0))
     if isinstance(model, (Drude, Tabulated)):
-        return ZeroFreqDrudeLike()
+        return ZeroFreqBehavior((0.0,))
     if isinstance(model, PlasmaOscillators):
         delta0_m = HBAR_C_EV_NM / model.omega_p * 1e-9  # skin depth c/omega_p
-        return ZeroFreqPlasmaLike(alpha=delta0_m / (2.0 * a))
+        return ZeroFreqBehavior((0.0,), alpha=delta0_m / (2.0 * a))
     if isinstance(model, Dielectric):
-        return ZeroFreqDielectric(r0=model.r0)
+        return ZeroFreqBehavior((2.0 * math.log(model.r0),))
     raise TypeError(f"unknown permittivity model {type(model).__name__}")
 
 

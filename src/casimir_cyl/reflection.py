@@ -12,18 +12,16 @@ the polylogarithm arguments, so this module holds only those: the
 finite-frequency pair, formed cancellation-free in :func:`log_r2_pair` (Drude
 permittivities reach ~1e6 at the first Matsubara frequency of micrometer
 separations, where the naive difference ``eps*v - s`` would shed digits), and
-the zero-frequency channels in :func:`zero_frequency_mu_terms`.  Both put the
-channels on axis 0 of one array.  The scalar coefficients themselves are a
-test oracle (``tests/reflection_oracle.py``).
+the zero-frequency channels of a ``ZeroFreqBehavior`` record in
+:func:`zero_frequency_mu_terms`.  Both put the channels on axis 0 of one
+array.  The scalar coefficients themselves are a test oracle
+(``tests/reflection_oracle.py``).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .dielectric import (ZeroFreqBehavior, ZeroFreqDielectric, ZeroFreqDrudeLike,
-                         ZeroFreqIdeal, ZeroFreqPlasmaLike)
+from .dielectric import ZeroFreqBehavior
 
 __all__ = ["log_r2_pair", "zero_frequency_mu_terms"]
 
@@ -53,17 +51,12 @@ def log_r2_pair(v, zeta, eps):
 def zero_frequency_mu_terms(behavior: ZeroFreqBehavior, v: np.ndarray) -> np.ndarray:
     """Exponents mu = v - ln r^2 of the surviving zero-frequency channels.
 
-    One row of axis 0 per polarization that contributes to the l = 0 term;
-    the plasma TE exponent uses the identity ln(sqrt(1+x^2) - x) = -asinh(x)
-    to stay exact for alpha*v anywhere from 0 to overflow.
+    One row of axis 0 per entry of ``behavior.log_r2``, then the plasma TE row
+    if ``behavior.alpha`` is set, whose exponent uses ln(sqrt(1+x^2) - x) =
+    -asinh(x) to stay exact for alpha*v anywhere from 0 to overflow.
     """
     v = np.asarray(v, dtype=float)
-    if isinstance(behavior, ZeroFreqIdeal):
-        return np.stack((v, v))
-    if isinstance(behavior, ZeroFreqDrudeLike):
-        return np.stack((v,))
-    if isinstance(behavior, ZeroFreqPlasmaLike):
-        return np.stack((v, v + 4.0 * np.arcsinh(behavior.alpha * v)))
-    if isinstance(behavior, ZeroFreqDielectric):
-        return np.stack((v - 2.0 * math.log(behavior.r0),))
-    raise TypeError(f"unknown zero-frequency behavior {type(behavior).__name__}")
+    rows = [v - log_r2 for log_r2 in behavior.log_r2]
+    if behavior.alpha is not None:
+        rows.append(v + 4.0 * np.arcsinh(behavior.alpha * v))
+    return np.stack(rows)

@@ -8,17 +8,19 @@ The coefficients themselves, one point at a time, live here:
    r_\mathrm{TE} = \frac{v - s}{v + s}, \qquad
    s = \sqrt{v^2 + (\varepsilon-1)\zeta^2},
 
-and the zero-frequency pairs of each material behavior.  Only the
-zero-frequency tags come from ``casimir_cyl``.
+and the zero-frequency pairs of each material model, formed from the model
+itself rather than from the engine's ``ZeroFreqBehavior`` record.  Only the
+model classes and the constant hbar c come from ``casimir_cyl``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from casimir_cyl.dielectric import (ZeroFreqBehavior, ZeroFreqDielectric,
-                                    ZeroFreqDrudeLike, ZeroFreqIdeal,
-                                    ZeroFreqPlasmaLike)
+from casimir_cyl.constants import HBAR_C_EV_NM
+from casimir_cyl.dielectric import (Dielectric, Drude, IdealMetal,
+                                    PermittivityModel, PlasmaOscillators,
+                                    Tabulated)
 
 
 @dataclass(frozen=True)
@@ -59,22 +61,29 @@ def fresnel(point: DimensionlessPoint, eps_l: float) -> ReflectionPair:
     return ReflectionPair(r_tm, r_te)
 
 
-def zero_frequency_pair(behavior: ZeroFreqBehavior, v: float) -> ReflectionPair:
-    """Zero-frequency reflection pair for dimensionless v > 0.
+def zero_frequency_pair(model: PermittivityModel, a: float, v: float) -> ReflectionPair:
+    """Zero-frequency reflection pair of ``model`` at separation a (m), v > 0.
 
-    Ideal metal: (1, -1).  Drude-like: (1, 0).  Static dielectric: (r0, 0).
-    Plasma-like keeps a TE amplitude ``-(alpha v - sqrt(alpha^2 v^2 + 1))^2``
-    running from -1 at v = 0 to 0 as alpha*v grows.
+    Ideal metal: (1, -1).  Drude and tabulated: (1, 0).  Static dielectric:
+    ((eps0 - 1)/(eps0 + 1), 0).  Plasma keeps a TE amplitude
+    ``-(alpha v - sqrt(alpha^2 v^2 + 1))^2``, alpha = delta_0/(2a) with the
+    skin depth delta_0 = c/omega_p, running from -1 at v = 0 to 0 as alpha*v
+    grows.
     """
     if v <= 0.0:
         raise ValueError("v must be positive")
-    if isinstance(behavior, ZeroFreqIdeal):
+    if isinstance(model, IdealMetal):
         return ReflectionPair(1.0, -1.0)
-    if isinstance(behavior, ZeroFreqDrudeLike):
+    if isinstance(model, (Drude, Tabulated)):
         return ReflectionPair(1.0, 0.0)
-    if isinstance(behavior, ZeroFreqDielectric):
-        return ReflectionPair(behavior.r0, 0.0)
-    if isinstance(behavior, ZeroFreqPlasmaLike):
-        av = behavior.alpha * v
+    if isinstance(model, Dielectric):
+        return ReflectionPair((model.eps0 - 1.0) / (model.eps0 + 1.0), 0.0)
+    if isinstance(model, PlasmaOscillators):
+        av = HBAR_C_EV_NM * 1e-9 / model.omega_p / (2.0 * a) * v
         return ReflectionPair(1.0, -(math.sqrt(av * av + 1.0) - av) ** 2)
-    raise TypeError(f"unknown zero-frequency behavior {type(behavior).__name__}")
+    raise TypeError(f"unknown permittivity model {type(model).__name__}")
+
+
+def plasma_separation(alpha: float, omega_p: float = 9.0) -> float:
+    """The separation (m) at which a plasma of omega_p (eV) has alpha = delta_0/(2a)."""
+    return HBAR_C_EV_NM * 1e-9 / omega_p / (2.0 * alpha)

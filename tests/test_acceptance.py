@@ -9,9 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from casimir_cyl import (Geometry, IdealMetal, PlasmaOscillators,
-                         QuadratureSpec, ThermalState, TiltParams,
-                         ZeroFreqDrudeLike, ZeroFreqIdeal, cylinder_force,
+from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
+                         QuadratureSpec, ThermalState, TiltParams, cylinder_force,
                          cylinder_force_gradient, gold_drude,
                          high_temperature_force, high_temperature_gradient,
                          ideal_metal_force_t0, ideal_metal_gradient_t0, kappa,
@@ -20,7 +19,6 @@ from casimir_cyl import (Geometry, IdealMetal, PlasmaOscillators,
                          zero_temperature_force, zero_temperature_gradient)
 from casimir_cyl.casimir_core import PFAValidityWarning, _zero_freq_term
 from casimir_cyl.constants import SQRT_PI
-from casimir_cyl.dielectric import ZeroFreqDielectric
 from casimir_cyl.edge import (EDGE_FORCE_COEFF, EDGE_GRADIENT_COEFF,
                               PFA_FORCE_COEFF, PFA_GRADIENT_COEFF, EdgeParams,
                               EdgeValidityWarning, edge_corrected_force,
@@ -66,11 +64,12 @@ def test_criterion_02_high_temperature_convergence():
         g_ideal = cylinder_force_gradient(geom, th, IdealMetal()).value
         f_drude = cylinder_force(geom, th, AU).value
         g_drude = cylinder_force_gradient(geom, th, AU).value
+    ideal, drude = (zero_frequency_character(m, geom.a) for m in (IdealMetal(), AU))
     dev = [
-        abs(f_ideal / high_temperature_force(geom, 300.0, ZeroFreqIdeal()) - 1.0),
-        abs(g_ideal / high_temperature_gradient(geom, 300.0, ZeroFreqIdeal()) - 1.0),
-        abs(f_drude / high_temperature_force(geom, 300.0, ZeroFreqDrudeLike()) - 1.0),
-        abs(g_drude / high_temperature_gradient(geom, 300.0, ZeroFreqDrudeLike()) - 1.0),
+        abs(f_ideal / high_temperature_force(geom, 300.0, ideal) - 1.0),
+        abs(g_ideal / high_temperature_gradient(geom, 300.0, ideal) - 1.0),
+        abs(f_drude / high_temperature_force(geom, 300.0, drude) - 1.0),
+        abs(g_drude / high_temperature_gradient(geom, 300.0, drude) - 1.0),
     ]
     assert max(dev) < 1e-2, dev
     ratio_f = f_drude / f_ideal
@@ -355,7 +354,7 @@ def test_criterion_10_property_suite():
 
     # fresnel vs zero-frequency path
     pair_a = fresnel(DimensionlessPoint(v=1.3, zeta=0.0), 3.0)
-    pair_b = zero_frequency_pair(ZeroFreqDielectric(r0=0.5), 1.3)
+    pair_b = zero_frequency_pair(Dielectric(eps0=3.0), geometry_at(300.0).a, 1.3)
     assert pair_a.r_tm == pytest.approx(pair_b.r_tm, abs=1e-14)
     assert pair_a.r_te == pytest.approx(pair_b.r_te, abs=1e-14)
 

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
                          IdealMetal, Oscillator, PFAValidityWarning, PlasmaOscillators,
                          QuadratureSpec, ThermalState, TiltParams,
-                         ZeroFreqDielectric,
-                         ZeroFreqDrudeLike, ZeroFreqIdeal,
-                         ZeroFreqPlasmaLike, cylinder_force,
+                         ZeroFreqBehavior, cylinder_force,
                          cylinder_force_gradient, gold_drude,
                          high_temperature_force, high_temperature_gradient,
                          ideal_metal_force_t0, ideal_metal_gradient_t0,
@@ -39,6 +37,9 @@ from conftest import geometry_at
 
 AU = gold_drude()
 PLASMA = PlasmaOscillators(omega_p=9.0)
+# the zero-frequency records of the ideal metal and of Drude, the same at any a
+IDEAL_ZERO = zero_frequency_character(IdealMetal(), 1e-6)
+DRUDE_ZERO = zero_frequency_character(AU, 1e-6)
 
 
 def _tabulated():
@@ -85,7 +86,7 @@ def test_non_finite_input_rejected(bad):
                  lambda: TiltParams.from_angle(bad, geom),
                  lambda: plate_pressure(bad, 300.0, IdealMetal()),
                  lambda: plate_pressure(300e-9, bad, IdealMetal()),
-                 lambda: high_temperature_force(geom, bad, ZeroFreqIdeal())):
+                 lambda: high_temperature_force(geom, bad, IDEAL_ZERO)):
         with pytest.raises(ValueError):
             make()
 
@@ -309,8 +310,8 @@ def test_high_t_matsubara_matches_asymptote():
         warnings.simplefilter("ignore", PFAValidityWarning)
         f_num = cylinder_force(geom, th, IdealMetal()).value
         g_num = cylinder_force_gradient(geom, th, IdealMetal()).value
-    f_asym = high_temperature_force(geom, 300.0, ZeroFreqIdeal())
-    g_asym = high_temperature_gradient(geom, 300.0, ZeroFreqIdeal())
+    f_asym = high_temperature_force(geom, 300.0, IDEAL_ZERO)
+    g_asym = high_temperature_gradient(geom, 300.0, IDEAL_ZERO)
     assert abs(f_num / f_asym - 1.0) < 1e-2
     assert abs(g_num / g_asym - 1.0) < 1e-2
 
@@ -355,14 +356,14 @@ def test_high_t_closed_forms():
     T = 300.0
     base = -(3.0 * ZETA_3 * BOLTZMANN_J_PER_K * T * geom.L
              / (16.0 * geom.a**2)) * math.sqrt(geom.R / (2.0 * geom.a))
-    assert high_temperature_force(geom, T, ZeroFreqIdeal()) == \
+    assert high_temperature_force(geom, T, IDEAL_ZERO) == \
         pytest.approx(base, rel=1e-14)
-    assert high_temperature_force(geom, T, ZeroFreqDrudeLike()) == \
+    assert high_temperature_force(geom, T, DRUDE_ZERO) == \
         pytest.approx(0.5 * base, rel=1e-14)
     # dielectric eps0 = 3: (3 k_B T L/32 a^2) sqrt(R/2a) Li_3(0.25)
     want = 0.5 * base * polylog(3.0, 0.25) / ZETA_3
-    assert high_temperature_force(geom, T, ZeroFreqDielectric(r0=0.5)) == \
-        pytest.approx(want, rel=1e-12)
+    beh = zero_frequency_character(Dielectric(eps0=3.0), geom.a)
+    assert high_temperature_force(geom, T, beh) == pytest.approx(want, rel=1e-12)
 
 
 def test_high_t_gradient_forms():
@@ -370,25 +371,25 @@ def test_high_t_gradient_forms():
     T = 300.0
     base = (15.0 * ZETA_3 * BOLTZMANN_J_PER_K * T * geom.L
             / (32.0 * geom.a**3)) * math.sqrt(geom.R / (2.0 * geom.a))
-    assert high_temperature_gradient(geom, T, ZeroFreqIdeal()) == \
+    assert high_temperature_gradient(geom, T, IDEAL_ZERO) == \
         pytest.approx(base, rel=1e-14)
-    assert high_temperature_gradient(geom, T, ZeroFreqDrudeLike()) == \
+    assert high_temperature_gradient(geom, T, DRUDE_ZERO) == \
         pytest.approx(0.5 * base, rel=1e-14)
 
 
 def test_plasma_expansion_and_domain():
     geom = geometry_at(1000.0)
-    x = 2.0 * ZeroFreqPlasmaLike(alpha=0.01).alpha
-    got = high_temperature_force(geom, 300.0, ZeroFreqPlasmaLike(alpha=0.01))
-    ideal = high_temperature_force(geom, 300.0, ZeroFreqIdeal())
+    x = 2.0 * 0.01
+    got = high_temperature_force(geom, 300.0, ZeroFreqBehavior((0.0,), alpha=0.01))
+    ideal = high_temperature_force(geom, 300.0, IDEAL_ZERO)
     assert got / ideal == pytest.approx(1.0 - 2.5 * x + 8.75 * x**2, rel=1e-13)
-    with pytest.raises(ValueError):
-        high_temperature_force(geom, 300.0, ZeroFreqPlasmaLike(alpha=0.3))
-    with pytest.raises(ValueError):
-        high_temperature_gradient(geom, 300.0, ZeroFreqPlasmaLike(alpha=0.25))
-    for bad in (float("nan"), -0.01):
-        with pytest.raises(ValueError):
-            high_temperature_force(geom, 300.0, ZeroFreqPlasmaLike(alpha=bad))
+    with pytest.raises(ValueError, match="skin-depth"):
+        high_temperature_force(geom, 300.0, ZeroFreqBehavior((0.0,), alpha=0.3))
+    with pytest.raises(ValueError, match="skin-depth"):
+        high_temperature_gradient(geom, 300.0, ZeroFreqBehavior((0.0,), alpha=0.25))
+    for bad in (float("nan"), -0.01):  # refused where the record is built
+        with pytest.raises(ValueError, match="alpha"):
+            ZeroFreqBehavior((0.0,), alpha=bad)
 
 
 # ------------------------------------------------------ thermal correction
@@ -1185,7 +1186,7 @@ def test_zero_term_is_keyed_on_rel_tol():
         cylinder_force(geom, ThermalState.at(300.0, geom), AU, QuadratureSpec(rel_tol=rel_tol))
     assert cache.cache_info().misses == 2
     for rel_tol in (1e-9, 1e-11):
-        key = (ZeroFreqDrudeLike(), 1.5, 0.5, 0.0, rel_tol)
+        key = (DRUDE_ZERO, 1.5, 0.5, 0.0, rel_tol)
         assert cache(*key).hex() == cache.__wrapped__(*key).hex()
 
 

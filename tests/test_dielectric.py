@@ -8,9 +8,7 @@ from casimir_cyl import dielectric
 from casimir_cyl.dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
                                     OpticalTableError, Oscillator,
                                     PlasmaOscillators, Tabulated,
-                                    ZeroFreqDielectric, ZeroFreqDrudeLike,
-                                    ZeroFreqIdeal, ZeroFreqPlasmaLike,
-                                    eps_imag_axis, gold_drude, kk_transform,
+                                    ZeroFreqBehavior, eps_imag_axis, gold_drude, kk_transform,
                                     load_optical_table,
                                     zero_frequency_character)
 from casimir_cyl.quadrature import gauss_legendre
@@ -179,30 +177,56 @@ def test_kk_vectorized_matches_scalar():
 
 
 def test_drude_zero_behavior():
-    beh = zero_frequency_character(AU, 500e-9)
-    assert isinstance(beh, ZeroFreqDrudeLike)
+    # the TM channel alone, at r^2 = 1
+    assert zero_frequency_character(AU, 500e-9) == ZeroFreqBehavior((0.0,))
 
 
 def test_tabulated_is_drude_like():
     model = Tabulated(table=synthetic_drude_table(50), tail=AU)
-    assert isinstance(zero_frequency_character(model, 1e-6), ZeroFreqDrudeLike)
+    assert zero_frequency_character(model, 1e-6) == ZeroFreqBehavior((0.0,))
 
 
 def test_plasma_skin_depth():
     beh = zero_frequency_character(PlasmaOscillators(omega_p=9.0), 500e-9)
-    assert isinstance(beh, ZeroFreqPlasmaLike)
+    assert beh.log_r2 == (0.0,)
     delta0_nm = 2.0 * beh.alpha * 500.0  # alpha = delta_0/(2a)
     assert 21.5 < delta0_nm < 22.5
 
 
 def test_dielectric_r0():
+    # the TM channel alone, at r^2 = r0^2 = ((eps0 - 1)/(eps0 + 1))^2 = 1/4
     beh = zero_frequency_character(Dielectric(eps0=3.0), 1e-6)
-    assert isinstance(beh, ZeroFreqDielectric)
-    assert beh.r0 == pytest.approx(0.5, rel=1e-15)
+    assert beh.alpha is None
+    assert beh.log_r2 == (pytest.approx(math.log(0.25), rel=1e-15),)
 
 
 def test_ideal_zero_behavior():
-    assert isinstance(zero_frequency_character(IdealMetal(), 1e-6), ZeroFreqIdeal)
+    # both channels at r^2 = 1
+    assert zero_frequency_character(IdealMetal(), 1e-6) == ZeroFreqBehavior((0.0, 0.0))
+
+
+def test_zero_behavior_stores_a_tuple():
+    beh = ZeroFreqBehavior([0.0, -0.5])
+    assert beh.log_r2 == (0.0, -0.5)
+    assert beh == ZeroFreqBehavior((0.0, -0.5))
+    assert hash(beh) == hash(ZeroFreqBehavior((0.0, -0.5)))
+    assert ZeroFreqBehavior((), alpha=0.1).log_r2 == ()  # the plasma TE channel alone
+
+
+@pytest.mark.parametrize("log_r2,alpha,field", [
+    ((), None, "log_r2"),                        # no channel
+    ((float("nan"),), None, "log_r2"),
+    ((-math.inf,), None, "log_r2"),              # r = 0: no channel, not a constant one
+    ((0.0, math.inf), None, "log_r2"),
+    ((2.0 * math.log(2.0),), None, "log_r2"),    # r0 = 2: r^2 > 1
+    ((0.0,), float("nan"), "alpha"),
+    ((0.0,), math.inf, "alpha"),
+    ((0.0,), -0.01, "alpha"),
+], ids=["no_channel", "nan", "minus_inf", "inf", "r2_above_one",
+        "alpha_nan", "alpha_inf", "alpha_negative"])
+def test_malformed_zero_behavior_rejected(log_r2, alpha, field):
+    with pytest.raises(ValueError, match=field):
+        ZeroFreqBehavior(log_r2, alpha)
 
 
 # ------------------------------------------------------------ file loading

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_cyl.casimir_core import _li_finite
-from casimir_cyl.dielectric import (ZeroFreqDielectric, ZeroFreqDrudeLike,
-                                    ZeroFreqIdeal, ZeroFreqPlasmaLike)
+from casimir_cyl.dielectric import (Dielectric, IdealMetal, PlasmaOscillators,
+                                    ZeroFreqBehavior, gold_drude,
+                                    zero_frequency_character)
 from casimir_cyl.reflection import log_r2_pair, zero_frequency_mu_terms
 from reflection_oracle import (DimensionlessPoint, ReflectionPair, fresnel,
-                               zero_frequency_pair)
+                               plasma_separation, zero_frequency_pair)
+
+PLASMA = PlasmaOscillators(omega_p=9.0)
 
 
 def test_static_limit_dielectric():
@@ -56,25 +59,25 @@ def test_pair_bounds_enforced():
 
 
 def test_zero_frequency_pairs():
-    assert zero_frequency_pair(ZeroFreqIdeal(), 2.0) == ReflectionPair(1.0, -1.0)
-    assert zero_frequency_pair(ZeroFreqDrudeLike(), 5.0) == ReflectionPair(1.0, 0.0)
-    assert zero_frequency_pair(ZeroFreqDielectric(r0=0.5), 1.0) == \
+    assert zero_frequency_pair(IdealMetal(), 500e-9, 2.0) == ReflectionPair(1.0, -1.0)
+    assert zero_frequency_pair(gold_drude(), 500e-9, 5.0) == ReflectionPair(1.0, 0.0)
+    assert zero_frequency_pair(Dielectric(eps0=3.0), 500e-9, 1.0) == \
         ReflectionPair(0.5, 0.0)
 
 
 def test_plasma_zero_frequency_limits():
-    beh = ZeroFreqPlasmaLike(alpha=1.0)
+    a = plasma_separation(alpha=1.0)
     # v -> 0 recovers the perfect TE reflection
-    assert zero_frequency_pair(beh, 1e-9).r_te == pytest.approx(-1.0, abs=1e-8)
+    assert zero_frequency_pair(PLASMA, a, 1e-9).r_te == pytest.approx(-1.0, abs=1e-8)
     # alpha v = 1 hand value: -(1 - sqrt2)^2 = -(3 - 2 sqrt2)
-    assert zero_frequency_pair(beh, 1.0).r_te == pytest.approx(
+    assert zero_frequency_pair(PLASMA, a, 1.0).r_te == pytest.approx(
         -(3.0 - 2.0 * math.sqrt(2.0)), rel=1e-14)
 
 
 def test_plasma_te_monotone_to_zero():
-    beh = ZeroFreqPlasmaLike(alpha=1.0)
+    a = plasma_separation(alpha=1.0)
     vs = np.geomspace(1e-4, 1e4, 60)
-    vals = np.array([zero_frequency_pair(beh, float(v)).r_te for v in vs])
+    vals = np.array([zero_frequency_pair(PLASMA, a, float(v)).r_te for v in vs])
     assert np.all(np.diff(vals) > 0.0)
     assert vals[0] < -0.999
     assert vals[-1] > -1e-6
@@ -83,10 +86,9 @@ def test_plasma_te_monotone_to_zero():
 def test_fresnel_zero_matches_dielectric_path():
     # the two code paths at zeta = 0 agree to 1e-14
     for eps in (1.5, 3.0, 11.0):
-        r0 = (eps - 1.0) / (eps + 1.0)
         for v in (0.2, 1.0, 7.5):
             via_fresnel = fresnel(DimensionlessPoint(v=v, zeta=0.0), eps)
-            via_zero = zero_frequency_pair(ZeroFreqDielectric(r0=r0), v)
+            via_zero = zero_frequency_pair(Dielectric(eps0=eps), 500e-9, v)
             assert via_fresnel.r_tm == pytest.approx(via_zero.r_tm, abs=1e-14)
             assert via_fresnel.r_te == pytest.approx(via_zero.r_te, abs=1e-14)
 
@@ -94,8 +96,7 @@ def test_fresnel_zero_matches_dielectric_path():
 def test_te_power_expansion_small_alpha():
     # r_TE^{2n}(0,v) = 1 - 4 n v alpha + 8 n^2 v^2 alpha^2 + O(alpha^3)
     alpha, v = 1e-4, 1.0
-    beh = ZeroFreqPlasmaLike(alpha=alpha)
-    r_te = zero_frequency_pair(beh, v).r_te
+    r_te = zero_frequency_pair(PLASMA, plasma_separation(alpha), v).r_te
     for n in (1, 2, 5):
         exact = r_te ** (2 * n)
         expanded = 1.0 - 4.0 * n * v * alpha + 8.0 * n**2 * v**2 * alpha**2
@@ -111,19 +112,30 @@ def test_log_r2_pair_matches_fresnel():
     assert ln_rte2[0] == pytest.approx(math.log(pair.r_te**2), rel=1e-12)
 
 
-@pytest.mark.parametrize("beh", [ZeroFreqIdeal(), ZeroFreqDrudeLike(),
-                                 ZeroFreqDielectric(r0=0.5),
-                                 ZeroFreqPlasmaLike(alpha=0.01),
-                                 ZeroFreqPlasmaLike(alpha=3.0)],
+@pytest.mark.parametrize("model,a", [(IdealMetal(), 500e-9), (gold_drude(), 500e-9),
+                                     (Dielectric(eps0=3.0), 500e-9),
+                                     (PLASMA, plasma_separation(0.01)),
+                                     (PLASMA, plasma_separation(3.0))],
                          ids=["ideal", "drude", "dielectric", "plasma_weak", "plasma_strong"])
-def test_zero_frequency_mu_terms_match_oracle(beh):
+def test_zero_frequency_mu_terms_match_oracle(model, a):
     # one exponent v - ln r^2 per channel that survives at zero frequency
     vs = np.geomspace(1e-3, 40.0, 25)
-    mus = zero_frequency_mu_terms(beh, vs)
+    mus = zero_frequency_mu_terms(zero_frequency_character(model, a), vs)
     for i, v in enumerate(vs):
-        pair = zero_frequency_pair(beh, float(v))
+        pair = zero_frequency_pair(model, a, float(v))
         want = [v - math.log(r * r) for r in (pair.r_tm, pair.r_te) if r != 0.0]
         assert [mu[i] for mu in mus] == pytest.approx(want, rel=1e-13)
+
+
+def test_zero_frequency_mu_rows_follow_the_record():
+    # one row per log_r2 entry in its order, then the plasma TE row; an r^2 = 1
+    # channel's row is v itself, bit for bit
+    v = np.geomspace(1e-3, 40.0, 7)
+    mus = zero_frequency_mu_terms(ZeroFreqBehavior((0.0, -0.5), alpha=0.2), v)
+    assert mus.shape == (3, 7)
+    assert mus[0].tobytes() == v.tobytes()
+    assert mus[1].tobytes() == (v + 0.5).tobytes()
+    assert mus[2].tobytes() == (v + 4.0 * np.arcsinh(0.2 * v)).tobytes()
 
 
 def test_log_r2_pair_ideal_limit():
