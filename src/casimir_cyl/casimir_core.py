@@ -14,8 +14,8 @@ proximity-force approximation is
 its gradient carries ``v**2.5`` against ``Li_{-1/2}``, and the parallel-plate
 pressure kernel ``v**2`` against ``Li_0``, the geometric sum
 ``v**2 / (exp(mu) - 1)``.  The l = 0 term (half weight) routes through the
-zero-frequency reflection behavior of the material model -- mandatory for
-Drude, whose permittivity diverges at zero frequency.  The terms l >= 1 are
+material's zero-frequency channels, a ``ZeroFreqBehavior`` record -- mandatory
+for Drude, whose permittivity diverges at zero frequency.  The terms l >= 1 are
 computed in blocks of successive l, one lockstep quadrature per block: each
 term keeps its own integral over [zeta_l, zeta_l + span], and all pending
 panels of the block go to the kernel in one call per refinement level.  The

@@ -13,6 +13,10 @@ Matsubara term of the force, the v-integral that a lockstep row of the engine
 returns, is checked against ``mpmath.quad`` of the kernel with eps(i xi) and
 the Fresnel coefficients written out here at 20 digits; for the tabulated
 model eps(i xi) is that same mpmath integral of the table's interpolant.
+The l = 0 v-integral is checked against its closed form in mpmath's
+polylogarithm and gamma function for every channel of constant r^2 (ideal,
+Drude, dielectric), untilted and tilted, and against ``mpmath.quad`` for
+plasma's TE channel, which has none.
 """
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
                          QuadratureSpec, Tabulated, ThermalState, TiltParams,
                          casimir_core, cylinder_force, tilted_force)
 from casimir_cyl.constants import HBAR_C_EV_NM
-from casimir_cyl.dielectric import Drude, OpticalTable, _drude_tail_integral, kk_transform
+from casimir_cyl.dielectric import (Drude, OpticalTable, _drude_tail_integral, kk_transform,
+                                    zero_frequency_character)
 from casimir_cyl.quadrature import adaptive_quad_rows
 from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import polylog_exp_neg
@@ -229,3 +234,69 @@ def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
         # the 0.1 rel_tol that each row is held to
         assert true_err <= err, (l, true_err, err)
         assert true_err <= 0.1 * quad.rel_tol * float(want), (l, true_err)
+
+
+# The l = 0 v-integral has a closed form for every channel of constant r^2:
+# int_0^inf v**p Li_s(r^2 e^-v) dv = Gamma(p + 1) Li_{s+p+1}(r^2), and with the
+# tilt's length average Gamma(p)/(2A) Li_{s+p+1}(r^2) [(1 - A)^-p - (1 + A)^-p].
+# r^2 is formed here from the model: 1 for each metal channel, and
+# ((eps0 - 1)/(eps0 + 1))^2 for the dielectric's TM channel.
+ZERO_FREQ_R2 = {
+    "ideal": (IdealMetal(), lambda: (1, 1)),
+    "drude": (Drude(OMEGA_P, GAMMA), lambda: (1,)),
+    "dielectric": (Dielectric(eps0=11.7), lambda: ((mpmath.mpf("10.7") / mpmath.mpf("12.7")) ** 2,)),
+}
+# (p, s) of the force, gradient and plate-pressure kernels
+ZERO_FREQ_KERNELS = {"force": (1.5, 0.5), "gradient": (2.5, -0.5), "pressure": (2.0, 0.0)}
+
+
+def _zero_freq_term(model, a_nm: float, kernel: str, a_theta: float, rel_tol: float) -> float:
+    p, s = ZERO_FREQ_KERNELS[kernel]
+    behavior = zero_frequency_character(model, a_nm * 1e-9)
+    return casimir_core._zero_freq_term.__wrapped__(behavior, p, s, a_theta, rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("a_theta", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("kernel", list(ZERO_FREQ_KERNELS))
+@pytest.mark.parametrize("name", list(ZERO_FREQ_R2))
+def test_zero_freq_term_matches_closed_form(name, kernel, a_theta, rel_tol):
+    model, r2 = ZERO_FREQ_R2[name]
+    got = _zero_freq_term(model, TERM_A_NM, kernel, a_theta, rel_tol)
+    p, s = (mpmath.mpf(x) for x in ZERO_FREQ_KERNELS[kernel])
+    with mpmath.workdps(30):
+        li = sum(mpmath.polylog(s + p + 1, r) for r in r2())
+        if a_theta == 0.0:
+            want = mpmath.gamma(p + 1) * li
+        else:
+            A = mpmath.mpf(a_theta)
+            want = mpmath.gamma(p) / (2 * A) * li * ((1 - A) ** -p - (1 + A) ** -p)
+        rel = float(abs(mpmath.mpf(got) / want - 1))
+    assert rel <= 1e-14, rel
+
+
+# alpha = delta_0/(2a) = 0.073: the separation at which the plasma TE channel,
+# r_TE^2 = (sqrt(1 + (alpha v)^2) - alpha v)^4, has no closed form
+PLASMA_ALPHA = 0.073
+PLASMA_A_NM = HBAR_C_EV_NM / OMEGA_P / (2.0 * PLASMA_ALPHA)
+
+
+@pytest.mark.parametrize("kernel, a_theta", [("force", 0.0), ("gradient", 0.0), ("force", 0.5)])
+def test_plasma_zero_freq_term_matches_mpmath(kernel, a_theta):
+    got = _zero_freq_term(PlasmaOscillators(omega_p=OMEGA_P), PLASMA_A_NM, kernel,
+                          a_theta, 1e-12)
+    with mpmath.workdps(20):
+        p, s = (mpmath.mpf(x) for x in ZERO_FREQ_KERNELS[kernel])
+        A = mpmath.mpf(a_theta)
+        alpha = HBAR_C_EV_NM / OMEGA_P / (2 * mpmath.mpf(PLASMA_A_NM))
+
+        def kernel_of(v):
+            r2 = (1, (mpmath.sqrt(1 + (alpha * v) ** 2) - alpha * v) ** 4)
+            if a_theta == 0.0:
+                return v**p * sum(mpmath.polylog(s, r * mpmath.exp(-v)) for r in r2)
+            return v**(p - 1) / (2 * A) * sum(
+                mpmath.polylog(s + 1, r * mpmath.exp(-v * (1 - A)))
+                - mpmath.polylog(s + 1, r * mpmath.exp(-v * (1 + A))) for r in r2)
+        want = mpmath.quad(kernel_of, [0, 1, 10, mpmath.inf])
+        rel = float(abs(mpmath.mpf(got) / want - 1))
+    assert rel <= 1e-14, rel
