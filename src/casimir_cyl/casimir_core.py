@@ -107,8 +107,13 @@ class Geometry:
 
 
 def _tau(temperature: float, a: float) -> float:
-    return 4.0 * math.pi * BOLTZMANN_J_PER_K * temperature * a / (
+    """tau = 4 pi k_B T a/(hbar c); raises where it underflows to 0 at T > 0."""
+    tau = 4.0 * math.pi * BOLTZMANN_J_PER_K * temperature * a / (
         HBAR_J_S * SPEED_OF_LIGHT_M_S)
+    if tau == 0.0 and temperature > 0.0:
+        raise ValueError(f"tau = 4 pi k_B T a/(hbar c) underflows to 0 at "
+                         f"T = {temperature} K and a = {a} m")
+    return tau
 
 
 def _check_temperature(temperature: float) -> None:
@@ -118,29 +123,25 @@ def _check_temperature(temperature: float) -> None:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Temperature paired with the derived dimensionless Matsubara scale tau."""
+    """Temperature T (K); one state serves every separation of a sweep.
+
+    The Matsubara scale tau = 4 pi k_B T a/(hbar c) depends on a, so each
+    evaluation forms it from T and its geometry.
+    """
 
     temperature: float
-    tau: float
 
     def __post_init__(self) -> None:
         _check_temperature(self.temperature)
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
-        if (self.tau == 0.0) != (self.temperature == 0.0):
-            raise ValueError("tau vanishes exactly when T does")
 
     @classmethod
     def at(cls, temperature: float, geometry: Geometry) -> "ThermalState":
-        """Build the state for a geometry, deriving tau = 4 pi k_B T a/(hbar c)."""
-        tau = _tau(temperature, geometry.a)
-        if tau == 0.0 and temperature > 0.0:
-            raise ValueError(f"tau = 4 pi k_B T a/(hbar c) underflows to 0 at "
-                             f"T = {temperature} K and a = {geometry.a} m")
-        return cls(temperature=temperature, tau=tau)
+        """The state at T, rejected where tau underflows at this geometry's a."""
+        _tau(temperature, geometry.a)
+        return cls(temperature)
 
 
-_ZERO_T = ThermalState(temperature=0.0, tau=0.0)
+_ZERO_T = ThermalState(0.0)
 
 
 @dataclass(frozen=True)
@@ -175,14 +176,6 @@ class ForceResult:
     per_length: float
     l_used: int
     truncation_estimate: float
-
-
-def _check_thermal(geometry: Geometry, thermal: ThermalState) -> None:
-    expected = _tau(thermal.temperature, geometry.a)
-    if abs(thermal.tau - expected) > 1e-12 * max(expected, 1e-300):
-        raise ValueError(
-            "ThermalState.tau is inconsistent with this geometry; "
-            "build it with ThermalState.at(T, geometry)")
 
 
 def _warn_pfa(geometry: Geometry, stacklevel: int = 3) -> None:
@@ -544,10 +537,10 @@ def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,
     ``a_theta`` > 0 averages the kernel over the length of a tilted cylinder.
     """
     quad = quad or QuadratureSpec()
-    _check_thermal(geometry, thermal)
+    tau = _tau(thermal.temperature, geometry.a)
     _warn_pfa(geometry, stacklevel=4)
     total, l_used, err = _reduce(obs.v_power, obs.li_order, model, geometry.a,
-                                 thermal.tau, quad, a_theta)
+                                 tau, quad, a_theta)
     value = _prefactor(obs, geometry, thermal.temperature) * total
     return ForceResult(value, value / geometry.L, l_used, err)
 
@@ -685,7 +678,6 @@ def thermal_correction(geometry: Geometry, model: PermittivityModel,
     if temperature == 0.0:
         return 0.0
     obs = _OBSERVABLES[which]
-    x_t = _evaluate(obs, geometry, ThermalState.at(temperature, geometry),
-                    model, quad).value
+    x_t = _evaluate(obs, geometry, ThermalState(temperature), model, quad).value
     x_0 = _evaluate(obs, geometry, _ZERO_T, model, quad).value
     return (x_t - x_0) / x_t

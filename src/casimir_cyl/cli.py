@@ -133,6 +133,8 @@ def build_config(args: argparse.Namespace) -> None:
     tilted = args.theta is not None or args.a_theta is not None
     if tilted and args.command not in ("force", "gradient"):
         raise ConfigError(f"{args.command} takes no theta or a-theta")
+    if args.theta is not None and args.a_theta is not None:
+        raise ConfigError("give either theta or a_theta, not both")
     if (args.a is not None or args.a_sweep is not None) and args.command in (
             "table1", "kk-ingest"):
         raise ConfigError(f"{args.command} takes no a or a-sweep")
@@ -189,16 +191,6 @@ def _model(args: argparse.Namespace):
         table = load_optical_table(args.optical_data)
         return Tabulated(table=table, tail=Drude(args.omega_p, args.gamma))
     raise ConfigError(f"unknown model '{name}'")
-
-
-def _tilt(args: argparse.Namespace, geometry: Geometry) -> TiltParams | None:
-    if args.theta is not None and args.a_theta is not None:
-        raise ConfigError("give either theta or a_theta, not both")
-    if args.theta is not None:
-        return TiltParams.from_angle(args.theta, geometry)
-    if args.a_theta is not None:
-        return TiltParams.from_a_theta(args.a_theta, geometry)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +305,14 @@ def cmd_force(args: argparse.Namespace, stream) -> None:
     grad = args.which == "gradient"
     op = cylinder_force_gradient if grad else cylinder_force
     top = tilted_gradient if grad else tilted_force
+    thermal = ThermalState(args.T)
+    fixed_tilt = None if args.a_theta is None else TiltParams(args.a_theta)
 
     def point(a_nm: float):
         geom = _geometry(args, a_nm)
-        thermal = ThermalState.at(args.T, geom)
-        tilt = _tilt(args, geom)
+        # an angle theta gives a different a_theta at each separation
+        tilt = (fixed_tilt if args.theta is None
+                else TiltParams.from_angle(args.theta, geom))
         if tilt is not None:
             res = top(geom, thermal, model, tilt, quad)
         else:
@@ -356,14 +351,14 @@ def cmd_table1(args: argparse.Namespace, stream) -> None:
     """Nonmultiplicative tilt factors on the reference grid, plus kappa row."""
     model = _model(args)
     quad = QuadratureSpec(rel_tol=args.rel_tol)
+    thermal = ThermalState(args.T)
+    tilts = [TiltParams(A) for A in _TABLE1_ATHETA]
     rows = []
     for a_nm in _TABLE1_A_NM:
         geom = _geometry(args, a_nm)
-        thermal = ThermalState.at(args.T, geom)
         # kappa_nm = tilted / untilted force, the untilted one computed once
         plain = cylinder_force(geom, thermal, model, quad).value
-        tilted = [tilted_force(geom, thermal, model, TiltParams.from_a_theta(A, geom),
-                               quad).value for A in _TABLE1_ATHETA]
+        tilted = [tilted_force(geom, thermal, model, tilt, quad).value for tilt in tilts]
         rows.append((a_nm, *(value / plain for value in tilted)))
     if args.format == "json":
         emit_table(args, "table1",

@@ -2,7 +2,10 @@ r"""Nonparallelism corrections: cylinder axis tilted by a small angle.
 
 Averaging the strip separations over the cylinder length multiplies each
 n-th Matsubara summand by ``sinh(A n v)/(A n v)`` with the tilt parameter
-``A = theta L/(2a)``.  Factoring the hyperbolic sine,
+``A = theta L/(2a)``.  The paper holds A fixed as the separation varies, so
+:class:`TiltParams` stores A alone and one record serves a whole sweep; an
+angle theta converts to the A of one separation.  Factoring the hyperbolic
+sine,
 
 .. math::
    e^{-nv}\,\frac{\sinh(A n v)}{A n v}
@@ -43,31 +46,32 @@ __all__ = ["TiltParams", "kappa", "kappa_nm", "tilted_force",
 
 @dataclass(frozen=True)
 class TiltParams:
-    """Tilt angle theta (rad) with the derived parameter a_theta = theta L/(2a).
+    """Tilt parameter a_theta = theta L/(2a), held fixed over a sweep as in the paper.
 
-    The formulas diverge as a_theta -> 1, where the cylinder end would touch
-    the plate; construction rejects a_theta >= 1.  a_theta depends on a, so
-    the functions below reject a tilt built for another geometry.
+    One record serves every separation; :meth:`from_angle` gives the a_theta
+    of an angle theta at one separation.  The formulas diverge as
+    a_theta -> 1, where the cylinder end would touch the plate; construction
+    rejects a_theta >= 1.
     """
 
-    theta: float
     a_theta: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x >= 0.0 for x in (self.theta, self.a_theta)):
-            raise ValueError("tilt must be finite and nonnegative, "
-                             f"got theta={self.theta}, a_theta={self.a_theta}")
-        if self.a_theta >= 1.0:
-            raise ValueError(
-                f"a_theta = {self.a_theta} >= 1: cylinder end reaches the plate")
+        if not (math.isfinite(self.a_theta) and 0.0 <= self.a_theta < 1.0):
+            raise ValueError(f"a_theta must be finite and in [0, 1) (at 1 the cylinder "
+                             f"end reaches the plate), got {self.a_theta}")
 
     @classmethod
     def from_angle(cls, theta: float, geometry: Geometry) -> "TiltParams":
-        return cls(theta=theta, a_theta=theta * geometry.L / (2.0 * geometry.a))
+        """The tilt of angle theta (rad) at this geometry's separation."""
+        if not (math.isfinite(theta) and theta >= 0.0):
+            raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+        return cls(theta * geometry.L / (2.0 * geometry.a))
 
     @classmethod
     def from_a_theta(cls, a_theta: float, geometry: Geometry) -> "TiltParams":
-        return cls(theta=2.0 * geometry.a * a_theta / geometry.L, a_theta=a_theta)
+        """The tilt a_theta, the same at every separation (geometry unused)."""
+        return cls(a_theta)
 
 
 # Taylor coefficients of kappa about A = 0 (even powers):
@@ -91,24 +95,15 @@ def kappa(a_theta: float) -> float:
     return ((1.0 - a_theta)**-2.5 - (1.0 + a_theta)**-2.5) / (5.0 * a_theta)
 
 
-def _check_tilt(geometry: Geometry, tilt: TiltParams) -> float:
-    """tilt.a_theta, once it is checked against theta L/(2a) of this geometry."""
-    expected = tilt.theta * geometry.L / (2.0 * geometry.a)
-    if not abs(tilt.a_theta - expected) <= 1e-12 * max(tilt.a_theta, 1e-300):
-        raise ValueError("TiltParams.a_theta is inconsistent with this geometry; "
-                         "build it with TiltParams.from_angle(theta, geometry)")
-    return tilt.a_theta
-
-
 def tilted_force(geometry: Geometry, thermal: ThermalState,
                  model: PermittivityModel, tilt: TiltParams,
                  quad: QuadratureSpec | None = None) -> ForceResult:
-    """Casimir force with the cylinder tilted by tilt.theta (N, negative).
+    """Casimir force with the cylinder tilted to tilt.a_theta (N, negative).
 
-    theta = 0 reduces identically to :func:`cylinder_force`; the separation
+    a_theta = 0 reduces identically to :func:`cylinder_force`; the separation
     in the geometry is the mean minimum separation.
     """
-    return _evaluate(_FORCE, geometry, thermal, model, quad, _check_tilt(geometry, tilt))
+    return _evaluate(_FORCE, geometry, thermal, model, quad, tilt.a_theta)
 
 
 def tilted_gradient(geometry: Geometry, thermal: ThermalState,
@@ -119,7 +114,7 @@ def tilted_gradient(geometry: Geometry, thermal: ThermalState,
     Consistent with differentiating :func:`tilted_force` at fixed physical
     angle, i.e. through the separation dependence of a_theta.
     """
-    return _evaluate(_GRADIENT, geometry, thermal, model, quad, _check_tilt(geometry, tilt))
+    return _evaluate(_GRADIENT, geometry, thermal, model, quad, tilt.a_theta)
 
 
 def kappa_nm(geometry: Geometry, thermal: ThermalState,
@@ -140,7 +135,7 @@ def multiplicative_force(geometry: Geometry, thermal: ThermalState,
     between material dispersion and the tilt geometry that
     :func:`tilted_force` retains.
     """
-    k = kappa(_check_tilt(geometry, tilt))
+    k = kappa(tilt.a_theta)
     base = cylinder_force(geometry, thermal, model, quad)
     return ForceResult(k * base.value, k * base.per_length,
                        base.l_used, base.truncation_estimate)

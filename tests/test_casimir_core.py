@@ -25,7 +25,7 @@ import casimir_cyl
 from casimir_cyl import casimir_core
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
                                      _GRADIENT, _ZERO_T, _li_finite, _li_kernel,
-                                     _li_zero_freq, _reduce, _span,
+                                     _li_zero_freq, _reduce, _span, _tau,
                                      matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
 from casimir_cyl.dielectric import eps_imag_axis, zero_frequency_character
@@ -78,11 +78,9 @@ def test_non_finite_input_rejected(bad):
     for make in (lambda: Geometry(a=bad, R=1e-4, L=1e-4),
                  lambda: Geometry(a=1e-7, R=bad, L=1e-4),
                  lambda: Geometry(a=1e-7, R=1e-4, L=bad),
-                 lambda: ThermalState(temperature=bad, tau=1.0),
-                 lambda: ThermalState(temperature=300.0, tau=bad),
+                 lambda: ThermalState(bad),
                  lambda: ThermalState.at(bad, geom),
-                 lambda: TiltParams(theta=bad, a_theta=0.1),
-                 lambda: TiltParams(theta=1e-6, a_theta=bad),
+                 lambda: TiltParams(bad),
                  lambda: TiltParams.from_angle(bad, geom),
                  lambda: plate_pressure(bad, 300.0, IdealMetal()),
                  lambda: plate_pressure(300e-9, bad, IdealMetal()),
@@ -92,23 +90,26 @@ def test_non_finite_input_rejected(bad):
 
 
 def test_thermal_state():
+    # the record holds T alone; tau is formed from T and the separation
     geom = geometry_at(100.0)
-    th = ThermalState.at(300.0, geom)
+    assert ThermalState.at(300.0, geom) == ThermalState(300.0)
+    assert ThermalState(300.0).temperature == 300.0
     want = 4.0 * math.pi * BOLTZMANN_J_PER_K * 300.0 * geom.a / (
         1.054571817e-34 * 299792458.0)
-    assert th.tau == pytest.approx(want, rel=1e-15)
-    assert ThermalState.at(0.0, geom).tau == 0.0
+    assert _tau(300.0, geom.a) == pytest.approx(want, rel=1e-15)
+    assert _tau(0.0, geom.a) == 0.0
+    with pytest.raises(ValueError, match="underflows"):
+        ThermalState.at(1e-300, geom)
+    with pytest.raises(ValueError, match="underflows"):
+        _tau(300.0, 1e-309)
     with pytest.raises(ValueError):
-        ThermalState(temperature=300.0, tau=0.0)
-    with pytest.raises(ValueError):
-        ThermalState(temperature=-1.0, tau=1.0)
+        ThermalState(-1.0)
 
 
-def test_mismatched_thermal_state_rejected():
-    geom = geometry_at(100.0)
-    other = ThermalState.at(300.0, geometry_at(200.0))
-    with pytest.raises(ValueError):
-        cylinder_force(geom, other, AU)
+def test_plate_pressure_tau_underflow_raises():
+    # plate_pressure forms tau itself, and an underflowing tau is not a T = 0 run
+    with pytest.raises(ValueError, match="underflows"):
+        plate_pressure(300e-9, 1e-300, IdealMetal())
 
 
 def test_pfa_warning_emitted():
@@ -305,7 +306,7 @@ def test_high_t_matsubara_matches_asymptote():
     # tau > 30 at a = 20 um, 300 K
     geom = Geometry(a=20e-6, R=100e-6, L=100e-6)
     th = ThermalState.at(300.0, geom)
-    assert th.tau > 30.0
+    assert _tau(300.0, geom.a) > 30.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PFAValidityWarning)
         f_num = cylinder_force(geom, th, IdealMetal()).value
@@ -809,7 +810,7 @@ def test_low_temperature_force_tends_to_t0(model, temperature):
     j = 2.0 * math.gamma(3.5) * math.pi**4 / 90.0 * f0 / ideal_metal_force_t0(geom)
     omega = (2.0 * model.omega_p * geom.a * 1e9 / HBAR_C_EV_NM
              if isinstance(model, PlasmaOscillators) else math.inf)
-    tau = thermal.tau
+    tau = _tau(temperature, geom.a)
     lead = (2.0 * math.sqrt(math.pi) / omega * ZETA_3 / (4.0 * math.pi**2) * tau**3
             - 0.8 * _ZETA_HALF * _ZETA_M5HALF * tau**3.5) / j
     got = cylinder_force(geom, thermal, model, quad).value
@@ -924,7 +925,7 @@ def _bits(result) -> tuple[str, int, str]:
 def test_blocked_sum_matches_term_by_term_bits(name, a_nm):
     model = MODELS[name]
     a = a_nm * 1e-9
-    tau = ThermalState.at(300.0, geometry_at(a_nm)).tau
+    tau = _tau(300.0, a)
     quad = QuadratureSpec()
     for obs in (_FORCE, _GRADIENT):
         for a_theta in (0.0, 0.1, 0.5):
@@ -950,7 +951,7 @@ def _block_sizes(monkeypatch) -> list[int]:
 def test_block_schedule_changes_no_bits(monkeypatch, name, a_nm, a_theta):
     # the block sizes decide only how many terms are computed
     model, a, quad = MODELS[name], a_nm * 1e-9, QuadratureSpec()
-    tau = ThermalState.at(300.0, geometry_at(a_nm)).tau
+    tau = _tau(300.0, a)
     predicted = casimir_core._first_block(tau * (1.0 - a_theta), quad.rel_tol)
     want = _bits(_reduce(1.5, 0.5, model, a, tau, quad, a_theta))
     sizes = _block_sizes(monkeypatch)

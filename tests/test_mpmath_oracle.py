@@ -227,7 +227,7 @@ def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
         tilted_force(geom, thermal, model, TiltParams.from_a_theta(a_theta, geom), quad)
     for l in (1, 10):
         zeta, (got, err) = seen[l - 1]
-        assert zeta == thermal.tau * l
+        assert zeta == casimir_core._tau(300.0, geom.a) * l
         want = _force_term(zeta, eps_of, a_theta)
         true_err = float(abs(mpmath.mpf(got) - want))
         # the row's own estimate covers its error, and the error is inside

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
                          QuadratureSpec, ThermalState, TiltParams, cylinder_force,
                          cylinder_force_gradient, gold_drude, kappa, kappa_nm,
-                         multiplicative_force, tilted_force, tilted_gradient)
+                         multiplicative_force, thermal_correction, tilted_force,
+                         tilted_gradient)
 from casimir_cyl.casimir_core import _li_finite, ideal_metal_force_t0
 from casimir_cyl.quadrature import gauss_legendre
 from conftest import geometry_at
@@ -42,24 +43,51 @@ def test_kappa_domain():
 def test_tilt_params():
     geom = geometry_at(100.0)
     tilt = TiltParams.from_angle(1e-6, geom)
-    assert tilt.a_theta == pytest.approx(1e-6 * geom.L / (2 * geom.a), rel=1e-15)
-    round_trip = TiltParams.from_a_theta(tilt.a_theta, geom)
-    assert round_trip.theta == pytest.approx(tilt.theta, rel=1e-15)
+    assert tilt.a_theta == 1e-6 * geom.L / (2.0 * geom.a)
+    assert TiltParams.from_a_theta(0.1, geom) == TiltParams(0.1)
+    with pytest.raises(ValueError, match="finite"):
+        TiltParams(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        TiltParams(-0.1)
     with pytest.raises(ValueError):
         TiltParams.from_a_theta(1.0, geom)
-    with pytest.raises(ValueError):
-        TiltParams(theta=-1e-6, a_theta=0.1)
+    with pytest.raises(ValueError, match="theta must be finite and nonnegative"):
+        TiltParams.from_angle(-1e-6, geom)
+    with pytest.raises(ValueError, match="a_theta"):
+        TiltParams.from_angle(1.0, geom)  # a_theta = 500 at 100 nm
 
 
-def test_tilt_built_for_another_geometry_raises():
-    # a_theta = theta L/(2a) belongs to one separation, like ThermalState.tau
-    near, far = geometry_at(100.0), geometry_at(200.0)
-    tilt = TiltParams.from_angle(2e-4, near)  # a_theta 0.1 at 100 nm, 0.05 at 200 nm
-    th = ThermalState.at(300.0, far)
-    for fn in (tilted_force, tilted_gradient, kappa_nm, multiplicative_force):
-        with pytest.raises(ValueError, match="TiltParams"):
-            fn(far, th, AU, tilt)
-    assert tilted_force(near, ThermalState.at(300.0, near), AU, tilt).value < 0.0
+# Drude gold at 300 K and a_theta = 0.1, recorded with one ThermalState.at and
+# one TiltParams.from_a_theta per separation: cylinder_force,
+# cylinder_force_gradient, tilted_force, tilted_gradient, kappa_nm,
+# multiplicative_force and thermal_correction, as float.hex
+SWEEP_BITS = {
+    100.0: ('-0x1.6fe0bdacc6a24p-29', '0x1.48c0211d600b8p-4', '-0x1.772e208ff5d0dp-29',
+            '0x1.5361ea9a15db3p-4', '0x1.0514dfd0390c0p+0', '-0x1.79b5c00088964p-29',
+            '-0x1.6761b1b1c682bp-7'),
+    500.0: ('-0x1.0c6432851f2c8p-36', '0x1.b587b2199c56bp-14', '-0x1.13263fc603801p-36',
+            '0x1.c6ac20435b9dep-14', '0x1.06722d427214ap+0', '-0x1.139085dd94eb0p-36',
+            '-0x1.6308eb14e4ff9p-4'),
+    2000.0: ('-0x1.e5917db477ebcp-44', '0x1.a37fbbb139089p-23', '-0x1.f3b564437894ep-44',
+             '0x1.b6c28c061c8c4p-23', '0x1.0774795cf8450p+0', '-0x1.f28bbc0072271p-44',
+             '-0x1.89ecde0ef849bp-2'),
+}
+
+
+def test_one_record_serves_every_separation():
+    # a_theta is the paper's fixed tilt parameter and tau is formed from T and
+    # each geometry's a, so one ThermalState and one TiltParams serve a sweep
+    th, tilt = ThermalState(300.0), TiltParams(0.1)
+    for a_nm, want in SWEEP_BITS.items():
+        geom = geometry_at(a_nm)
+        got = (cylinder_force(geom, th, AU).value,
+               cylinder_force_gradient(geom, th, AU).value,
+               tilted_force(geom, th, AU, tilt).value,
+               tilted_gradient(geom, th, AU, tilt).value,
+               kappa_nm(geom, th, AU, tilt),
+               multiplicative_force(geom, th, AU, tilt).value,
+               thermal_correction(geom, AU, temperature=th.temperature))
+        assert tuple(x.hex() for x in got) == want, a_nm
 
 
 def test_zero_angle_reduces_exactly():
@@ -171,12 +199,13 @@ def test_ideal_t0_gradient_is_derivative_of_kappa_times_force():
     geom = geometry_at(200.0)
     th0 = ThermalState.at(0.0, geom)
     tilt = TiltParams.from_a_theta(0.3, geom)
+    theta = 2.0 * geom.a * tilt.a_theta / geom.L
     grad = tilted_gradient(geom, th0, IdealMetal(), tilt).value
     a, h = geom.a, geom.a * 1e-5
 
     def f(sep):
         g = Geometry(a=sep, R=geom.R, L=geom.L)
-        A = tilt.theta * g.L / (2.0 * sep)
+        A = theta * g.L / (2.0 * sep)
         return kappa(A) * ideal_metal_force_t0(g)
 
     fd = (f(a + h) - f(a - h)) / (2.0 * h)
