@@ -31,15 +31,18 @@ with the digits that rel_tol asks for.  Where its estimate misses rel_tol,
 the same rule runs again with every node count doubled, rung by rung, until
 one meets it or the next would pass a cap on the abscissae of one kernel call.
 
-Two bounded caches serve a sweep.  The l = 0 term depends on the behavior,
+Three bounded caches serve a sweep.  The l = 0 term depends on the behavior,
 the kernel, the tilt and rel_tol but not on a, so it is computed once per
 (behavior, observable, tilt, rel_tol), in at most 256 entries, and a
 separation sweep reuses it; only plasma's behavior, alpha = delta_0/(2a),
-changes with a.  The nodes and weights of a T = 0 rule depend only on the
-span and the node counts, so each rule of up to 2**14 abscissae is built once
-and kept, in at most 12 entries (about 4.8 MB full); force, gradient, every
-separation and every X(0) of a thermal correction at one tilt and rel_tol
-share it.
+changes with a.  Where eps(i xi) does not depend on xi (the ideal metal and a
+static dielectric), neither does the T = 0 integral depend on a, so it is
+computed once per (model, observable, tilt, rel_tol), in at most 256 entries,
+and every separation and every X(0) of a thermal correction scales it by its
+prefactor.  The nodes and weights of a T = 0 rule depend only on the span and
+the node counts, so each rule of up to 2**14 abscissae is built once and
+kept, in at most 12 entries (about 4.8 MB full); force, gradient, every
+separation and every X(0) at one tilt and rel_tol share it.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -62,7 +65,7 @@ import numpy as np
 from .constants import (BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M, HBAR_J_S,
                         SPEED_OF_LIGHT_M_S, SQRT_PI)
 from .dielectric import (PermittivityModel, ZeroFreqBehavior, eps_imag_axis,
-                         zero_frequency_character)
+                         static_permittivity, zero_frequency_character)
 from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
                          adaptive_quad_rows, gauss_legendre)
 from .reflection import log_r2_pair, zero_frequency_mu_terms
@@ -495,6 +498,34 @@ def _zero_freq_term(behavior: ZeroFreqBehavior, p: float, s: float, a_theta: flo
     return val
 
 
+def _kernel_rows(model: PermittivityModel, omega_c_ev: float, p: float, s: float,
+                 a_theta: float):
+    """The integrand of both reductions: ``kernel_rows(zetas)`` is ``f(v, row)``,
+    the kernel at zeta = zetas[row], with eps(i xi) at xi = zeta omega_c
+    evaluated once per frequency."""
+    def kernel_rows(zetas: np.ndarray):
+        eps = eps_imag_axis(model, zetas * omega_c_ev)
+        return lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta)
+    return kernel_rows
+
+
+# A sweep needs one T = 0 key per static model, observable, tilt and rel_tol;
+# the bound keeps a tilt scan from growing the cache for the life of the
+# process (full, it holds about 50 kB, measured with tracemalloc)
+_STATIC_T0_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_STATIC_T0_CACHE_SIZE)
+def _static_t0_integral(model: PermittivityModel, p: float, s: float, a_theta: float,
+                        rel_tol: float) -> tuple[float, float]:
+    """J and its estimate for a model of frequency-independent eps, which does
+    not depend on a: once per key.  eps ignores the frequency scale, so any
+    positive one (1 eV) gives the bits of every separation.  lru_cache stores
+    no exception, so a failed integral raises on every call."""
+    return zero_temperature_reduce(_kernel_rows(model, 1.0, p, s, a_theta),
+                                   _span(rel_tol, a_theta), QuadratureSpec(rel_tol))
+
+
 def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
             quad: QuadratureSpec, a_theta: float = 0.0) -> tuple[float, int, float]:
     """Matsubara sum (tau > 0) or T = 0 integral of the kernel ``v**p Li_s``.
@@ -502,16 +533,15 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     Every v-window is :func:`_span` long.  The l = 0 term is computed once per
     (behavior, p, s, a_theta, rel_tol) by :func:`_zero_freq_term`, so a
     separation sweep reuses it, except for plasma, whose behavior carries
-    alpha = delta_0/(2a).  Returns (total, l_used, error estimate).
+    alpha = delta_0/(2a).  So is the T = 0 integral of the ideal metal and of
+    a static dielectric, by :func:`_static_t0_integral`.  Returns (total,
+    l_used, error estimate).
     """
-    omega_c_ev = HBAR_C_EV_NM / (2.0 * (a * 1e9))
+    if tau == 0.0 and static_permittivity(model) is not None:
+        total, rel = _static_t0_integral(model, p, s, a_theta, quad.rel_tol)
+        return total, 0, rel
+    kernel_rows = _kernel_rows(model, HBAR_C_EV_NM / (2.0 * (a * 1e9)), p, s, a_theta)
     span = _span(quad.rel_tol, a_theta)
-
-    def kernel_rows(zetas: np.ndarray):
-        # eps(i xi) once per frequency; each row reads its own
-        eps = eps_imag_axis(model, zetas * omega_c_ev)
-        return lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta)
-
     if tau == 0.0:
         total, rel = zero_temperature_reduce(kernel_rows, span, quad)
         return total, 0, rel
@@ -631,8 +661,11 @@ def _high_temperature(obs: _Observable, geometry: Geometry, temperature: float,
                       behavior: ZeroFreqBehavior) -> float:
     """The l = 0 term at half weight: a channel of constant r^2 integrates to
     Gamma(p + 1) Li_{s+p+1}(r^2), plasma's TE channel counts at r^2 = 1 and
-    the skin-depth factor scales the sum."""
-    _check_temperature(temperature)
+    the skin-depth factor scales the sum.  It is the T -> infinity form, so
+    T must be positive."""
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError("the high-temperature asymptote needs a finite T > 0, "
+                         f"got T = {temperature}")
     order = obs.v_power + obs.li_order + 1.0
     li = sum(polylog_exp_neg(order, -log_r2) for log_r2 in behavior.log_r2)
     if behavior.alpha is not None:
@@ -652,7 +685,8 @@ def high_temperature_force(geometry: Geometry, temperature: float,
 
     The l = 0 term of ``behavior`` alone: ideal metal, Drude-like (exactly half
     the ideal value), static dielectric through Li_3(r0^2), and plasma with
-    the skin-depth expansion through second order.
+    the skin-depth expansion through second order.  Raises ValueError unless
+    T > 0: the asymptote is the T -> infinity form.
     """
     return _high_temperature(_FORCE, geometry, temperature, behavior)
 

@@ -287,21 +287,32 @@ class ZeroFreqBehavior:
 # operations
 # ---------------------------------------------------------------------------
 
+def static_permittivity(model: PermittivityModel) -> float | None:
+    """eps(i xi) of a model whose permittivity does not depend on xi, else None.
+
+    ``IdealMetal`` is the infinite-permittivity limit, +inf at every xi (where
+    ``log_r2_pair`` gives ln r^2 = 0), and ``Dielectric`` responds with eps0
+    at every frequency.
+    """
+    if isinstance(model, IdealMetal):
+        return math.inf
+    if isinstance(model, Dielectric):
+        return model.eps0
+    return None
+
+
 def eps_imag_axis(model: PermittivityModel, xi):
     """Permittivity eps(i xi) for xi > 0 in eV; scalar or ndarray of any shape.
 
-    Every model has one: ``IdealMetal`` is the infinite-permittivity limit,
-    +inf at every xi (where ``log_r2_pair`` gives ln r^2 = 0), and
-    ``Dielectric`` responds with eps0 at every frequency.
+    Every model has one, constant in xi where :func:`static_permittivity` says so.
     """
     scalar = np.ndim(xi) == 0
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not np.all(xi > 0.0):
         raise ValueError("xi must be positive")
-    if isinstance(model, IdealMetal):
-        out = np.full(xi.shape, np.inf)
-    elif isinstance(model, Dielectric):
-        out = np.full(xi.shape, model.eps0)
+    static = static_permittivity(model)
+    if static is not None:
+        out = np.full(xi.shape, static)
     elif isinstance(model, Drude):
         out = 1.0 + model.omega_p**2 / (xi * (xi + model.gamma))
     elif isinstance(model, PlasmaOscillators):

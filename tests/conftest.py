@@ -1,8 +1,16 @@
 import math
 
 import numpy as np
+import pytest
 
-from casimir_cyl import Geometry
+from casimir_cyl import Geometry, casimir_core
+
+
+@pytest.fixture(autouse=True)
+def _cold_static_t0_cache():
+    """Each test starts without a cached T = 0 integral of a static model, so
+    a test that counts or patches the T = 0 rule sees it run."""
+    casimir_core._static_t0_integral.cache_clear()
 
 
 def geometry_at(a_nm: float, R_um: float = 100.0, L_um: float = 100.0) -> Geometry:

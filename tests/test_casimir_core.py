@@ -89,6 +89,14 @@ def test_non_finite_input_rejected(bad):
             make()
 
 
+@pytest.mark.parametrize("fn", [high_temperature_force, high_temperature_gradient])
+@pytest.mark.parametrize("temperature", [0.0, -0.0, -1.0])
+def test_high_temperature_asymptote_needs_positive_t(fn, temperature):
+    # the T -> infinity form; at T = 0 the T = 0 prefactor used to stand in
+    with pytest.raises(ValueError, match="T > 0"):
+        fn(geometry_at(500.0), temperature, IDEAL_ZERO)
+
+
 def test_thermal_state():
     # the record holds T alone; tau is formed from T and the separation
     geom = geometry_at(100.0)
@@ -677,10 +685,23 @@ def _doubled_rule(kernel_rows, span, quad):
 
 
 def _doubled_rule_reference(monkeypatch, fn, *args) -> float:
-    """fn(*args) with every T = 0 integral from :func:`_doubled_rule`."""
-    with monkeypatch.context() as patch:
-        patch.setattr(casimir_core, "zero_temperature_reduce", _doubled_rule)
-        got = fn(*args)
+    """fn(*args) with every T = 0 integral from :func:`_doubled_rule`.  The
+    static-model T = 0 cache is cleared on entry and on exit, so the reference
+    is computed, and neither read from the cache nor left in it."""
+    ran = []
+
+    def doubled(kernel_rows, span, quad):
+        ran.append(span)
+        return _doubled_rule(kernel_rows, span, quad)
+
+    casimir_core._static_t0_integral.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(casimir_core, "zero_temperature_reduce", doubled)
+            got = fn(*args)
+    finally:
+        casimir_core._static_t0_integral.cache_clear()
+    assert ran
     return got if isinstance(got, float) else got.value
 
 
@@ -721,9 +742,12 @@ def test_t0_outer_levels_bounded(monkeypatch, name):
             for a_theta in (0.0, 0.1, 0.5):
                 tp = TiltParams.from_a_theta(a_theta, geom)
                 for fn in (tilted_force, tilted_gradient):
+                    # each point cold: the static models would reuse their J
+                    casimir_core._static_t0_integral.cache_clear()
                     got = fn(geom, _ZERO_T, MODELS[name], tp, quad)
                     assert got.truncation_estimate <= rel_tol
                     points += 1
+            casimir_core._static_t0_integral.cache_clear()
             plate_pressure(geom.a, 0.0, MODELS[name], quad)
             points += 1
     assert len(calls) == points
@@ -767,7 +791,10 @@ def test_t0_matches_tight_reference(monkeypatch, name):
                      for a_theta in (0.0, 0.5) for fn in (tilted_force, tilted_gradient)]
             cases.append((plate_pressure, (geom.a, 0.0, model, quad)))
             for fn, args in cases:
+                # every point runs the rule: the reference leaves the cache cold
+                recorded_before = len(estimates)
                 got = fn(*args)
+                assert len(estimates) == recorded_before + 1
                 got = got if isinstance(got, float) else got.value
                 err = abs(got / _doubled_rule_reference(monkeypatch, fn, *args) - 1.0)
                 assert err <= estimates[-1] <= rel_tol
@@ -1255,6 +1282,7 @@ def test_cached_t0_rule_changes_no_bits():
     cold = {}
     for case in grid:
         casimir_core._t0_rule.cache_clear()
+        casimir_core._static_t0_integral.cache_clear()
         cold[case] = _point_bits(*case, temperature=0.0)
     for case in reversed(grid):
         assert _point_bits(*case, temperature=0.0) == cold[case], case
@@ -1282,6 +1310,91 @@ def test_cached_t0_rule_is_read_only_and_bounded():
 
     casimir_core._t0_product_rule(ones, span, counts)
     assert cache.cache_info().currsize == 0
+
+
+# ------------------------------------- the T = 0 integral of a static model
+
+def test_static_t0_integral_changes_no_bits():
+    # each point cold, then all warm in reverse order through one cache: one
+    # miss per key, and each value and estimate with the bits of its cold
+    # run; a key that missed a field would serve one point another's J
+    cache = casimir_core._static_t0_integral
+    keys = [(name, which, a_theta, rel_tol) for name in ("ideal", "dielectric")
+            for which in ("force", "gradient") for a_theta in (0.0, 0.5, 0.95)
+            for rel_tol in (1e-9, 1e-12)]
+    points = [(name, which, a_nm, a_theta, rel_tol)
+              for name, which, a_theta, rel_tol in keys for a_nm in (100.0, 500.0, 2000.0)]
+    cold = {}
+    for case in points:
+        cache.cache_clear()
+        cold[case] = _point_bits(*case, temperature=0.0)
+    cache.cache_clear()
+    for case in reversed(points):
+        assert _point_bits(*case, temperature=0.0) == cold[case], case
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (len(keys), len(keys))
+
+
+def test_dispersive_models_never_enter_the_static_t0_cache():
+    cache = casimir_core._static_t0_integral
+    zero_temperature_force(geometry_at(500.0), IdealMetal())
+    before = cache.cache_info()
+    assert before.currsize == 1
+    for name in ("drude", "plasma", "tabulated"):
+        model = MODELS[name]
+        for a_nm in (100.0, 2000.0):
+            geom = geometry_at(a_nm)
+            zero_temperature_force(geom, model)
+            tilted_gradient(geom, _ZERO_T, model, TiltParams(0.5))
+            plate_pressure(geom.a, 0.0, model)
+    assert cache.cache_info() == before
+
+
+def test_static_t0_cache_is_bounded():
+    # a tilt scan past the bound keeps the cache at its cap
+    cache = casimir_core._static_t0_integral
+    geom = geometry_at(500.0)
+    quad = QuadratureSpec(rel_tol=1e-4)
+    scan = np.linspace(0.0, 0.5, casimir_core._STATIC_T0_CACHE_SIZE + 8)
+    for a_theta in scan:
+        tilted_force(geom, _ZERO_T, IdealMetal(), TiltParams(float(a_theta)), quad)
+    info = cache.cache_info()
+    assert (info.misses, info.currsize) == (scan.size, casimir_core._STATIC_T0_CACHE_SIZE)
+
+
+def test_pressure_and_x0_read_the_cached_integral(monkeypatch):
+    # warmed at 300 nm, the pressure at T = 0 and the X(0) of a thermal
+    # correction at 500 nm run no product rule and keep their cold bits
+    cache = casimir_core._static_t0_integral
+    ideal = IdealMetal()
+    geom = geometry_at(500.0)
+    cold_pressure = plate_pressure(geom.a, 0.0, ideal)
+    cache.cache_clear()
+    cold_delta = thermal_correction(geom, ideal)
+    cache.cache_clear()
+    plate_pressure(300e-9, 0.0, ideal)
+    zero_temperature_force(geometry_at(300.0), ideal)
+    warm = cache.cache_info()
+
+    def unreached(*args):
+        raise AssertionError("the T = 0 integral ran again")
+
+    monkeypatch.setattr(casimir_core, "zero_temperature_reduce", unreached)
+    assert plate_pressure(geom.a, 0.0, ideal).hex() == cold_pressure.hex()
+    assert thermal_correction(geom, ideal).hex() == cold_delta.hex()
+    info = cache.cache_info()
+    assert (info.hits, info.misses) == (warm.hits + 2, warm.misses)
+
+
+def test_failed_static_t0_integral_raises_on_every_call(monkeypatch):
+    def stalled(*args):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(casimir_core, "zero_temperature_reduce", stalled)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="stalled"):
+            zero_temperature_force(geometry_at(500.0), IdealMetal())
+    assert casimir_core._static_t0_integral.cache_info().currsize == 0
 
 
 def test_engine_does_not_import_numpy_ma():

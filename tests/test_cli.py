@@ -170,6 +170,7 @@ def test_conflicting_a_and_sweep_exit_2(capsys):
     ("force", "--a", "500", "--R", "inf"),
     ("gradient", "--a", "500", "--a-theta", "nan"),
     ("asymptote", "--a", "500", "--T", "inf"),
+    ("asymptote", "--a", "500", "--T", "0"),
     # without the endpoint check numpy warned (an error in this suite) on these
     ("force", "--a-sweep", "100:inf:3"),
     ("force", "--a-sweep", "100:inf:3:log"),
