@@ -231,25 +231,16 @@ def _li_kernel(v, exps, p: float, s: float, a_theta: float):
     sinh(A n v)/(A n v) of each n-th summand folds into ``(v**(p-1) / 2A) sum
     [Li_{s+1}(e^{-v(1-A)-m0}) - Li_{s+1}(e^{-v(1+A)-m0})]``.  One polylog call
     covers all channels and both tilt arguments, with the bits of separate calls.
-    Two channels with equal bits (the ideal metal, r^2 = 1 in both) go to it
-    as one, and its value is doubled: x + x == 2x exactly, so the result has
-    the bits of the two-channel sum from half the polylog elements.
     """
     A = a_theta
-    bits = exps.view(np.int64)  # equal bits, not just equal values (+0 vs -0)
-    twin = len(bits) == 2 and bool((bits[0] == bits[1]).all())
     if A == 0.0:
-        if twin:
-            return v**p * (2.0 * polylog_exp_neg(s, exps[0]))
         return v**p * polylog_exp_neg(s, exps).sum(axis=0)
-    m0 = exps[0] if twin else exps
-    args = np.empty((2,) + m0.shape)
+    args = np.empty((2,) + exps.shape)
     np.multiply(v, 1.0 - A, out=args[0])
     np.multiply(v, 1.0 + A, out=args[1])
-    args += m0
+    args += exps
     li = polylog_exp_neg(s + 1.0, args)
-    diff = li[0] - li[1]
-    return v**(p - 1.0) / (2.0 * A) * (2.0 * diff if twin else diff.sum(axis=0))
+    return v**(p - 1.0) / (2.0 * A) * (li[0] - li[1]).sum(axis=0)
 
 
 def _li_finite(v, zeta, eps, p: float, s: float, a_theta: float):
@@ -502,7 +493,14 @@ def _kernel_rows(model: PermittivityModel, omega_c_ev: float, p: float, s: float
                  a_theta: float):
     """The integrand of both reductions: ``kernel_rows(zetas)`` is ``f(v, row)``,
     the kernel at zeta = zetas[row], with eps(i xi) at xi = zeta omega_c
-    evaluated once per frequency."""
+    evaluated once per frequency.  The ideal metal (eps = +inf, r^2 = 1 in
+    both channels) takes one channel, doubled, and no eps: the same bits, as
+    2 (c x) == c x + c x and v (1 -+ A) + 0.0 == v (1 -+ A) + (-0.0)."""
+    if static_permittivity(model) == math.inf:
+        def ideal_rows(v, row):
+            one = v[None] if a_theta == 0.0 else np.zeros((1,) + v.shape)
+            return 2.0 * _li_kernel(v, one, p, s, a_theta)
+        return lambda zetas: ideal_rows
     def kernel_rows(zetas: np.ndarray):
         eps = eps_imag_axis(model, zetas * omega_c_ev)
         return lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta)
@@ -568,22 +566,40 @@ def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,
     """
     quad = quad or QuadratureSpec()
     tau = _tau(thermal.temperature, geometry.a)
+    prefactor = _prefactor(obs, geometry, thermal.temperature)
     _warn_pfa(geometry, stacklevel=4)
     total, l_used, err = _reduce(obs.v_power, obs.li_order, model, geometry.a,
                                  tau, quad, a_theta)
-    value = _prefactor(obs, geometry, thermal.temperature) * total
+    value = prefactor * total
     return ForceResult(value, value / geometry.L, l_used, err)
+
+
+def _si_factor(a: float, form: Callable[[], float]) -> float:
+    """``form()``, an SI factor at separation a; raises ValueError naming a
+    where a power of a overflows or the factor comes out zero, subnormal (with
+    digits lost) or not finite."""
+    try:
+        factor = form()
+    except (OverflowError, ZeroDivisionError):
+        factor = math.nan
+    if not sys.float_info.min <= abs(factor) < math.inf:
+        raise ValueError(f"separation a = {a} m puts the SI prefactor out of the "
+                         "normal float range")
+    return factor
 
 
 def _prefactor(obs: _Observable, geometry: Geometry, temperature: float) -> float:
     """The SI factor of the observable's dimensionless sum or T = 0 integral."""
     a, R, L = geometry.a, geometry.R, geometry.L
-    if temperature == 0.0:
-        scale = HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**(obs.a_power + 1))
-    else:
-        scale = (BOLTZMANN_J_PER_K * temperature * L
-                 / (4.0 * SQRT_PI * a**obs.a_power))
-    return obs.sign * scale * math.sqrt(R / (2.0 * a))
+
+    def form() -> float:
+        if temperature == 0.0:
+            scale = HBAR_C_J_M * L / (16.0 * math.pi**1.5 * a**(obs.a_power + 1))
+        else:
+            scale = (BOLTZMANN_J_PER_K * temperature * L
+                     / (4.0 * SQRT_PI * a**obs.a_power))
+        return obs.sign * scale * math.sqrt(R / (2.0 * a))
+    return _si_factor(a, form)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +650,13 @@ def plate_pressure(a: float, temperature: float, model: PermittivityModel,
         raise ValueError(f"separation must be positive and finite, got {a}")
     _check_temperature(temperature)
     quad = quad or QuadratureSpec()
+    tau = _tau(temperature, a)
+    scale = _si_factor(a, lambda: HBAR_C_J_M / (32.0 * math.pi**2 * a**4)
+                       if temperature == 0.0
+                       else BOLTZMANN_J_PER_K * temperature / (8.0 * math.pi * a**3))
     # the geometric sum v**2 / (exp(mu) - 1) is the kernel with (p, s) = (2, 0)
-    total, _, _ = _reduce(2.0, 0.0, model, a, _tau(temperature, a), quad)
-    if temperature == 0.0:
-        return -(HBAR_C_J_M / (32.0 * math.pi**2 * a**4)) * total
-    return -(BOLTZMANN_J_PER_K * temperature / (8.0 * math.pi * a**3)) * total
+    total, _, _ = _reduce(2.0, 0.0, model, a, tau, quad)
+    return -scale * total
 
 
 # ---------------------------------------------------------------------------

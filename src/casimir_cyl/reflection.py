@@ -29,16 +29,14 @@ def log_r2_pair(v, zeta, eps):
     """Return ln r^2 of both channels, shape ``(2,) + broadcast(v, zeta, eps)``.
 
     Row 0 is ln r_TM^2, row 1 ln r_TE^2.  Uses log1p of the exact complements
-    1 - r = 2s/(eps v + s) and 1 - |r_TE| = 2v/(v + s); eps may be +inf (ideal
-    metal limit, ln r^2 = 0).  Where (eps - 1) zeta**2 is below the rounding of
-    v**2, s rounds to v and ln r_TE^2 is -inf, without a warning: the exponent
-    mu = v - ln r^2 is then +inf and the polylog term 0.
+    1 - r = 2s/(eps v + s) and 1 - |r_TE| = 2v/(v + s); eps is finite (the
+    ideal metal never comes here).  Where (eps - 1) zeta**2 is below the
+    rounding of v**2, s rounds to v and ln r_TE^2 is -inf, without a warning:
+    the exponent mu = v - ln r^2 is then +inf and the polylog term 0.
     """
     v = np.asarray(v, dtype=float)
     eps = np.asarray(eps, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    if np.all(np.isinf(eps)):
-        return np.zeros((2,) + np.broadcast_shapes(v.shape, eps.shape, zeta.shape))
     s = np.sqrt(v * v + (eps - 1.0) * zeta * zeta)
     out = np.empty((2,) + s.shape)
     with np.errstate(divide="ignore"):

@@ -311,7 +311,9 @@ def polylog(s: float, x):
     float or ndarray in ``[0, 1]``; ``x = 1`` gives zeta(s) for ``s > 1``,
     where the series converges (Li_{3/2}(1) = zeta(3/2) among them), and is
     refused for ``s <= 1``, where it diverges.  Relative accuracy is better
-    than 1e-12 over the full domain.
+    than 1e-12 over the full domain.  It stays public API for callers that
+    hold x rather than its exponent; no engine path calls it, as the engine
+    forms mu itself.
 
     Raises
     ------

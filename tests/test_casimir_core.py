@@ -1,6 +1,7 @@
 """Engine tests: closed-form oracles, limits, scaling and determinism."""
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,7 @@ from casimir_cyl import (ConvergenceError, Dielectric, Geometry,
 import casimir_cyl
 from casimir_cyl import casimir_core
 from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
-                                     _GRADIENT, _ZERO_T, _li_finite, _li_kernel,
+                                     _GRADIENT, _ZERO_T, _li_kernel,
                                      _li_zero_freq, _reduce, _span, _tau,
                                      matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
@@ -34,6 +35,7 @@ from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import ZETA_3, polylog, polylog_exp_neg
 from casimir_cyl.tilt import tilted_force, tilted_gradient
 from conftest import geometry_at
+import ideal_matsubara
 
 AU = gold_drude()
 PLASMA = PlasmaOscillators(omega_p=9.0)
@@ -118,6 +120,35 @@ def test_plate_pressure_tau_underflow_raises():
     # plate_pressure forms tau itself, and an underflowing tau is not a T = 0 run
     with pytest.raises(ValueError, match="underflows"):
         plate_pressure(300e-9, 1e-300, IdealMetal())
+
+
+@pytest.mark.parametrize("a", [1e200, 1e300])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_huge_separation_raises_naming_it(monkeypatch, name, a):
+    # a power of a overflows, or the SI prefactor comes out zero: every entry
+    # raises ValueError naming a before a reduction runs (the ideal metal
+    # evaluates no eps that could fail first)
+    def unreachable(*args):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(casimir_core, "_reduce", unreachable)
+    geom = Geometry(a=a, R=100e-6, L=100e-6)
+    model = MODELS[name]
+    behavior = zero_frequency_character(model, a)
+    named = re.escape(f"separation a = {a} m")
+    for temperature in (0.0, 300.0):
+        th = ThermalState(temperature)
+        for fn in (cylinder_force, cylinder_force_gradient):
+            with pytest.raises(ValueError, match=named):
+                fn(geom, th, model)
+        for fn in (tilted_force, tilted_gradient):
+            with pytest.raises(ValueError, match=named):
+                fn(geom, th, model, TiltParams(0.5))
+        with pytest.raises(ValueError, match=named):
+            plate_pressure(a, temperature, model)
+        for fn in (high_temperature_force, high_temperature_gradient):
+            with pytest.raises(ValueError, match=named if temperature > 0.0 else "T > 0"):
+                fn(geom, temperature, behavior)
 
 
 def test_pfa_warning_emitted():
@@ -876,31 +907,48 @@ def test_kernel_is_one_polylog_call_with_per_channel_bits(monkeypatch, channels,
 
 @pytest.mark.parametrize("a_theta", [0.0, 0.1, 0.5])
 def test_equal_channels_take_one_polylog_row_with_summed_bits(monkeypatch, a_theta):
-    # the ideal metal, r^2 = 1 in both channels: Li_s of one channel, doubled,
-    # must carry the bits of the two channels summed
+    # the ideal metal, r^2 = 1 in both channels: its rows are Li_s of one
+    # channel, doubled, with no eps and no ln r^2, and carry the bits of the
+    # two equal channels summed, with offsets +0.0 or -0.0 when tilted
     v = np.geomspace(1e-3, 40.0, 9)
-    zeta = np.array([[0.1], [0.5], [1.0]]) * v
-    ln_r2 = log_r2_pair(v, zeta, np.inf)
-    exps = v - ln_r2 if a_theta == 0.0 else -ln_r2
+    zetas = np.array([0.1, 0.5, 1.0])
+    rows = np.array([0, 2, 1, 1, 0, 2, 0, 1, 2])
     sizes = []
 
     def counted(s, mu):
         sizes.append(np.size(mu))
         return polylog_exp_neg(s, mu)
 
-    monkeypatch.setattr(casimir_core, "polylog_exp_neg", counted)
-    got = _li_kernel(v, exps, 1.5, 0.5, a_theta)
-    assert sizes == [exps[0].size * (1 if a_theta == 0.0 else 2)]
-    A = a_theta
-    if A == 0.0:
-        terms = [polylog_exp_neg(0.5, mu) for mu in exps]
-        want = v**1.5 * (terms[0] + terms[1])
-    else:
-        terms = [polylog_exp_neg(1.5, v * (1.0 - A) + m0)
-                 - polylog_exp_neg(1.5, v * (1.0 + A) + m0) for m0 in exps]
-        want = v**0.5 / (2.0 * A) * (terms[0] + terms[1])
-    assert got.shape == zeta.shape
-    assert got.tobytes() == want.tobytes()
+    def unreachable(*args):
+        raise AssertionError("the ideal metal needs no eps and no ln r^2")
+
+    for obs in (_FORCE, _GRADIENT):
+        p, s = obs.v_power, obs.li_order
+        kernel_rows = casimir_core._kernel_rows(IdealMetal(), 1.0, p, s, a_theta)
+        with monkeypatch.context() as patch:
+            patch.setattr(casimir_core, "polylog_exp_neg", counted)
+            patch.setattr(casimir_core, "eps_imag_axis", unreachable)
+            patch.setattr(casimir_core, "log_r2_pair", unreachable)
+            sizes.clear()
+            got = kernel_rows(zetas)(v, rows)
+            assert sizes == [v.size * (1 if a_theta == 0.0 else 2)]
+        assert got.shape == v.shape
+        twins = ([np.stack([v, v])] if a_theta == 0.0
+                 else [np.zeros((2, v.size)), np.full((2, v.size), -0.0)])
+        for two in twins:
+            assert got.tobytes() == _li_kernel(v, two, p, s, a_theta).tobytes()
+
+
+def test_plate_pressure_ideal_bits_pinned():
+    # the s = 0 kernel of the pressure runs the ideal metal's one doubled
+    # channel, at 300 K and T = 0; recorded while both channels were evaluated
+    # through ln r^2 = 0
+    pinned = {(100e-9, 300.0): "-0x1.a00a51cfb4a87p+3",
+              (100e-9, 0.0): "-0x1.a00a4da5ddce1p+3",
+              (1e-6, 300.0): "-0x1.555b0cd3e33e6p-10",
+              (1e-6, 0.0): "-0x1.54d1f6b34b9ddp-10"}
+    for (a, temperature), value in pinned.items():
+        assert plate_pressure(a, temperature, IdealMetal()).hex() == value
 
 
 # ------------------------------------------------- blocked Matsubara sum
@@ -911,10 +959,13 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
     """Finite-T reduction with one scalar ``adaptive_quad`` per Matsubara term.
 
     The loop the engine blocks: same kernels, limits, tolerances and stop
-    rule, each term integrated and added on its own in ascending l.
+    rule, each term integrated and added on its own in ascending l.  Each
+    term's kernel is the engine's ``_kernel_rows`` at that one zeta: this
+    checks the blocking, not the kernel.
     """
     p, s = obs.v_power, obs.li_order
-    omega_c = HBAR_C_EV_NM / (2.0 * (a * 1e9))
+    kernel_rows = casimir_core._kernel_rows(model, HBAR_C_EV_NM / (2.0 * (a * 1e9)),
+                                            p, s, a_theta)
     behavior = zero_frequency_character(model, a)
     span = _span(quad.rel_tol, a_theta)
     total = 0.5 * adaptive_quad(
@@ -929,10 +980,9 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
             raise ConvergenceError(
                 f"Matsubara sum not converged after {casimir_core._MAX_TERMS} terms")
         zeta = tau * l
-        eps = eps_imag_axis(model, zeta * omega_c)
-        term, _ = adaptive_quad(lambda v: _li_finite(v, zeta, eps, p, s, a_theta),
-                                zeta, zeta + span, rel_tol=quad.rel_tol * 0.1,
-                                initial_panels=4)
+        row = kernel_rows(np.array([zeta]))
+        term, _ = adaptive_quad(lambda v: row(v, 0), zeta, zeta + span,
+                                rel_tol=quad.rel_tol * 0.1, initial_panels=4)
         total += term
         recent.append(abs(term))
         below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
@@ -1065,7 +1115,9 @@ def test_failed_row_past_the_stop_is_not_read():
 # The sum stops once three terms in a row fall below rel_tol |sum|.  Where
 # the terms decay slowly, as exp(-tau l (1 - A)) at a steep tilt or a low T,
 # that leaves a tail of about 1/(tau (1 - A)) terms which truncation_estimate
-# does not count: at 100 nm the errors below run 3.7-180x the estimate.
+# does not count: at 100 nm the errors below run 1.7-180x the estimate.  The
+# ideal metal's reference is its exact sum (``ideal_matsubara``) at the tau
+# the engine forms; Drude's is the engine at rel_tol 1e-12.
 _TAIL_UNDER_REPORT = ("the Matsubara stopping rule reports the last terms, "
                       "not the tail it leaves out")
 
@@ -1076,6 +1128,7 @@ def _tail_case(name, a_theta, temperature, case_id, reason=_TAIL_UNDER_REPORT):
 
 
 @pytest.mark.parametrize("name,a_theta,temperature", [
+    _tail_case("ideal", 0.0, 300.0, "ideal-300K"),
     _tail_case("ideal", 0.5, 300.0, "ideal-tilt-0.5"),
     _tail_case("ideal", 0.9, 300.0, "ideal-tilt-0.9"),
     _tail_case("drude", 0.0, 30.0, "drude-30K"),
@@ -1090,12 +1143,15 @@ def test_matsubara_tail_error_is_reported(name, a_theta, temperature):
 
     def force(rel_tol):
         quad = QuadratureSpec(rel_tol=rel_tol)
-        if a_theta == 0.0:
-            return cylinder_force(geom, th, MODELS[name], quad)
-        return tilted_force(geom, th, MODELS[name], TiltParams.from_a_theta(a_theta, geom), quad)
+        return tilted_force(geom, th, MODELS[name], TiltParams(a_theta), quad)
 
-    got, ref = force(rel_tol), force(1e-12)
-    err = abs(got.value / ref.value - 1.0)
+    got = force(rel_tol)
+    if name == "ideal":
+        ref = ideal_matsubara.finite_t_value("force", geom.a, geom.R, geom.L, temperature,
+                                             _tau(temperature, geom.a), a_theta)
+    else:
+        ref = force(1e-12).value
+    err = abs(got.value / ref - 1.0)
     assert err <= got.truncation_estimate, (err, got.truncation_estimate)
     assert err <= 10.0 * rel_tol, err
 

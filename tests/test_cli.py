@@ -182,6 +182,19 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("temperature", ["0", "300"])
+def test_huge_separation_exits_2(capsys, temperature):
+    # a**power past the float range: one line naming the separation, where
+    # T = 0 ended in an OverflowError traceback and 300 K in the arrays of
+    # limits of a failed quadrature
+    code, out, err = run_cli(capsys, "force", "--a", "1e200", "--T", temperature,
+                             "--model", "drude")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == ("error: separation a = 1e+191 m puts the SI prefactor out of "
+                   "the normal float range\n")
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, key, value", [
     ("thermal-correction", "a_theta", "0.3"),

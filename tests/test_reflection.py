@@ -138,11 +138,6 @@ def test_zero_frequency_mu_rows_follow_the_record():
     assert mus[2].tobytes() == (v + 4.0 * np.arcsinh(0.2 * v)).tobytes()
 
 
-def test_log_r2_pair_ideal_limit():
-    ln_rtm2, ln_rte2 = log_r2_pair(np.array([1.0, 2.0]), 0.5, np.inf)
-    assert np.all(ln_rtm2 == 0.0) and np.all(ln_rte2 == 0.0)
-
-
 def test_log_r2_pair_te_zero_is_silent_minus_inf():
     # (eps - 1) zeta**2 below the rounding of v**2, as at the first T = 0 outer
     # nodes: s rounds to v, r_TE = 0, and its polylog term drops out of the kernel
