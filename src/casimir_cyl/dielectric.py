@@ -333,21 +333,15 @@ def _drude_tail_integral(tail: Drude, omega_hi: float, xi: np.ndarray) -> np.nda
     """
     wp2g = tail.omega_p**2 * tail.gamma
     g = tail.gamma
-    out = np.empty_like(xi)
     # The partial fractions wp2g (h(g) - h(xi))/(xi^2 - g^2), h(y) = atan(omega_hi/y)/y,
-    # lose about log2(g/|xi - g|) bits: at most ~2 outside |xi - g| < g/2.  Inside,
-    # atan(a) - atan(b) = atan((a - b)/(1 + a b)) turns the divided difference into
-    # (h(g) - h(xi))/(xi - g) = (c atan(z)/z + atan(omega_hi/g)/g)/xi, with
-    # c = omega_hi/(xi g + omega_hi^2) and z = c (xi - g): positive terms only.
-    near = np.abs(xi - g) < 0.5 * g
-    x = xi[~near]
-    out[~near] = wp2g / (x**2 - g**2) * (
-        math.atan(omega_hi / g) / g - np.arctan(omega_hi / x) / x)
-    x = xi[near]
-    c = omega_hi / (x * g + omega_hi**2)
-    z = c * (x - g)
+    # cancel as xi -> g.  atan(a) - atan(b) = atan((a - b)/(1 + a b)), true for a, b > 0,
+    # turns the divided difference into (h(g) - h(xi))/(xi - g)
+    # = (c atan(z)/z + atan(omega_hi/g)/g)/xi, with c = omega_hi/(xi g + omega_hi^2) and
+    # z = c (xi - g): a sum of two positive terms at every xi, so nothing cancels.
+    c = omega_hi / (xi * g + omega_hi**2)
+    z = c * (xi - g)
     atan_ratio = np.divide(np.arctan(z), z, out=np.ones_like(z), where=z != 0.0)
-    out[near] = wp2g * (c * atan_ratio + math.atan(omega_hi / g) / g) / (x * (x + g))
+    out = wp2g * (c * atan_ratio + math.atan(omega_hi / g) / g) / (xi * (xi + g))
     return (2.0 / math.pi) * out
 
 

@@ -254,7 +254,7 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     go to ``f`` together, as ``f(x, row)`` with the 1-D abscissae ``x`` and,
     per abscissa, the index ``row`` of its integral.  ``f`` returns one value
     per abscissa.  The limits must be finite with ``b > a`` in every row, else
-    ValueError.
+    ValueError naming the first row that breaks this.
 
     Returns an iterator of (value, error_estimate) float pairs in row order.
     The integrals are done when the call returns; a stalled row raises
@@ -263,8 +263,11 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.all(b > a)):
-        raise ValueError(f"integration limits must be finite with b > a, got a={a}, b={b}")
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (b > a))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"integration limits must be finite with b > a, got a={a[i]}, "
+                         f"b={b[i]} (row {i})")
     if a.size == 0:
         return iter(())
     total, err = _refine(f, a, b, rel_tol, initial_panels)

@@ -43,6 +43,7 @@ chosen by size alone, changes no bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 
@@ -106,17 +107,11 @@ def riemann_zeta(s: float) -> float:
             * math.gamma(1.0 - s) * riemann_zeta(1.0 - s))
 
 
-_zeta_tables: dict[float, np.ndarray] = {}
-
-
+@functools.cache
 def _zeta_table(s: float) -> np.ndarray:
     """zeta(s - k) for k = 0..K; the (unused) s-k == 1 slot is parked at 0."""
-    tab = _zeta_tables.get(s)
-    if tab is None:
-        tab = np.array([riemann_zeta(s - k) if s - k != 1.0 else 0.0
-                        for k in range(_EXPANSION_TERMS + 1)])
-        _zeta_tables[s] = tab
-    return tab
+    return np.array([riemann_zeta(s - k) if s - k != 1.0 else 0.0
+                     for k in range(_EXPANSION_TERMS + 1)])
 
 
 _power_tables: dict[float, np.ndarray] = {}

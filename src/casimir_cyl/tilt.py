@@ -74,25 +74,20 @@ class TiltParams:
         return cls(a_theta)
 
 
-# Taylor coefficients of kappa about A = 0 (even powers):
-# kappa = 1 + (21/8) A^2 + (9009/1920) A^4 + O(A^6)
-_KAPPA_A2 = 21.0 / 8.0
-_KAPPA_A4 = 9009.0 / 1920.0
-_KAPPA_SERIES_CUT = 1e-3
-
-
 def kappa(a_theta: float) -> float:
     """Multiplicative tilt factor (1/(5A)) [(1-A)^{-5/2} - (1+A)^{-5/2}].
 
-    Equals 1 at A = 0 (evaluated by Taylor series below A = 1e-3 to avoid
-    the 0/0) and grows without bound as A -> 1.
+    Equals 1 at A = 0 and grows without bound as A -> 1.  With
+    ((1-A)/(1+A))^{5/2} = exp(-5 atanh A) the bracket is
+    (1-A)^{-5/2} (-expm1(-5 atanh A)), which does not cancel at small A.
+    The factor taken out is (1-A)^{-5/2}, not (1+A)^{-5/2}, because 1 - A
+    is exact for A >= 1/2, where kappa grows fastest.
     """
     if not 0.0 <= a_theta < 1.0:
         raise ValueError(f"a_theta must lie in [0, 1), got {a_theta}")
-    if a_theta < _KAPPA_SERIES_CUT:
-        a2 = a_theta * a_theta
-        return 1.0 + a2 * (_KAPPA_A2 + a2 * _KAPPA_A4)
-    return ((1.0 - a_theta)**-2.5 - (1.0 + a_theta)**-2.5) / (5.0 * a_theta)
+    if a_theta == 0.0:
+        return 1.0
+    return (1.0 - a_theta)**-2.5 * -math.expm1(-5.0 * math.atanh(a_theta)) / (5.0 * a_theta)
 
 
 def tilted_force(geometry: Geometry, thermal: ThermalState,

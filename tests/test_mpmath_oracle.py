@@ -8,7 +8,9 @@ coefficients evaluated at 40 digits from the same float inputs.
 sampled from that Drude model, and against mpmath's 30-digit integral of the
 same log-log interpolant (plus the Drude tail below the table) on a table
 with an interband Lorentz term and on a steep one.  The Drude tail's closed
-form is checked at 40 digits around its double pole xi = gamma.  One
+form is checked at 40 digits around its double pole xi = gamma and over
+xi in [1e-8, 1e6] eV, and the multiplicative tilt factor kappa against its
+defining difference at 50 digits from A = 5e-324 to the float below 1.  One
 Matsubara term of the force, the v-integral that a lockstep row of the engine
 returns, is checked against ``mpmath.quad`` of the kernel with eps(i xi) and
 the Fresnel coefficients written out here at 20 digits; for the tabulated
@@ -23,7 +25,7 @@ import pytest
 
 from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
                          QuadratureSpec, Tabulated, ThermalState, TiltParams,
-                         casimir_core, cylinder_force, tilted_force)
+                         casimir_core, cylinder_force, kappa, tilted_force)
 from casimir_cyl.constants import HBAR_C_EV_NM
 from casimir_cyl.dielectric import (Drude, OpticalTable, _drude_tail_integral, kk_transform,
                                     zero_frequency_character)
@@ -144,25 +146,49 @@ def test_kk_matches_mpmath_integral_of_a_steep_interpolant():
 
 
 # xi/gamma - 1: 0 and +-1e-12 to +-1e-1 around the double pole of the tail's
-# partial fractions, and on both sides of |xi - gamma| = gamma/2, where the
-# closed form switches to them
+# partial fractions, and xi from 1e-8 to 1e6 eV
 TAIL_OFFSETS = np.array([0.0] + [s * 10.0**-k for s in (-1.0, 1.0) for k in range(1, 13)]
                         + [-0.9, -0.5000001, -0.5, 0.4999999, 0.5, 10.0])
+TAIL_XI = np.concatenate([GAMMA * (1.0 + TAIL_OFFSETS), np.geomspace(1e-8, 1e6, 29)])
 
 
-@pytest.mark.parametrize("omega_hi", [1e-3, 0.1, 0.5])
+@pytest.mark.parametrize("omega_hi", [1e-3, 0.1, 0.5, 100.0])
 def test_drude_tail_near_gamma_matches_mpmath(omega_hi):
-    xi = GAMMA * (1.0 + TAIL_OFFSETS)
-    got = _drude_tail_integral(Drude(OMEGA_P, GAMMA), omega_hi, xi)
+    got = _drude_tail_integral(Drude(OMEGA_P, GAMMA), omega_hi, TAIL_XI)
     with mpmath.workdps(40):
         wp2g, g = mpmath.mpf(OMEGA_P) ** 2 * mpmath.mpf(GAMMA), mpmath.mpf(GAMMA)
         top = mpmath.mpf(omega_hi)
-        for x, v in zip(xi, got):
-            x2 = mpmath.mpf(float(x)) ** 2
+        for x, v in zip(TAIL_XI, got):
+            xm = mpmath.mpf(float(x))
+            # split at both peaks of the integrand, omega = xi and omega = gamma
+            cuts = sorted(c for c in {xm, g} if c < top)
             want = 2 / mpmath.pi * mpmath.quad(
-                lambda o: wp2g / ((o * o + g * g) * (o * o + x2)),
-                [0, top] if top <= g else [0, g, top])
-            assert float(abs(mpmath.mpf(float(v)) / want - 1)) <= 1e-14, x
+                lambda o: wp2g / ((o * o + g * g) * (o * o + xm * xm)), [0, *cuts, top])
+            assert float(abs(mpmath.mpf(float(v)) / want - 1)) <= 1e-15, x
+
+
+def _kappa_of(a_theta: float):
+    """(1/(5A)) [(1-A)^{-5/2} - (1+A)^{-5/2}] at 50 digits, plus the -log10 A
+    digits its difference cancels."""
+    with mpmath.workdps(55 + int(-np.log10(a_theta))):
+        A = mpmath.mpf(a_theta)
+        return +(((1 - A) ** mpmath.mpf(-2.5) - (1 + A) ** mpmath.mpf(-2.5)) / (5 * A))
+
+
+# from the smallest subnormal to the largest float below 1: a log grid, the
+# Taylor cut kappa once had at A = 1e-3 and its neighbouring floats, a linear
+# grid, and a dense run of 1 - A down to one ulp
+KAPPA_A = np.concatenate([
+    [5e-324, 1e-320], np.geomspace(1e-300, 0.9, 120),
+    [np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0)], np.linspace(0.01, 0.99, 99),
+    1.0 - np.geomspace(1e-16, 0.1, 120), [np.nextafter(1.0, 0.0)]])
+
+
+def test_kappa_matches_mpmath():
+    for a_theta in KAPPA_A:
+        want = _kappa_of(float(a_theta))
+        got = mpmath.mpf(kappa(float(a_theta)))
+        assert float(abs(got / want - 1)) <= 2e-15, a_theta
 
 
 # eps(i xi) of each model, xi in eV; the ideal metal has r_TM^2 = r_TE^2 = 1

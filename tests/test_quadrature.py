@@ -40,6 +40,13 @@ def test_non_finite_limits_raise(a, b):
         adaptive_quad(np.exp, a, b)
     with pytest.raises(ValueError, match="limits must be finite"):
         adaptive_quad_rows(lambda x, row: np.exp(x), [0.0, a], [1.0, b])
+    # among many rows the message names the first bad one, not whole arrays
+    lo, hi = np.zeros(1000), np.ones(1000)
+    lo[700], hi[700] = a, b
+    hi[900] = 0.0
+    with pytest.raises(ValueError, match=r"\(row 700\)$") as info:
+        adaptive_quad_rows(lambda x, row: np.exp(x), lo, hi)
+    assert len(str(info.value)) < 100 and "\n" not in str(info.value)
 
 
 def test_spec_validation():
