@@ -547,11 +547,12 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     def block(l0: int, count: int) -> Iterator[float]:
         # one lockstep quadrature: each row is the lone term's integral, bit for bit
         zetas = tau * np.arange(l0, l0 + count)
-        if np.any(zetas + span <= zetas):
+        ends = zetas + span
+        if np.any(ends <= zetas):
             raise ValueError(f"separation a = {a} m at T = {tau / _tau(1.0, a):.6g} K gives "
                              f"tau = {tau:.6g}, so large that zeta_l + {span:.3g} rounds "
                              "to zeta_l")
-        rows = adaptive_quad_rows(kernel_rows(zetas), zetas, zetas + span,
+        rows = adaptive_quad_rows(kernel_rows(zetas), zetas, ends,
                                   rel_tol=quad.rel_tol * _V_TOL_SHARE, initial_panels=4)
         return (val for val, _ in rows)
 
