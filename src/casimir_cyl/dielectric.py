@@ -21,12 +21,15 @@ frozen dataclasses (``PermittivityModel``):
   with the Drude ``tail`` form below the table range (the practically
   important end), log-log interpolation inside it, and zero above it.
 
-All energies are in eV.  Models are immutable; the tabulated model caches its
-quadrature nodes at construction and is read-only afterwards.
+All energies are in eV.  Models are immutable.  An ``OpticalTable`` builds its
+quadrature nodes at construction and, on first use, Chebyshev pieces of the
+in-range dispersion sum, each checked against a half-order rule at its nodes
+when it is built (see :func:`kk_transform`).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -47,6 +50,14 @@ __all__ = [
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _checked_xi(xi) -> np.ndarray:
+    """xi as a float array, every element positive and finite, else ValueError."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.all((xi > 0.0) & (xi < math.inf)):
+        raise ValueError("xi must be positive and finite")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -151,9 +162,46 @@ _SLOPE_SCALE = 3.5
 _RULE_NODES, _PROBE_NODES = 4, 2
 _MAX_SUBSEGMENTS = 128
 
+# Chebyshev pieces of the node sum D(xi) = (2/pi) sum_j w_j/(omega_j^2 + xi^2).
+# Its weights are positive, so in t = ln xi its poles sit at ln omega_j + i pi/2
+# (mod i pi) and D is analytic in |Im t| < pi/2 for any table.  On a piece
+# [m, m + 1] the interpolant at _PIECE_POINTS first-kind Chebyshev points then
+# converges like rho**-n, rho = pi + sqrt(pi**2 + 1) = 6.44 (Trefethen, ATAP
+# ch. 8): 6e-17 at n = 20.  Piece m = floor(ln xi) sits at row m - _PIECE_LO;
+# the positive finite floats have m in [-745, 709], so at most _PIECE_ROWS.
+_PIECE_POINTS = 20
+_PIECE_LO = math.floor(math.log(math.ulp(0.0)))
+_PIECE_ROWS = math.floor(math.log(sys.float_info.max)) - _PIECE_LO + 1
+_CHEB_THETA = (np.arange(_PIECE_POINTS) + 0.5) * (math.pi / _PIECE_POINTS)
+_CHEB_K = np.arange(_PIECE_POINTS, dtype=float)
+
+
+def _chebyshev_transform(n: int) -> np.ndarray:
+    """Matrix taking values at the n first-kind points u_j = cos(theta_j) to
+    the interpolant's Chebyshev coefficients: (2/n) cos(k theta_j), halved at
+    k = 0.  cos(k theta_j) = sin(s pi/(2n)), s = n - k (2j + 1), with s
+    reduced exactly onto [-n, n]: the cosine of the rounded k theta_j errs by
+    up to 7e-15 at k = 19, which left the interpolant 9e-15 off the node
+    sums instead of 2e-15."""
+    s = (2 * n - np.multiply.outer(np.arange(n), 2 * np.arange(n) + 1)) % (4 * n) - n
+    s = np.where(s > n, 2 * n - s, s)  # sin(x) = sin(pi - x)
+    out = (2.0 / n) * np.sin(s * (math.pi / (2 * n)))
+    out[0] *= 0.5
+    return out
+
+
+# coefficient k of a piece is sum_j _CHEB_DCT[k, j] D(xi_j), xi_j at u = cos(theta_j)
+_CHEB_DCT = _chebyshev_transform(_PIECE_POINTS)
+
 
 class OpticalTable:
     """Ordered (photon energy, Im eps) samples with cached quadrature nodes.
+
+    The nodes are built at construction.  The Chebyshev pieces that
+    :func:`kk_transform` evaluates are built on first use, one per unit of
+    ln xi that a call touches and per Drude tail the table is used with, and
+    kept for every later call: each is checked against the half-order probe
+    at its nodes when it is built, and a piece that fails is not kept.
 
     Parameters
     ----------
@@ -182,6 +230,8 @@ class OpticalTable:
         self.omega_min = float(w[0])
         self.omega_max = float(w[-1])
         self._build_nodes()
+        # per Drude tail: (coefficients, built) over the _PIECE_ROWS pieces
+        self._pieces: dict[Drude, tuple[np.ndarray, np.ndarray]] = {}
 
     def _build_nodes(self) -> None:
         # log-log power law on each table segment, split into sub-segments
@@ -219,13 +269,51 @@ class OpticalTable:
     def dispersion_integral(self, xi) -> np.ndarray:
         """In-range part of (2/pi) * integral omega ImEps / (omega^2 + xi^2).
 
-        Returns a 1-D array, one value per element of ``xi`` (flattened).
+        Returns a 1-D array, one value per element of ``xi`` (flattened): the
+        node sum that the Chebyshev pieces of :func:`kk_transform` interpolate.
         """
         return _node_sum(self._om2, self._wt, xi)
 
     def dispersion_integral_coarse(self, xi) -> np.ndarray:
         """Half-order companion of :meth:`dispersion_integral` (error probe)."""
         return _node_sum(self._om2_probe, self._wt_probe, xi)
+
+    def _piece_coefficients(self, tail: Drude, rows: np.ndarray) -> np.ndarray:
+        """Chebyshev coefficients of the pieces at ``rows``, one row each,
+        building the missing ones first.  Two threads may build one piece
+        twice; both write the same bits."""
+        if tail not in self._pieces:  # 233 kB at most
+            self._pieces[tail] = (np.zeros((_PIECE_ROWS, _PIECE_POINTS)),
+                                  np.zeros(_PIECE_ROWS, dtype=bool))
+        coef, built = self._pieces[tail]
+        missing = ~built[rows]
+        if missing.any():
+            wanted = np.zeros_like(built)  # np.unique would import numpy.ma
+            wanted[rows[missing]] = True
+            new = np.flatnonzero(wanted)
+            coef[new] = self._build_pieces(tail, new)
+            built[new] = True
+        return coef[rows]
+
+    def _build_pieces(self, tail: Drude, rows: np.ndarray) -> np.ndarray:
+        """Coefficients of the pieces at ``rows`` from the node sums, each
+        checked at its nodes; raises OpticalTableError naming the worst node."""
+        t = (rows + (_PIECE_LO + 0.5))[:, None] + 0.5 * np.cos(_CHEB_THETA)
+        with np.errstate(over="ignore"):  # the top piece reaches past the float range
+            xi = np.minimum(np.exp(t), sys.float_info.max).ravel()
+        rule = self.dispersion_integral(xi)
+        low = _drude_tail_integral(tail, self.omega_min, xi)
+        result = 1.0 + low + rule
+        gap = np.abs(result - (1.0 + low + self.dispersion_integral_coarse(xi)))
+        bad = gap > 1e-8 * np.abs(result)
+        if bad.any():
+            rel = np.where(bad, gap / np.abs(result), -1.0)
+            worst = np.argmax(rel)
+            raise OpticalTableError(
+                f"dispersion integral failed its accuracy check at xi = {xi[worst]:.6g} eV: "
+                f"rule and probe differ by {rel[worst]:.3g} of eps, over the 1e-8 bound")
+        values = rule.reshape(rows.size, 1, _PIECE_POINTS)
+        return (values * _CHEB_DCT).sum(axis=2)
 
 
 # xi values per block of the dispersion sums: bounds the (block x nodes)
@@ -239,7 +327,8 @@ def _node_sum(om2: np.ndarray, wt: np.ndarray, xi) -> np.ndarray:
     out = np.empty(xi.size)
     for i in range(0, xi.size, _XI_BLOCK):
         x = xi[i:i + _XI_BLOCK]
-        terms = np.add.outer(x * x, om2)
+        with np.errstate(over="ignore"):  # xi^2 = inf: each term is 0, as it should be
+            terms = np.add.outer(x * x, om2)
         np.divide(wt, terms, out=terms)
         out[i:i + _XI_BLOCK] = (2.0 / math.pi) * terms.sum(axis=1)
     return out
@@ -307,9 +396,7 @@ def eps_imag_axis(model: PermittivityModel, xi):
     Every model has one, constant in xi where :func:`static_permittivity` says so.
     """
     scalar = np.ndim(xi) == 0
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not np.all(xi > 0.0):
-        raise ValueError("xi must be positive")
+    xi = np.atleast_1d(_checked_xi(xi))
     static = static_permittivity(model)
     if static is not None:
         out = np.full(xi.shape, static)
@@ -338,10 +425,13 @@ def _drude_tail_integral(tail: Drude, omega_hi: float, xi: np.ndarray) -> np.nda
     # turns the divided difference into (h(g) - h(xi))/(xi - g)
     # = (c atan(z)/z + atan(omega_hi/g)/g)/xi, with c = omega_hi/(xi g + omega_hi^2) and
     # z = c (xi - g): a sum of two positive terms at every xi, so nothing cancels.
-    c = omega_hi / (xi * g + omega_hi**2)
+    # past xi ~ 1e154 a product overflows to inf, which takes the tail to its limit 0
+    with np.errstate(over="ignore"):
+        c = omega_hi / (xi * g + omega_hi**2)
+        denom = xi * (xi + g)
     z = c * (xi - g)
     atan_ratio = np.divide(np.arctan(z), z, out=np.ones_like(z), where=z != 0.0)
-    out = wp2g * (c * atan_ratio + math.atan(omega_hi / g) / g) / (xi * (xi + g))
+    out = wp2g * (c * atan_ratio + math.atan(omega_hi / g) / g) / denom
     return (2.0 / math.pi) * out
 
 
@@ -349,20 +439,23 @@ def kk_transform(table: OpticalTable, tail: Drude, xi):
     """Dispersion integral carrying tabulated Im eps to the imaginary axis.
 
     Below ``table.omega_min`` the Drude ``tail`` form is integrated in closed
-    form; inside the table range the cached log-log interpolation nodes are
-    summed; above ``table.omega_max`` the data are taken as zero (only the
-    low-frequency extrapolation matters in practice).  Relative quadrature
-    error is verified against a half-order rule and kept below 1e-8.
+    form; inside the table range the sum over the cached log-log
+    interpolation nodes is read from its Chebyshev piece (in ln xi, one per
+    unit of ln xi, built on first use, within 1e-14 of eps of the node sum);
+    above ``table.omega_max`` the data are taken as zero (only the
+    low-frequency extrapolation matters in practice).  A piece is kept only
+    if, at each of its nodes, the node sum is within 1e-8 of eps of a
+    half-order rule; else this raises :class:`OpticalTableError`.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _checked_xi(xi)
     flat = xi.ravel()
-    if not np.all(flat > 0.0):
-        raise ValueError("xi must be positive")
-    low = _drude_tail_integral(tail, table.omega_min, flat)
-    result = 1.0 + low + table.dispersion_integral(flat)
-    probe = 1.0 + low + table.dispersion_integral_coarse(flat)
-    if np.any(np.abs(result - probe) > 1e-8 * np.abs(result)):
-        raise OpticalTableError("dispersion integral failed its accuracy check")
+    t = np.log(flat)
+    m = np.floor(t)
+    coef = table._piece_coefficients(tail, m.astype(np.intp) - _PIECE_LO)
+    # sum_k c_k T_k(u), T_k(u) = cos(k arccos u), at u = 2 (t - m) - 1
+    terms = np.cos(np.multiply.outer(np.arccos(2.0 * (t - m) - 1.0), _CHEB_K))
+    terms *= coef
+    result = 1.0 + _drude_tail_integral(tail, table.omega_min, flat) + terms.sum(axis=1)
     return float(result[0]) if xi.ndim == 0 else result.reshape(xi.shape)
 
 

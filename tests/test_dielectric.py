@@ -1,8 +1,12 @@
 """Permittivity models, the dispersion transform, and table ingestion."""
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_cyl import dielectric
 from casimir_cyl.dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
@@ -166,7 +170,7 @@ def test_kk_confluent_tail_branch():
 
 def test_kk_vectorized_matches_scalar():
     table = synthetic_drude_table(80)
-    # 40 values: the batch spans several blocks of the dispersion sums
+    # 40 values: the batch spans several Chebyshev pieces
     xi = np.concatenate([[0.1, 1.0, 10.0], np.geomspace(0.02, 50.0, 37)])
     vec = kk_transform(table, AU, xi)
     for i, x in enumerate(xi):
@@ -403,6 +407,93 @@ def test_pathological_table_bounded_and_rejected():
         kk_transform(table, AU, np.array([0.1, 1.0, 10.0]))
 
 
+def test_failed_piece_names_its_node_and_is_not_kept():
+    omega = np.geomspace(0.1, 100.0, 20)
+    table = OpticalTable(omega, np.where(np.arange(20) % 2, 1e-200, 1e200))
+    for _ in range(2):  # nothing was kept, so the same call checks and fails again
+        with pytest.raises(OpticalTableError, match="accuracy check") as excinfo:
+            kk_transform(table, AU, 1.0)
+        message = str(excinfo.value)
+        xi = float(message.split("at xi = ")[1].split(" eV")[0])
+        gap = float(message.split("differ by ")[1].split(" of eps")[0])
+        # the worst node of the piece [0, 1) in ln xi, past the bound
+        assert 1.0 < xi < math.e and gap > 1e-8 and message.endswith("over the 1e-8 bound")
+        assert not table._pieces[AU][1].any()
+
+
+def _node_sum_eps(table: OpticalTable, tail: Drude, xi: np.ndarray) -> np.ndarray:
+    """eps(i xi) from the exact node sums, as the pieces are built."""
+    return 1.0 + dielectric._drude_tail_integral(tail, table.omega_min, xi) \
+        + table.dispersion_integral(xi)
+
+
+def _assert_pieces_match_node_sums(table: OpticalTable, xi: np.ndarray) -> None:
+    got = kk_transform(table, AU, xi)
+    want = _node_sum_eps(table, AU, xi)
+    # the documented interpolation bound; 2.4e-15 measured on 200 random tables
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(20, 800), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-12.0, 6.0), min_size=1, max_size=50))
+def test_pieces_match_node_sums_on_random_tables(n, lg_a, lg_b, seed, lg_xi):
+    # rows of a Drude spectrum between edges in [1e-3, 1e3] eV (at least 1%
+    # apart), each scaled by a random factor in [0.1, 10]
+    lo, hi = sorted((10.0**lg_a, 10.0**lg_b))
+    omega = np.geomspace(lo, max(hi, lo * 1.01), n)
+    scale = np.random.default_rng(seed).uniform(0.1, 10.0, n)
+    table = OpticalTable(omega, drude_im_eps(omega) * scale)
+    _assert_pieces_match_node_sums(table, 10.0 ** np.array(lg_xi))
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (100, 0.5, 2.0), (400, 0.5, 2.0), (600, 0.5, 2.0), (400, 0.1, 10.0), (2000, 0.1, 10.0),
+], ids=["100x2", "400x2", "600x2", "400x10", "2000x10"])
+def test_pieces_match_node_sums_on_steep_tables(n, lo, hi):
+    _assert_pieces_match_node_sums(_stress_table(n, lo, hi), np.geomspace(1e-12, 1e6, 400))
+
+
+def test_extreme_xi_finite_and_builds_only_its_pieces():
+    table = synthetic_drude_table(80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps = kk_transform(table, AU, np.array([1e-300, 1e300]))
+        assert np.all(np.isfinite(eps)) and eps[0] > 1e303 and eps[1] == 1.0
+        # floor(ln xi) = -691 and 690: two pieces, nothing between
+        built = np.flatnonzero(table._pieces[AU][1])
+        assert list(built + dielectric._PIECE_LO) == [-691, 690]
+        # the largest float has the last row, whose piece reaches past the float range
+        assert eps_imag_axis(Tabulated(table=table, tail=AU), sys.float_info.max) == 1.0
+    assert table._pieces[AU][1][-1] and table._pieces[AU][1].sum() == 3
+    # the smallest positive float has the first row: every one has a row
+    assert math.floor(math.log(math.ulp(0.0))) == dielectric._PIECE_LO
+
+
+def test_piece_coefficients_do_not_depend_on_build_order():
+    xi = np.array([0.01, 1.5, 30.0])
+    alone = synthetic_drude_table(80)
+    kk_transform(alone, AU, 1.5)
+    batch = synthetic_drude_table(80)
+    kk_transform(batch, AU, xi[::-1])
+    row = math.floor(math.log(1.5)) - dielectric._PIECE_LO
+    assert batch._pieces[AU][1].sum() == 3
+    assert np.array_equal(alone._pieces[AU][0][row], batch._pieces[AU][0][row])
+    assert kk_transform(alone, AU, xi)[1] == kk_transform(batch, AU, xi)[1]
+
+
+def test_pieces_are_kept_per_tail():
+    # the accuracy check takes the tail into eps, so a piece is checked per tail
+    table = synthetic_drude_table(80)
+    other = Drude(omega_p=3.0, gamma=0.1)
+    kk_transform(table, AU, 1.0)
+    got = kk_transform(table, other, np.array([1.0, 10.0]))
+    assert table._pieces[AU][1].sum() == 1 and table._pieces[other][1].sum() == 2
+    want = _node_sum_eps(table, other, np.array([1.0, 10.0]))
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
 def test_table_copies_and_freezes_its_inputs():
     omega = np.geomspace(0.125, 1.0e4, 50)
     im_eps = drude_im_eps(omega)
@@ -459,3 +550,20 @@ _TABLE = synthetic_drude_table(40)
 def test_non_finite_input_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+_MODELS = [AU, PlasmaOscillators(omega_p=9.0, oscillators=(Oscillator(g=20.0, omega=3.0),)),
+           Tabulated(table=_TABLE, tail=AU), IdealMetal(),
+           Dielectric(eps0=11.7)]
+
+
+@pytest.mark.parametrize("model", _MODELS,
+                         ids=["drude", "plasma_osc", "tabulated", "ideal", "dielectric"])
+@pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_xi_outside_the_positive_floats_rejected(model, xi):
+    # an infinite xi used to give 1.0 for Drude and plasma and NaN for a table
+    for arg in (xi, np.array([1.0, xi])):
+        with pytest.raises(ValueError, match="xi must be positive and finite"):
+            eps_imag_axis(model, arg)
+    with pytest.raises(ValueError, match="xi must be positive and finite"):
+        kk_transform(_TABLE, AU, np.array([[1.0], [xi]]))
