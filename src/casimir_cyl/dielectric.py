@@ -22,14 +22,14 @@ frozen dataclasses (``PermittivityModel``):
   important end), log-log interpolation inside it, and zero above it.
 
 All energies are in eV.  Models are immutable.  An ``OpticalTable`` builds its
-quadrature nodes at construction and, on first use, Chebyshev pieces of the
-in-range dispersion sum, each checked against a half-order rule at its nodes
-when it is built (see :func:`kk_transform`).
+quadrature nodes at construction and, on first use, one piece of eps(i xi)
+per binary exponent of xi: its values at 24 nodes, each checked against a
+half-order rule when it is built (see :func:`kk_transform`).  Where eps(i xi)
+is not a finite float, the Drude, plasma and tabulated models raise.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -162,46 +162,32 @@ _SLOPE_SCALE = 3.5
 _RULE_NODES, _PROBE_NODES = 4, 2
 _MAX_SUBSEGMENTS = 128
 
-# Chebyshev pieces of the node sum D(xi) = (2/pi) sum_j w_j/(omega_j^2 + xi^2).
-# Its weights are positive, so in t = ln xi its poles sit at ln omega_j + i pi/2
-# (mod i pi) and D is analytic in |Im t| < pi/2 for any table.  On a piece
-# [m, m + 1] the interpolant at _PIECE_POINTS first-kind Chebyshev points then
-# converges like rho**-n, rho = pi + sqrt(pi**2 + 1) = 6.44 (Trefethen, ATAP
-# ch. 8): 6e-17 at n = 20.  Piece m = floor(ln xi) sits at row m - _PIECE_LO;
-# the positive finite floats have m in [-745, 709], so at most _PIECE_ROWS.
-_PIECE_POINTS = 20
-_PIECE_LO = math.floor(math.log(math.ulp(0.0)))
-_PIECE_ROWS = math.floor(math.log(sys.float_info.max)) - _PIECE_LO + 1
+# Pieces of eps(i xi), one per binary exponent: xi = f 2**e (np.frexp, f in
+# [0.5, 1)) is read at the exact u = 4 f - 3 from row e - _PIECE_LO, which
+# holds eps at xi_j = f_j 2**e, u_j = 4 f_j - 3 at _PIECE_POINTS first-kind
+# Chebyshev points.  The singularities of eps in xi (the node sum's poles at
+# +-i omega_j, the Drude tail's pole at 0 and cut) lie on the imaginary axis,
+# Re u = -3 on every binade, so the interpolant converges like (3 + 2
+# sqrt 2)**-n for any table and tail (Trefethen, ATAP ch. 8): 1.1e-15 at
+# n = 24.  From 5e-324 (e = -1073) to the largest float (e = 1024): _PIECE_ROWS.
+_PIECE_POINTS = 24
+_PIECE_LO = -1073
+_PIECE_ROWS = 1024 - _PIECE_LO + 1
 _CHEB_THETA = (np.arange(_PIECE_POINTS) + 0.5) * (math.pi / _PIECE_POINTS)
-_CHEB_K = np.arange(_PIECE_POINTS, dtype=float)
-
-
-def _chebyshev_transform(n: int) -> np.ndarray:
-    """Matrix taking values at the n first-kind points u_j = cos(theta_j) to
-    the interpolant's Chebyshev coefficients: (2/n) cos(k theta_j), halved at
-    k = 0.  cos(k theta_j) = sin(s pi/(2n)), s = n - k (2j + 1), with s
-    reduced exactly onto [-n, n]: the cosine of the rounded k theta_j errs by
-    up to 7e-15 at k = 19, which left the interpolant 9e-15 off the node
-    sums instead of 2e-15."""
-    s = (2 * n - np.multiply.outer(np.arange(n), 2 * np.arange(n) + 1)) % (4 * n) - n
-    s = np.where(s > n, 2 * n - s, s)  # sin(x) = sin(pi - x)
-    out = (2.0 / n) * np.sin(s * (math.pi / (2 * n)))
-    out[0] *= 0.5
-    return out
-
-
-# coefficient k of a piece is sum_j _CHEB_DCT[k, j] D(xi_j), xi_j at u = cos(theta_j)
-_CHEB_DCT = _chebyshev_transform(_PIECE_POINTS)
+_NODE_F = 0.25 * (np.cos(_CHEB_THETA) + 3.0)
+_NODE_U = 4.0 * _NODE_F - 3.0  # exact: where the rounded nodes sit
+_BARY_W = np.where(np.arange(_PIECE_POINTS) % 2, -1.0, 1.0) * np.sin(_CHEB_THETA)
 
 
 class OpticalTable:
     """Ordered (photon energy, Im eps) samples with cached quadrature nodes.
 
-    The nodes are built at construction.  The Chebyshev pieces that
-    :func:`kk_transform` evaluates are built on first use, one per unit of
-    ln xi that a call touches and per Drude tail the table is used with, and
-    kept for every later call: each is checked against the half-order probe
-    at its nodes when it is built, and a piece that fails is not kept.
+    The nodes are built at construction.  The pieces of eps(i xi) that
+    :func:`kk_transform` reads are built on first use, one per binary
+    exponent of xi that a call touches and per Drude tail the table is used
+    with, and kept for every later call: each is checked against the
+    half-order probe at its nodes when it is built, and a piece that fails,
+    or whose values are not all finite, is not kept.
 
     Parameters
     ----------
@@ -230,7 +216,7 @@ class OpticalTable:
         self.omega_min = float(w[0])
         self.omega_max = float(w[-1])
         self._build_nodes()
-        # per Drude tail: (coefficients, built) over the _PIECE_ROWS pieces
+        # per Drude tail: (values, built) over the _PIECE_ROWS pieces
         self._pieces: dict[Drude, tuple[np.ndarray, np.ndarray]] = {}
 
     def _build_nodes(self) -> None:
@@ -269,8 +255,8 @@ class OpticalTable:
     def dispersion_integral(self, xi) -> np.ndarray:
         """In-range part of (2/pi) * integral omega ImEps / (omega^2 + xi^2).
 
-        Returns a 1-D array, one value per element of ``xi`` (flattened): the
-        node sum that the Chebyshev pieces of :func:`kk_transform` interpolate.
+        Returns a 1-D array, one value per element of ``xi`` (flattened): with
+        1 and the Drude tail, eps at the nodes of :func:`kk_transform`'s pieces.
         """
         return _node_sum(self._om2, self._wt, xi)
 
@@ -278,32 +264,35 @@ class OpticalTable:
         """Half-order companion of :meth:`dispersion_integral` (error probe)."""
         return _node_sum(self._om2_probe, self._wt_probe, xi)
 
-    def _piece_coefficients(self, tail: Drude, rows: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients of the pieces at ``rows``, one row each,
-        building the missing ones first.  Two threads may build one piece
-        twice; both write the same bits."""
-        if tail not in self._pieces:  # 233 kB at most
+    def _piece_values(self, tail: Drude, rows: np.ndarray) -> np.ndarray:
+        """eps at the nodes of the pieces at ``rows``, one row each, building
+        the missing ones first.  Two threads may build one piece twice; both
+        write the same bits."""
+        if tail not in self._pieces:  # 403 kB at most
             self._pieces[tail] = (np.zeros((_PIECE_ROWS, _PIECE_POINTS)),
                                   np.zeros(_PIECE_ROWS, dtype=bool))
-        coef, built = self._pieces[tail]
+        values, built = self._pieces[tail]
         missing = ~built[rows]
         if missing.any():
             wanted = np.zeros_like(built)  # np.unique would import numpy.ma
             wanted[rows[missing]] = True
             new = np.flatnonzero(wanted)
-            coef[new] = self._build_pieces(tail, new)
+            values[new] = self._build_pieces(tail, new)
             built[new] = True
-        return coef[rows]
+        return values[rows]
 
     def _build_pieces(self, tail: Drude, rows: np.ndarray) -> np.ndarray:
-        """Coefficients of the pieces at ``rows`` from the node sums, each
-        checked at its nodes; raises OpticalTableError naming the worst node."""
-        t = (rows + (_PIECE_LO + 0.5))[:, None] + 0.5 * np.cos(_CHEB_THETA)
-        with np.errstate(over="ignore"):  # the top piece reaches past the float range
-            xi = np.minimum(np.exp(t), sys.float_info.max).ravel()
+        """eps at the nodes of the pieces at ``rows`` from the node sums, each
+        checked at its nodes; raises ValueError naming the worst node."""
+        xi = np.ldexp(_NODE_F, (rows + _PIECE_LO)[:, None]).ravel()
         rule = self.dispersion_integral(xi)
-        low = _drude_tail_integral(tail, self.omega_min, xi)
+        with np.errstate(over="ignore", divide="ignore"):  # checked next
+            low = _drude_tail_integral(tail, self.omega_min, xi)
         result = 1.0 + low + rule
+        lost = ~np.isfinite(result) | (xi < np.finfo(float).tiny)  # subnormal: off its u_j
+        if lost.any():
+            raise ValueError(f"eps(i xi) of the table overflows or xi is subnormal "
+                             f"at xi = {xi[lost].max():.6g} eV")
         gap = np.abs(result - (1.0 + low + self.dispersion_integral_coarse(xi)))
         bad = gap > 1e-8 * np.abs(result)
         if bad.any():
@@ -312,8 +301,7 @@ class OpticalTable:
             raise OpticalTableError(
                 f"dispersion integral failed its accuracy check at xi = {xi[worst]:.6g} eV: "
                 f"rule and probe differ by {rel[worst]:.3g} of eps, over the 1e-8 bound")
-        values = rule.reshape(rows.size, 1, _PIECE_POINTS)
-        return (values * _CHEB_DCT).sum(axis=2)
+        return result.reshape(rows.size, _PIECE_POINTS)
 
 
 # xi values per block of the dispersion sums: bounds the (block x nodes)
@@ -395,21 +383,24 @@ def eps_imag_axis(model: PermittivityModel, xi):
 
     Every model has one, constant in xi where :func:`static_permittivity` says so.
     """
+    if isinstance(model, Tabulated):
+        return kk_transform(model.table, model.tail, xi)
     scalar = np.ndim(xi) == 0
     xi = np.atleast_1d(_checked_xi(xi))
     static = static_permittivity(model)
-    if static is not None:
-        out = np.full(xi.shape, static)
-    elif isinstance(model, Drude):
-        out = 1.0 + model.omega_p**2 / (xi * (xi + model.gamma))
-    elif isinstance(model, PlasmaOscillators):
-        out = 1.0 + model.omega_p**2 / xi**2
-        for osc in model.oscillators:
-            out = out + osc.g / (osc.omega**2 + xi**2 + osc.gamma * xi)
-    elif isinstance(model, Tabulated):
-        out = kk_transform(model.table, model.tail, xi)
-    else:
-        raise TypeError(f"unknown permittivity model {type(model).__name__}")
+    with np.errstate(over="ignore", divide="ignore"):  # a non-finite eps raises below
+        if static is not None:
+            out = np.full(xi.shape, static)
+        elif isinstance(model, Drude):
+            out = 1.0 + model.omega_p**2 / (xi * (xi + model.gamma))
+        elif isinstance(model, PlasmaOscillators):
+            out = 1.0 + model.omega_p**2 / xi**2
+            for osc in model.oscillators:
+                out = out + osc.g / (osc.omega**2 + xi**2 + osc.gamma * xi)
+        else:
+            raise TypeError(f"unknown permittivity model {type(model).__name__}")
+    if static is None and not np.all(np.isfinite(out)):
+        raise ValueError(f"eps(i xi) overflows at xi = {xi[~np.isfinite(out)].max():.6g} eV")
     return float(out[0]) if scalar else out
 
 
@@ -439,23 +430,27 @@ def kk_transform(table: OpticalTable, tail: Drude, xi):
     """Dispersion integral carrying tabulated Im eps to the imaginary axis.
 
     Below ``table.omega_min`` the Drude ``tail`` form is integrated in closed
-    form; inside the table range the sum over the cached log-log
-    interpolation nodes is read from its Chebyshev piece (in ln xi, one per
-    unit of ln xi, built on first use, within 1e-14 of eps of the node sum);
-    above ``table.omega_max`` the data are taken as zero (only the
-    low-frequency extrapolation matters in practice).  A piece is kept only
-    if, at each of its nodes, the node sum is within 1e-8 of eps of a
-    half-order rule; else this raises :class:`OpticalTableError`.
+    form, inside the table range the cached log-log interpolation nodes are
+    summed, and above ``table.omega_max`` the data are taken as zero (only
+    the low-frequency extrapolation matters in practice).  eps(i xi) is read
+    by the barycentric formula (Berrut and Trefethen, SIAM Rev. 46, 2004)
+    from the piece of its binary exponent, built from these on first use:
+    within 1e-14 of the exact sums, and exact at a node.  A piece is kept
+    only if eps is finite at each node (else ValueError) and the node sum
+    there is within 1e-8 of eps of a half-order rule (else
+    :class:`OpticalTableError`).
     """
     xi = _checked_xi(xi)
-    flat = xi.ravel()
-    t = np.log(flat)
-    m = np.floor(t)
-    coef = table._piece_coefficients(tail, m.astype(np.intp) - _PIECE_LO)
-    # sum_k c_k T_k(u), T_k(u) = cos(k arccos u), at u = 2 (t - m) - 1
-    terms = np.cos(np.multiply.outer(np.arccos(2.0 * (t - m) - 1.0), _CHEB_K))
-    terms *= coef
-    result = 1.0 + _drude_tail_integral(tail, table.omega_min, flat) + terms.sum(axis=1)
+    f, e = np.frexp(xi.ravel())
+    values = table._piece_values(tail, e - _PIECE_LO)
+    dist = np.subtract.outer(4.0 * f - 3.0, _NODE_U)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an exact node hit gives nan
+        c = _BARY_W / dist
+        # values relative to the first node's, so that no product with c overflows
+        rel = (c * ((values - values[:, :1]) / values[:, :1])).sum(axis=1) / c.sum(axis=1)
+    result = values[:, 0] + values[:, 0] * rel
+    hit = np.isnan(result)
+    result[hit] = values[hit][dist[hit] == 0.0]
     return float(result[0]) if xi.ndim == 0 else result.reshape(xi.shape)
 
 

@@ -86,11 +86,6 @@ class EdgeParams:
     def H(self) -> float:
         return self.R - math.sqrt(self.R**2 - self.L1**2)
 
-    @property
-    def gamma_a(self) -> float:
-        """World-line edge coefficient; fixed, not a fit parameter."""
-        return WORLD_LINE_EDGE_COEFF
-
 
 def finite_plate_force(S: float, l_edge: float, z: float,
                        em: bool = True) -> float:

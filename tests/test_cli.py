@@ -321,13 +321,14 @@ def test_negative_oscillator_strength_exits_2(capsys):
     (("force", "--a", "500", "--model", "tabulated"), None, "requires optical_data"),
     (("force",), "a = 100\na_sweep = 100:300:3\n", "either a or a-sweep"),
     (("force", "--a", "500"), "theta = 1e-4\na_theta = 0.2\n", "either theta or a_theta"),
+    (("force", "--a", "500"), "model = foo\n", "unknown model 'foo'"),
     (("thermal-correction", "--a", "100", "--T", "1e-300"), None,
      "underflows to 0 at T = 1e-300 K and a = 1.0000000000000001e-07 m"),
     (("force", "--a", "1e-300"), None, "underflows to 0 at T = 300.0 K and a = 1e-309 m"),
 ], ids=["theta_and_a_theta", "config_format", "config_which", "config_no_equals",
         "log_sweep_negative", "oscillator_two_fields", "oscillator_non_numeric",
         "tabulated_without_data", "config_a_and_a_sweep", "config_theta_and_a_theta",
-        "tau_underflow_low_T", "tau_underflow_small_a"])
+        "config_unknown_model", "tau_underflow_low_T", "tau_underflow_small_a"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if config is not None:

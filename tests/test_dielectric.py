@@ -1,7 +1,6 @@
 """Permittivity models, the dispersion transform, and table ingestion."""
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +15,9 @@ from casimir_cyl.dielectric import (Dielectric, Drude, IdealMetal, OpticalTable,
                                     load_optical_table,
                                     zero_frequency_character)
 from casimir_cyl.quadrature import gauss_legendre
+
+# any numpy warning in this layer is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 AU = gold_drude()
 
@@ -170,7 +172,7 @@ def test_kk_confluent_tail_branch():
 
 def test_kk_vectorized_matches_scalar():
     table = synthetic_drude_table(80)
-    # 40 values: the batch spans several Chebyshev pieces
+    # 40 values: the batch spans several pieces
     xi = np.concatenate([[0.1, 1.0, 10.0], np.geomspace(0.02, 50.0, 37)])
     vec = kk_transform(table, AU, xi)
     for i, x in enumerate(xi):
@@ -416,8 +418,8 @@ def test_failed_piece_names_its_node_and_is_not_kept():
         message = str(excinfo.value)
         xi = float(message.split("at xi = ")[1].split(" eV")[0])
         gap = float(message.split("differ by ")[1].split(" of eps")[0])
-        # the worst node of the piece [0, 1) in ln xi, past the bound
-        assert 1.0 < xi < math.e and gap > 1e-8 and message.endswith("over the 1e-8 bound")
+        # the worst node of the piece [1, 2) eV, past the bound
+        assert 1.0 < xi < 2.0 and gap > 1e-8 and message.endswith("over the 1e-8 bound")
         assert not table._pieces[AU][1].any()
 
 
@@ -430,7 +432,7 @@ def _node_sum_eps(table: OpticalTable, tail: Drude, xi: np.ndarray) -> np.ndarra
 def _assert_pieces_match_node_sums(table: OpticalTable, xi: np.ndarray) -> None:
     got = kk_transform(table, AU, xi)
     want = _node_sum_eps(table, AU, xi)
-    # the documented interpolation bound; 2.4e-15 measured on 200 random tables
+    # the documented interpolation bound; 8.9e-16 measured on 200 random tables
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
@@ -457,30 +459,51 @@ def test_pieces_match_node_sums_on_steep_tables(n, lo, hi):
 
 def test_extreme_xi_finite_and_builds_only_its_pieces():
     table = synthetic_drude_table(80)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        eps = kk_transform(table, AU, np.array([1e-300, 1e300]))
-        assert np.all(np.isfinite(eps)) and eps[0] > 1e303 and eps[1] == 1.0
-        # floor(ln xi) = -691 and 690: two pieces, nothing between
-        built = np.flatnonzero(table._pieces[AU][1])
-        assert list(built + dielectric._PIECE_LO) == [-691, 690]
-        # the largest float has the last row, whose piece reaches past the float range
-        assert eps_imag_axis(Tabulated(table=table, tail=AU), sys.float_info.max) == 1.0
+    eps = kk_transform(table, AU, np.array([1e-300, 1e300]))
+    assert np.all(np.isfinite(eps)) and eps[0] > 1e303 and eps[1] == 1.0
+    # binary exponents -996 and 997: two pieces, nothing between
+    built = np.flatnonzero(table._pieces[AU][1])
+    assert list(built + dielectric._PIECE_LO) == [-996, 997]
+    # the largest float has the last row, the smallest positive float the first
+    assert eps_imag_axis(Tabulated(table=table, tail=AU), sys.float_info.max) == 1.0
     assert table._pieces[AU][1][-1] and table._pieces[AU][1].sum() == 3
-    # the smallest positive float has the first row: every one has a row
-    assert math.floor(math.log(math.ulp(0.0))) == dielectric._PIECE_LO
+    assert np.frexp(sys.float_info.max)[1] - dielectric._PIECE_LO == dielectric._PIECE_ROWS - 1
+    assert np.frexp(math.ulp(0.0))[1] == dielectric._PIECE_LO
 
 
-def test_piece_coefficients_do_not_depend_on_build_order():
+def test_piece_values_do_not_depend_on_build_order():
     xi = np.array([0.01, 1.5, 30.0])
     alone = synthetic_drude_table(80)
     kk_transform(alone, AU, 1.5)
     batch = synthetic_drude_table(80)
     kk_transform(batch, AU, xi[::-1])
-    row = math.floor(math.log(1.5)) - dielectric._PIECE_LO
+    row = np.frexp(1.5)[1] - dielectric._PIECE_LO
+    assert alone._pieces[AU][1][row] and batch._pieces[AU][1][row]
     assert batch._pieces[AU][1].sum() == 3
     assert np.array_equal(alone._pieces[AU][0][row], batch._pieces[AU][0][row])
     assert kk_transform(alone, AU, xi)[1] == kk_transform(batch, AU, xi)[1]
+
+
+@pytest.mark.parametrize("e", [-30, -1, 0, 1, 7])
+def test_node_returns_its_stored_value(e):
+    table = synthetic_drude_table(80)
+    nodes = np.ldexp(dielectric._NODE_F, e)
+    got = kk_transform(table, AU, nodes)
+    stored = table._pieces[AU][0][e - dielectric._PIECE_LO]
+    assert [v.hex() for v in got] == [v.hex() for v in stored]
+    # alone, and among values between the nodes
+    assert kk_transform(table, AU, float(nodes[7])) == stored[7]
+    mixed = kk_transform(table, AU, np.array([nodes[3] * (1 + 1e-9), nodes[3], nodes[20]]))
+    assert mixed[1] == stored[3] and mixed[2] == stored[20] and np.isfinite(mixed[0])
+
+
+@pytest.mark.parametrize("k", [-40, -12, -5, -1, 0, 1, 3, 6, 12, 20])
+def test_binade_edge_agrees_with_its_neighbours(k):
+    # 2**k starts a piece; the float below it ends the previous one
+    table = synthetic_drude_table(80)
+    x = 2.0**k
+    eps = kk_transform(table, AU, np.array([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]))
+    assert np.max(np.abs(eps / eps[1] - 1.0)) <= 1e-15
 
 
 def test_pieces_are_kept_per_tail():
@@ -567,3 +590,44 @@ def test_xi_outside_the_positive_floats_rejected(model, xi):
             eps_imag_axis(model, arg)
     with pytest.raises(ValueError, match="xi must be positive and finite"):
         kk_transform(_TABLE, AU, np.array([[1.0], [xi]]))
+
+
+@pytest.mark.parametrize("model", _MODELS,
+                         ids=["drude", "plasma_osc", "tabulated", "ideal", "dielectric"])
+@pytest.mark.parametrize("xi", [1e-310, 5e-324])
+def test_eps_is_finite_or_raises_at_subnormal_xi(model, xi):
+    # Drude and the table used to return inf there with an "overflow" warning,
+    # plasma with "divide by zero"; the ideal metal's +inf is its definition
+    static = dielectric.static_permittivity(model)
+    if static is not None:
+        assert eps_imag_axis(model, xi) == static
+        return
+    if isinstance(model, Tabulated):  # a fresh table: nothing stored before
+        model = Tabulated(table=synthetic_drude_table(40), tail=AU)
+    for arg in (xi, np.array([1.0, xi])):
+        with pytest.raises(ValueError, match=r"at xi = \S+ eV$") as excinfo:
+            eps_imag_axis(model, arg)
+        if not isinstance(model, Tabulated):
+            assert f"xi = {xi:.6g} eV" in str(excinfo.value)
+    if isinstance(model, Tabulated):  # a batch's pieces are built together or not at all
+        assert not model.table._pieces[AU][1].any()
+
+
+def test_table_refuses_a_subnormal_piece_whose_eps_is_finite():
+    # a faint tail keeps eps finite at 3e-320, but the piece's nodes round off
+    # their Chebyshev points there: read anyway, eps was 0.3% off the node sums
+    omega = np.geomspace(0.125, 1e4, 50)
+    table = OpticalTable(omega, np.full_like(omega, 1e-30))
+    faint = Drude(omega_p=1e-12, gamma=0.035)
+    assert np.isfinite(eps_imag_axis(faint, 3e-320))
+    with pytest.raises(ValueError, match="subnormal"):
+        kk_transform(table, faint, 3e-320)
+    assert not table._pieces[faint][1].any()
+    assert np.isfinite(kk_transform(table, faint, 2.5e-308))
+
+
+def test_plasma_eps_raises_where_it_overflows():
+    plasma = PlasmaOscillators(omega_p=9.0)
+    assert np.isfinite(eps_imag_axis(plasma, 1e-153))
+    with pytest.raises(ValueError, match="overflows at xi = 1e-155 eV"):
+        eps_imag_axis(plasma, np.array([1e-155, 1e-160, 1.0]))

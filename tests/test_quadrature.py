@@ -214,6 +214,12 @@ def test_lockstep_failed_row_raises_naming_it(bad_row, monkeypatch):
         next(rows)
 
 
+def test_lockstep_zero_rows_never_calls_the_integrand():
+    def f(x, row):
+        raise AssertionError("integrand called")
+    assert list(adaptive_quad_rows(f, [], [])) == []
+
+
 def test_lockstep_rejects_empty_row():
     with pytest.raises(ValueError):
         adaptive_quad_rows(lambda x, row: x, [0.0, 1.0], [1.0, 1.0])
