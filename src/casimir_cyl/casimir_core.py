@@ -222,37 +222,25 @@ _OBSERVABLES = {"force": _FORCE, "gradient": _GRADIENT}
 # integrand kernels
 # ---------------------------------------------------------------------------
 
-def _li_kernel(v, exps, p: float, s: float, a_theta: float):
+def _li_kernel(v, mu, p: float, s: float, a_theta: float):
     """The kernel ``v**p Li_s(r^2 e^-v)`` summed over polarization channels.
 
-    ``exps`` has one channel per row of axis 0.  At A = a_theta = 0 they are
-    the exponents mu = v - ln r^2 and the kernel is ``v**p sum Li_s(e^-mu)``.
-    At A > 0 they are the offsets m0 = mu - v, and the length average
-    sinh(A n v)/(A n v) of each n-th summand folds into ``(v**(p-1) / 2A) sum
-    [Li_{s+1}(e^{-v(1-A)-m0}) - Li_{s+1}(e^{-v(1+A)-m0})]``.  One polylog call
-    covers all channels and both tilt arguments, with the bits of separate calls.
+    ``mu`` holds the exponents mu = v - ln r^2, one channel per row of axis 0,
+    at every tilt.  At A = a_theta = 0 the kernel is ``v**p sum Li_s(e^-mu)``.
+    At A > 0 the length average sinh(A n v)/(A n v) of each n-th summand folds,
+    with h = A v, into ``sum [Li_{s+1}(e^{-(mu-h)}) - Li_{s+1}(e^{-(mu+h)})]
+    / (2A v**(1-p))``.  One polylog call covers all channels and both tilt
+    arguments, with the bits of separate calls.
     """
     A = a_theta
     if A == 0.0:
-        return v**p * polylog_exp_neg(s, exps).sum(axis=0)
-    args = np.empty((2,) + exps.shape)
-    np.multiply(v, 1.0 - A, out=args[0])
-    np.multiply(v, 1.0 + A, out=args[1])
-    args += exps
+        return v**p * polylog_exp_neg(s, mu).sum(axis=0)
+    h = A * v
+    args = np.empty((2,) + mu.shape)
+    np.subtract(mu, h, out=args[0])
+    np.add(mu, h, out=args[1])
     li = polylog_exp_neg(s + 1.0, args)
     return v**(p - 1.0) / (2.0 * A) * (li[0] - li[1]).sum(axis=0)
-
-
-def _li_finite(v, zeta, eps, p: float, s: float, a_theta: float):
-    """Kernel at a Matsubara frequency zeta > 0 with permittivity eps."""
-    ln_r2 = log_r2_pair(v, zeta, eps)
-    return _li_kernel(v, v - ln_r2 if a_theta == 0.0 else -ln_r2, p, s, a_theta)
-
-
-def _li_zero_freq(v, behavior: ZeroFreqBehavior, p: float, s: float, a_theta: float):
-    """Kernel of the l = 0 term, from the model's zero-frequency behavior."""
-    mus = zero_frequency_mu_terms(behavior, v)
-    return _li_kernel(v, mus if a_theta == 0.0 else mus - v, p, s, a_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +471,10 @@ def _zero_freq_term(behavior: ZeroFreqBehavior, p: float, s: float, a_theta: flo
     """The l = 0 v-integral of ``v**p Li_s`` over v = w**2, once per key (the
     span follows from rel_tol and the tilt).  lru_cache stores no exception,
     so a failed integral raises on every call."""
-    val, _ = adaptive_quad(lambda w: 2.0 * w * _li_zero_freq(w * w, behavior, p, s, a_theta),
-                           0.0, math.sqrt(_span(rel_tol, a_theta)),
+    def integrand(w):
+        v = w * w
+        return 2.0 * w * _li_kernel(v, zero_frequency_mu_terms(behavior, v), p, s, a_theta)
+    val, _ = adaptive_quad(integrand, 0.0, math.sqrt(_span(rel_tol, a_theta)),
                            rel_tol=rel_tol * _V_TOL_SHARE)
     return val
 
@@ -494,16 +484,14 @@ def _kernel_rows(model: PermittivityModel, omega_c_ev: float, p: float, s: float
     """The integrand of both reductions: ``kernel_rows(zetas)`` is ``f(v, row)``,
     the kernel at zeta = zetas[row], with eps(i xi) at xi = zeta omega_c
     evaluated once per frequency.  The ideal metal (eps = +inf, r^2 = 1 in
-    both channels) takes one channel, doubled, and no eps: the same bits, as
-    2 (c x) == c x + c x and v (1 -+ A) + 0.0 == v (1 -+ A) + (-0.0)."""
+    both channels) takes one channel, mu = v, doubled, and no eps: the same
+    bits, as 2 (c x) == c x + c x."""
     if static_permittivity(model) == math.inf:
-        def ideal_rows(v, row):
-            one = v[None] if a_theta == 0.0 else np.zeros((1,) + v.shape)
-            return 2.0 * _li_kernel(v, one, p, s, a_theta)
-        return lambda zetas: ideal_rows
+        return lambda zetas: lambda v, row: 2.0 * _li_kernel(v, v[None], p, s, a_theta)
     def kernel_rows(zetas: np.ndarray):
         eps = eps_imag_axis(model, zetas * omega_c_ev)
-        return lambda v, row: _li_finite(v, zetas[row], eps[row], p, s, a_theta)
+        return lambda v, row: _li_kernel(v, v - log_r2_pair(v, zetas[row], eps[row]),
+                                         p, s, a_theta)
     return kernel_rows
 
 
@@ -669,35 +657,39 @@ def plate_pressure(a: float, temperature: float, model: PermittivityModel,
 # ---------------------------------------------------------------------------
 
 def ideal_metal_force_t0(geometry: Geometry) -> float:
-    """Ideal-metal T = 0 force: -pi^3 hbar c L/(384 a^3) sqrt(R/2a)."""
+    """Ideal-metal T = 0 force: -pi^3 hbar c L/(384 a^3) sqrt(R/2a); raises
+    ValueError naming a where it leaves the normal float range."""
     a, R, L = geometry.a, geometry.R, geometry.L
-    return -math.pi**3 * HBAR_C_J_M * L / (384.0 * a**3) * math.sqrt(R / (2.0 * a))
+    return _si_factor(a, lambda: -math.pi**3 * HBAR_C_J_M * L / (384.0 * a**3)
+                      * math.sqrt(R / (2.0 * a)))
 
 
 def ideal_metal_gradient_t0(geometry: Geometry) -> float:
-    """Ideal-metal T = 0 gradient: 7 pi^3 hbar c L/(768 a^4) sqrt(R/2a)."""
+    """Ideal-metal T = 0 gradient: 7 pi^3 hbar c L/(768 a^4) sqrt(R/2a); raises
+    ValueError naming a where it leaves the normal float range."""
     a, R, L = geometry.a, geometry.R, geometry.L
-    return 7.0 * math.pi**3 * HBAR_C_J_M * L / (768.0 * a**4) * math.sqrt(R / (2.0 * a))
+    return _si_factor(a, lambda: 7.0 * math.pi**3 * HBAR_C_J_M * L / (768.0 * a**4)
+                      * math.sqrt(R / (2.0 * a)))
 
 
 def _high_temperature(obs: _Observable, geometry: Geometry, temperature: float,
                       behavior: ZeroFreqBehavior) -> float:
     """The l = 0 term at half weight: a channel of constant r^2 integrates to
-    Gamma(p + 1) Li_{s+p+1}(r^2), plasma's TE channel counts at r^2 = 1 and
-    the skin-depth factor scales the sum.  It is the T -> infinity form, so
-    T must be positive."""
+    Gamma(p + 1) Li_{s+p+1}(r^2), read from the channel record at v = 0 (where
+    plasma's TE channel has r^2 = 1), and the skin-depth factor scales the
+    sum.  It is the T -> infinity form, so T must be positive."""
     if not (math.isfinite(temperature) and temperature > 0.0):
         raise ValueError("the high-temperature asymptote needs a finite T > 0, "
                          f"got T = {temperature}")
     order = obs.v_power + obs.li_order + 1.0
-    li = sum(polylog_exp_neg(order, -log_r2) for log_r2 in behavior.log_r2)
+    li = float(polylog_exp_neg(order, zero_frequency_mu_terms(behavior, np.zeros(1))).sum())
     if behavior.alpha is not None:
         x = 2.0 * behavior.alpha  # alpha = delta_0/(2a)
         if not x < 0.5:
             raise ValueError(
                 f"skin-depth expansion invalid: delta_0/a = {x} is not in [0, 0.5)")
         c1, c2 = obs.skin_depth
-        li = (li + polylog_exp_neg(order, 0.0)) * (1.0 - c1 * x + c2 * x**2)
+        li *= 1.0 - c1 * x + c2 * x**2
     return (_prefactor(obs, geometry, temperature)
             * (0.5 * math.gamma(obs.v_power + 1.0) * li))
 

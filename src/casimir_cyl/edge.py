@@ -121,16 +121,16 @@ def edge_corrected_force(geometry: Geometry) -> float:
     The edge term deepens the attraction: magnitude grows by exactly the
     factor ``1 + 0.610 a/L`` relative to the infinite-cylinder result.
     """
+    force = ideal_metal_force_t0(geometry)
     _warn_pfa(geometry)
-    return ideal_metal_force_t0(geometry) * (
-        1.0 + EDGE_FORCE_COEFF * geometry.a / geometry.L)
+    return force * (1.0 + EDGE_FORCE_COEFF * geometry.a / geometry.L)
 
 
 def edge_corrected_gradient(geometry: Geometry) -> float:
     """Ideal-metal T = 0 gradient including the edge term (N/m)."""
+    gradient = ideal_metal_gradient_t0(geometry)
     _warn_pfa(geometry)
-    return ideal_metal_gradient_t0(geometry) * (
-        1.0 + EDGE_GRADIENT_COEFF * geometry.a / geometry.L)
+    return gradient * (1.0 + EDGE_GRADIENT_COEFF * geometry.a / geometry.L)
 
 
 def total_pfa_error(geometry: Geometry, which: str = "force") -> float:
@@ -198,6 +198,9 @@ def overhang_force(geometry: Geometry, edge: EdgeParams) -> float:
     """
     if edge.R != geometry.R:
         raise ValueError("EdgeParams.R must match the geometry radius")
+    # first, so that a separation past the float range raises ValueError
+    # naming a, before any warning and before (a/L1)**3 overflows
+    force = ideal_metal_force_t0(geometry)
     a, L = geometry.a, geometry.L
     H = edge.H
     if edge.L1 < _OVERHANG_MARGIN * a or H < _OVERHANG_MARGIN * a:
@@ -211,4 +214,4 @@ def overhang_force(geometry: Geometry, edge: EdgeParams) -> float:
                - _overhang_f(edge, L) * sqrt_ar * (a / edge.L1)**3
                + 768.0 * math.sqrt(2.0) * WORLD_LINE_EDGE_COEFF / math.pi**3
                * sqrt_ar * (a / H)**3)
-    return ideal_metal_force_t0(geometry) * bracket
+    return force * bracket

@@ -87,11 +87,17 @@ def _borwein_eta(s: float) -> float:
     coeff = (d[:n] - d[n]) / d[n]
     k = np.arange(1.0, n + 1.0)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return -float(np.sum(signs * coeff / k**s))
+    with np.errstate(over="ignore"):  # k**s past the float range: its term is 0
+        return -float(np.sum(signs * coeff / k**s))
 
 
 def riemann_zeta(s: float) -> float:
-    """Riemann zeta at real s != 1 (reflection formula below s = 1/2)."""
+    """Riemann zeta at real s != 1 (reflection formula below s = 1/2).
+
+    Where Gamma(1 - s) overflows (s below about -170.6) the reflection runs in
+    logarithms; raises ValueError where |zeta(s)| itself is past the float
+    range (s below about -260, off the trivial zeros).
+    """
     s = float(s)
     if not math.isfinite(s):
         raise ValueError(f"zeta argument must be finite, got {s}")
@@ -103,8 +109,17 @@ def riemann_zeta(s: float) -> float:
         return -0.5
     if s < 0.0 and s == math.floor(s) and int(s) % 2 == 0:
         return 0.0  # trivial zeros
-    return (2.0**s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0)
-            * math.gamma(1.0 - s) * riemann_zeta(1.0 - s))
+    sine = math.sin(math.pi * s / 2.0)
+    try:
+        return (2.0**s * math.pi ** (s - 1.0) * sine
+                * math.gamma(1.0 - s) * riemann_zeta(1.0 - s))
+    except OverflowError:  # Gamma(1 - s)
+        log_abs = (s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + math.lgamma(1.0 - s)
+                   + math.log(abs(sine) * riemann_zeta(1.0 - s)))
+    try:
+        return math.copysign(math.exp(log_abs), sine)
+    except OverflowError:
+        raise ValueError(f"|zeta(s)| is past the float range at s = {s}") from None
 
 
 @functools.cache
@@ -117,14 +132,23 @@ def _zeta_table(s: float) -> np.ndarray:
 _power_tables: dict[float, np.ndarray] = {}
 
 
+def _power(n: int, s: float) -> float:
+    """``float(n)**s``, or inf where it is past the float range (its series
+    term x^n/n^s is then 0)."""
+    try:
+        return float(n)**s
+    except OverflowError:
+        return math.inf
+
+
 def _powers(s: float, top: int) -> np.ndarray:
-    """``float(n)**s`` at index n >= 1, for n up to at least ``top``; the table
-    of each s is kept, and rebuilt twice as long as the count that passes its
-    end."""
+    """``_power(n, s)`` at index n >= 1, for n up to at least ``top``; the
+    table of each s is kept, and rebuilt twice as long as the count that
+    passes its end."""
     tab = _power_tables.get(s)
     if tab is None or tab.size <= top:
         size = max(128, 2 * top)
-        tab = np.array([math.nan] + [float(n)**s for n in range(1, size)])
+        tab = np.array([math.nan] + [_power(n, s) for n in range(1, size)])
         _power_tables[s] = tab
     return tab
 
@@ -174,11 +198,11 @@ def _series(s: float, x: np.ndarray) -> np.ndarray:
                        kind="stable")
     tail, counts = tail[order], counts[order]
     xn = x * x
-    out = xn / 2.0**s
+    out = xn / _power(2, s)
     out += x  # x/1 + x^2/2^s: x/1 is x itself, and + commutes
     xn *= x
     xn_tail = xn[tail]
-    xn /= 3.0**s
+    xn /= _power(3, s)
     out += xn
     del xn
     if tail.size == 0:

@@ -11,11 +11,12 @@ sine,
    e^{-nv}\,\frac{\sinh(A n v)}{A n v}
      = \frac{e^{-nv(1-A)} - e^{-nv(1+A)}}{2 A n v},
 
-restores a polylogarithm structure: the n-sum of the force kernel collapses
-to ``[Li_{3/2}(r^2 e^{-v(1-A)}) - Li_{3/2}(r^2 e^{-v(1+A)})]/(2Av)`` (order
-1/2 for the gradient), evaluated with the same stable exponents as the
-parallel case by the kernel in :mod:`casimir_cyl.casimir_core`.  The
-multiplicative ideal-metal factor
+restores a polylogarithm structure: with the exponent mu = v - ln r^2 of
+each channel and h = A v, the n-sum of the kernel ``v**p Li_s(e^{-mu})``
+collapses to ``[Li_{s+1}(e^{-(mu-h)}) - Li_{s+1}(e^{-(mu+h)})]/(2A v**(1-p))``
+(s + 1 = 3/2 and p = 3/2 for the force, 1/2 and 5/2 for the gradient).  The
+kernel in :mod:`casimir_cyl.casimir_core` takes the same exponents mu as the
+parallel case and alone forms mu -+ h.  The multiplicative ideal-metal factor
 
 .. math::
    \kappa(A) = \frac{1}{5A}\left[(1-A)^{-5/2} - (1+A)^{-5/2}\right]

@@ -182,16 +182,22 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("temperature", ["0", "300"])
-def test_huge_separation_exits_2(capsys, temperature):
+@pytest.mark.parametrize("argv, a_m", [
+    pytest.param(("force", "--a", "1e200", "--T", "0", "--model", "drude"), "1e+191", id="0"),
+    pytest.param(("force", "--a", "1e200", "--T", "300", "--model", "drude"), "1e+191",
+                 id="300"),
+    pytest.param(("edge-error", "--a", "1e-200"), "1e-209", id="edge-error-1e-200"),
+    pytest.param(("edge-error", "--a", "1e200"), "1e+191", id="edge-error-1e200"),
+])
+def test_huge_separation_exits_2(capsys, argv, a_m):
     # a**power past the float range: one line naming the separation, where
-    # T = 0 ended in an OverflowError traceback and 300 K in the arrays of
-    # limits of a failed quadrature
-    code, out, err = run_cli(capsys, "force", "--a", "1e200", "--T", temperature,
-                             "--model", "drude")
+    # the force at T = 0 ended in an OverflowError traceback, at 300 K in the
+    # arrays of limits of a failed quadrature, and edge-error in a
+    # ZeroDivisionError (a**3 = 0) or OverflowError traceback
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err == ("error: separation a = 1e+191 m puts the SI prefactor out of "
+    assert err == (f"error: separation a = {a_m} m puts the SI prefactor out of "
                    "the normal float range\n")
 
 

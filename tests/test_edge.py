@@ -1,5 +1,7 @@
 """Edge corrections, error budget, and the overhang profile integrals."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -207,3 +209,17 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_input_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("a", [1e-209, 1e191])
+def test_separation_past_the_float_range_raises_naming_it(a):
+    # a**3 rounds to 0 or overflows: every closed form raises ValueError naming
+    # a, before any warning, where it ended in ZeroDivisionError or OverflowError
+    geom = Geometry(a=a, R=100e-6, L=100e-6)
+    edge = EdgeParams(L1=25e-6, R=100e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (ideal_metal_force_t0, ideal_metal_gradient_t0, edge_corrected_force,
+                   edge_corrected_gradient, lambda g: overhang_force(g, edge)):
+            with pytest.raises(ValueError, match=re.escape(f"separation a = {a} m")):
+                fn(geom)

@@ -46,6 +46,33 @@ def test_zeta_pole_raises():
         riemann_zeta(1.0)
 
 
+@pytest.mark.parametrize("s", [-171.5, -200.5, -250.5])
+def test_zeta_where_gamma_overflows_matches_mpmath(s):
+    # Gamma(1 - s) is past the float range but zeta(s) is not: the reflection
+    # runs in logarithms, where math.gamma raised OverflowError.  Worst seen
+    # 2.0e-13 (at -250.5), the roundoff of exp of a logarithm near 675
+    assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-12)
+
+
+def test_zeta_past_the_float_range_raises_naming_s():
+    with pytest.raises(ValueError, match=r"past the float range at s = -301\.0"):
+        riemann_zeta(-301.0)
+
+
+def test_zeta_of_a_high_order_is_one_without_warning():
+    # k**s of Borwein's sum overflows to inf, its term to 0 (a RuntimeWarning
+    # fails the test: pytest filterwarnings)
+    assert riemann_zeta(200.0) == 1.0
+
+
+@pytest.mark.parametrize("s, mu", [(120.0, 0.6), (400.0, 1.0), (200.0, 5.0), (400.0, 0.1)])
+def test_high_order_polylog_matches_mpmath(s, mu):
+    # n**s past the float range is inf and its term 0, where float(n)**s raised
+    # OverflowError; (400, 0.1) reaches the expansion, whose zeta(s - k) warned
+    want = float(mpmath.polylog(s, mpmath.exp(-mu)))
+    assert polylog_exp_neg(s, mu) == pytest.approx(want, rel=1e-14)
+
+
 def test_zeta4_pi4_over_90():
     assert riemann_zeta(4.0) == pytest.approx(math.pi**4 / 90.0, rel=1e-14)
 
