@@ -70,6 +70,13 @@ _FLOAT_EXPANSION = 16
 # engine's batches any switch from 64 to 128 is equally fast; 256 is 15% and
 # 1024 90% slower.
 _TAIL_BLOCK = 96
+# Orders above which the direct series is its head, terms 1-3.  Term n >= 4
+# is x^n/n^s <= x 4^-s, and the head's sum is at least x, whose half ulp
+# exceeds x 2^-54; so from 4^-s = 2^-54, s = 27, each later term rounds away
+# and skipping them changes no bit.  32 leaves a factor 2^10 for the rounding
+# of x^n and n^s.  The count rule would ask for about |s| ln n / decay terms:
+# seconds at s = 1e5, and past the int64 range at s = 1e20.
+_HEAD_ONLY_ORDER = 32.0
 _BORWEIN_N = 40
 
 
@@ -160,8 +167,10 @@ def _series_terms(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above 3, with decay = -ln x, and the count is int(n) + 1.  Every element
     takes at least 3 terms (an ``x = 0`` element 1, whose terms 2-3 would add
     +0.0), so only the elements that take more are returned: their indices in
-    ascending order and their counts.
+    ascending order and their counts.  Above ``_HEAD_ONLY_ORDER`` none does.
     """
+    if s > _HEAD_ONLY_ORDER:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     first = 36.9 + abs(s) * 3.0
     # A count passes 3 only where the first estimate first / decay reaches 3,
     # so the rule runs only on the x above that, with a margin for rounding.

@@ -201,6 +201,17 @@ def test_huge_separation_exits_2(capsys, argv, a_m):
                    "the normal float range\n")
 
 
+@pytest.mark.filterwarnings("ignore::casimir_cyl.PFAValidityWarning")
+def test_separation_past_the_matsubara_grid_exits_2(capsys):
+    # a = 1e12 m at 300 K: zeta_l + span rounds to zeta_l, one line naming a,
+    # T and tau (the PFA warning, a/R = 1e16, is a warning of its own)
+    code, out, err = run_cli(capsys, "force", "--a", "1e21", "--T", "300", "--model", "drude")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.count("\n") == 1
+    assert all(name in err for name in ("a = 1000000000000", "T = 300 K", "tau = ",
+                                         "rounds to zeta_l"))
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, key, value", [
     ("thermal-correction", "a_theta", "0.3"),
@@ -529,6 +540,14 @@ def test_tabulated_model_end_to_end(tmp_path, capsys):
     assert f_tab == pytest.approx(f_drude, rel=5e-3)
 
 
+def test_kk_ingest_steep_table(steep_table, capsys):
+    # steep segments get finer sub-segments, where a flat 4/2-point rule fails
+    # the dispersion accuracy check
+    code, out, _ = run_cli(capsys, "kk-ingest", str(steep_table), "--omega-p", "9.0",
+                           "--gamma", "0.035")
+    assert code == EXIT_OK and out
+
+
 def test_kk_ingest_malformed_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.dat"
     path.write_text("0.5 1.0\noops\n")
@@ -563,6 +582,22 @@ def test_asymptote_command(capsys):
     row = [ln for ln in out.splitlines() if not ln.startswith("#")][1]
     force, grad = float(row.split(",")[1]), float(row.split(",")[2])
     assert force < 0.0 and grad > 0.0
+
+
+def test_asymptote_sweep_rows_and_drude_at_half_the_ideal_metal(capsys):
+    # the high-T asymptote is the l = 0 term in closed form; Drude, with one
+    # of the ideal metal's two r^2 = 1 channels, gives exactly half of each
+    # ideal value
+    rows = {}
+    for model in ("ideal", "drude", "dielectric --eps0 11.7"):
+        code, out, _ = run_cli(capsys, "asymptote", "--a-sweep", "100:2000:5:log",
+                               "--format", "json", "--model", *model.split())
+        assert code == EXIT_OK
+        rows[model.split()[0]] = json.loads(out)["rows"]
+    assert all(len(r) == 5 for r in rows.values()), rows
+    assert all(np.isfinite(x) and x != 0.0 for r in rows.values() for row in r for x in row)
+    for ideal, drude in zip(rows["ideal"], rows["drude"]):
+        assert drude == [ideal[0], 0.5 * ideal[1], 0.5 * ideal[2]]
 
 
 def test_tilted_force_through_cli(capsys):

@@ -1,5 +1,6 @@
 """Polylogarithm and zeta tests: series oracles, branch consistency, limits."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -234,16 +235,44 @@ def test_series_term_counts_match_scalar_rule(s):
     assert np.array_equal(got, want)
 
 
-def _masked_series(s: float, x: np.ndarray) -> np.ndarray:
+def _masked_series(s: float, x: np.ndarray, nterms: np.ndarray | None = None) -> np.ndarray:
     """The direct series as one loop over the whole batch: every element runs
-    to the largest term count and gains +0.0 past its own (the oracle)."""
-    nterms = _all_counts(s, x)
+    to the largest term count (``_all_counts`` unless given) and gains +0.0
+    past its own (the oracle)."""
+    if nterms is None:
+        nterms = _all_counts(s, x)
     out = np.zeros_like(x)
     xn = np.ones_like(x)
     for n in range(1, int(nterms.max(initial=1)) + 1):
         xn = xn * x
         out = out + np.where(n <= nterms, xn / float(n)**s, 0.0)
     return out
+
+
+@pytest.mark.parametrize("s", [32.5, 40.0, 60.0])
+def test_head_only_orders_keep_the_full_series_bits(s):
+    # above _HEAD_ONLY_ORDER every term from n = 4 on rounds away, so the head
+    # alone gives the bits of the series run to the scalar rule's counts
+    from casimir_cyl.specfun import _series
+    x = np.exp(-np.linspace(0.5, 40.0, 2000))
+    counts = np.array([_terms_oracle(s, float(v)) for v in x])
+    assert counts.max() > 400
+    assert np.array_equal(_series(s, x).view(np.int64),
+                          _masked_series(s, x, counts).view(np.int64))
+
+
+@pytest.mark.parametrize("s", [60.0, 1e5, 1e20, 1e300])
+@pytest.mark.parametrize("mu", [0.3, 0.6, 2.0, 40.0])
+def test_polylog_of_a_huge_order_is_exp_neg_mu(s, mu):
+    # Li_s(e^-mu) = e^-mu + O(2^-s); the term counts grew with |s|, which took
+    # seconds at s = 1e5 and an invalid int64 cast at s = 1e20
+    from casimir_cyl.specfun import _series_terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = polylog_exp_neg(s, mu)
+        tail, counts = _series_terms(s, np.array([math.exp(-mu)]))
+    assert abs(got - math.exp(-mu)) <= 4e-16 * math.exp(-mu)
+    assert tail.size == counts.size == 0
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
