@@ -8,6 +8,10 @@ lockstep (:func:`adaptive_quad_rows`): they share only the integrand call of
 each refinement level, and each keeps its own panels and returns the bits of
 a lone :func:`adaptive_quad` call.
 
+The engine integrates the l = 0 Matsubara term and the untilted terms l >= 1
+here.  Its tilted terms l >= 1 run :func:`gauss_rows`: per row a Gauss rule
+in w and a coarser companion, doubled where their difference misses.
+
 One driver, :func:`_refine`, advances the panels of all integrals, held in
 flat arrays, a whole level at a time.  A BLAS product or a pairwise sum over
 the panels of several integrals concatenated is not bit-stable, so integrals
@@ -22,19 +26,21 @@ count.  At the deep levels of a finite-T sum, with a few open integrals and
 tens of panels, these calls and not the arithmetic set the cost of a level.
 
 :func:`gauss_legendre` is the engine's one source of fixed rules (the T = 0
-product rule's and the optical-table nodes'), built on first use per order.
+product rule's, the tilted Matsubara rows' and the optical-table nodes'),
+built on first use per order.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = ["QuadratureSpec", "ConvergenceError", "adaptive_quad", "adaptive_quad_rows",
-           "gauss_legendre"]
+           "gauss_legendre", "gauss_rows"]
 
 
 class ConvergenceError(RuntimeError):
@@ -45,12 +51,14 @@ class ConvergenceError(RuntimeError):
 class QuadratureSpec:
     """The target relative error ``rel_tol`` of a result, in [1e-12, 1e-4].
 
-    Below 1e-12 the v-integrals, held to a tenth of it, ask more than the
-    15-digit (G7, K15) constants can report and refine to their panel cap.
-    The truncation policy follows from rel_tol and is not a setting: each
-    v-integral runs to where the envelope ``v**2.5 * exp(-v)`` is far below
-    rel_tol of the integral (about v = 45 at the default), an integral takes
-    at most 4096 panels and a Matsubara sum at most 100 000 terms.
+    Below 1e-12 the adaptive v-integrals, held to a tenth of it, ask more
+    than the 15-digit (G7, K15) constants can report and refine to their
+    panel cap.  The truncation policy follows from rel_tol and is not a
+    setting: each v-integral runs to where the envelope ``v**2.5 * exp(-v)``
+    is far below rel_tol of the integral (about v = 45 at the default), an
+    adaptive integral (the l = 0 term, and every untilted Matsubara term)
+    takes at most 4096 panels, a tilted Matsubara term's Gauss rule in w at
+    most 2**16 nodes, and a Matsubara sum at most 100 000 terms.
     """
 
     rel_tol: float = 1e-9
@@ -309,3 +317,82 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 / ((s - 2.0 * x * d) * (dp * (1.0 + 2.0 * x * d / s)) ** 2)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+# Gauss rows: a row stops climbing where its next rung would pass
+# _ROW_MAX_NODES.  A rung's open rows go to f in calls of at most
+# _ROW_CALL_ABSCISSAE abscissae (one row where its rule alone is larger):
+# calls of a whole 64-row Matsubara block raised the peak memory of a sweep by
+# about 0.5 MB.  Rules of up to _ROW_CACHED_NODES nodes are kept (2 MB full).
+# The estimate is floored at 100 ulp of the row, as the T = 0 estimate is
+_ROW_MAX_NODES = 2**16
+_ROW_CALL_ABSCISSAE = 2**11
+_ROW_CACHED_NODES = 2**12
+_ROW_ROUNDOFF = 100.0 * sys.float_info.epsilon
+
+
+@functools.lru_cache(maxsize=32)
+def _w_rule(span: float, counts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A rule and its companion, Gauss-Legendre in w over [0, sqrt(span)]
+    with v = zeta + w**2: read-only flat arrays of w**2 and of the weights
+    2 w dw, the rule's counts[0] nodes first.  Neither depends on zeta."""
+    top = math.sqrt(span)
+    rules = []
+    for n in counts:
+        x, wx = gauss_legendre(n)
+        w = 0.5 * top * (x + 1.0)
+        rules.append((w * w, top * wx * w))
+    arrays = tuple(np.concatenate(part) for part in zip(*rules))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def gauss_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], zetas: np.ndarray,
+               span: float, counts: tuple[int, int],
+               rel_tol: float) -> Iterator[tuple[float, float]]:
+    """Integrate row i over [zetas[i], zetas[i] + span] by a ladder of Gauss rules in w.
+
+    Rung 1 is the rule of ``counts[0]`` nodes in w, v = zetas[i] + w**2 over
+    [0, sqrt(span)], and its companion of ``counts[1]``, all nodes in one
+    call ``f(v, row)`` as for :func:`adaptive_quad_rows`.  A row's estimate is
+    max(|rule - companion|, 100 ulp of the rule); the rows over ``rel_tol``
+    of their value run again with both counts doubled.  Each row is summed on
+    its own, so its bits do not depend on the other rows.  Returns an
+    iterator of (value, estimate) in row order; the rows are done when the
+    call returns, and a row whose value or estimate is not finite, or that is
+    over its target when its next rung would pass _ROW_MAX_NODES, raises
+    ConvergenceError naming it only when the iterator reaches it.
+    """
+    value = np.zeros(zetas.size)
+    err = np.full(zetas.size, math.inf)
+    todo = np.arange(zetas.size)
+    while todo.size and sum(counts) <= _ROW_MAX_NODES:
+        cached = sum(counts) <= _ROW_CACHED_NODES
+        w2, wt = (_w_rule if cached else _w_rule.__wrapped__)(span, counts)
+        per_call = max(1, _ROW_CALL_ABSCISSAE // w2.size)
+        for start in range(0, todo.size, per_call):
+            rows = todo[start:start + per_call]
+            vals = f((zetas[rows, None] + w2).ravel(), np.repeat(rows, w2.size))
+            terms = np.reshape(vals, (rows.size, w2.size)) * wt
+            # a row-wise pairwise sum: a product with the weights would give
+            # a row other bits in a block of 1 or 3 rows
+            fine = np.add.reduce(terms[:, :counts[0]], axis=1)
+            coarse = np.add.reduce(terms[:, counts[0]:], axis=1)
+            value[rows] = fine
+            err[rows] = np.maximum(np.abs(fine - coarse), _ROW_ROUNDOFF * np.abs(fine))
+        # NaN is neither met nor open: a non-finite row stops climbing
+        todo = todo[err[todo] > rel_tol * np.abs(value[todo])]
+        counts = (2 * counts[0], 2 * counts[1])
+    return _met(value, err, rel_tol)
+
+
+def _met(value: np.ndarray, err: np.ndarray, rel_tol: float) -> Iterator[tuple[float, float]]:
+    """(value, estimate) per row; ConvergenceError at the first row whose value
+    or estimate is not finite or whose estimate is over rel_tol |value|."""
+    for i, (val, e) in enumerate(zip(value.tolist(), err.tolist())):
+        if not (math.isfinite(val) and e <= rel_tol * abs(val)):
+            raise ConvergenceError(f"Gauss row {i}: estimate {e:.3e} on integral {val:.3e}, "
+                                   f"not finite or over {rel_tol:.1e} of it at the cap of "
+                                   f"{_ROW_MAX_NODES} nodes")
+        yield val, e

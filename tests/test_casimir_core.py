@@ -29,7 +29,7 @@ from casimir_cyl.casimir_core import (_CONSECUTIVE_BELOW, _FIRST_BLOCK, _FORCE,
                                      _span, _tau, matsubara_reduce)
 from casimir_cyl.constants import BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M
 from casimir_cyl.dielectric import eps_imag_axis, zero_frequency_character
-from casimir_cyl.quadrature import adaptive_quad, adaptive_quad_rows
+from casimir_cyl.quadrature import adaptive_quad, adaptive_quad_rows, gauss_rows
 from casimir_cyl.reflection import log_r2_pair, zero_frequency_mu_terms
 from casimir_cyl.specfun import ZETA_3, polylog, polylog_exp_neg
 from casimir_cyl.tilt import tilted_force, tilted_gradient
@@ -968,12 +968,13 @@ def test_plate_pressure_ideal_bits_pinned():
 
 def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
                   a_theta: float) -> tuple[float, int, float]:
-    """Finite-T reduction with one scalar ``adaptive_quad`` per Matsubara term.
+    """Finite-T reduction with one integral per Matsubara term.
 
     The loop the engine blocks: same kernels, limits, tolerances and stop
-    rule, each term integrated and added on its own in ascending l.  Each
-    term's kernel is the engine's ``_kernel_rows`` at that one zeta: this
-    checks the blocking, not the kernel.
+    rule, each term integrated and added on its own in ascending l, by one
+    scalar ``adaptive_quad`` untilted and by a one-row ``gauss_rows`` tilted.
+    Each term's kernel is the engine's ``_kernel_rows`` at that one zeta: this
+    checks the blocking, not the kernel or the rule.
     """
     p, s = obs.v_power, obs.li_order
     kernel_rows = casimir_core._kernel_rows(model, HBAR_C_EV_NM / (2.0 * (a * 1e9)),
@@ -994,8 +995,13 @@ def _term_by_term(obs, model, a: float, tau: float, quad: QuadratureSpec,
                 f"Matsubara sum not converged after {casimir_core._MAX_TERMS} terms")
         zeta = tau * l
         row = kernel_rows(np.array([zeta]))
-        term, _ = adaptive_quad(lambda v: row(v, 0), zeta, zeta + span,
-                                rel_tol=quad.rel_tol * 0.1, initial_panels=4)
+        if a_theta > 0.0:
+            (term, _), = gauss_rows(row, np.array([zeta]), span,
+                                    casimir_core._row_counts(span, quad.rel_tol),
+                                    quad.rel_tol * 0.1)
+        else:
+            term, _ = adaptive_quad(lambda v: row(v, 0), zeta, zeta + span,
+                                    rel_tol=quad.rel_tol * 0.1, initial_panels=4)
         total += term
         recent.append(abs(term))
         below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
@@ -1025,13 +1031,19 @@ def test_blocked_sum_matches_term_by_term_bits(name, a_nm):
 
 
 def _block_sizes(monkeypatch) -> list[int]:
-    """Rows of every lockstep block the engine computes from now on, in order."""
+    """Rows of every block the engine computes from now on, in order: the
+    lockstep adaptive rows untilted and the Gauss rows tilted."""
     sizes: list[int] = []
 
     def rows(f, a, b, **kw):
         sizes.append(len(a))
         return adaptive_quad_rows(f, a, b, **kw)
+
+    def w_rows(f, zetas, *args):
+        sizes.append(len(zetas))
+        return gauss_rows(f, zetas, *args)
     monkeypatch.setattr(casimir_core, "adaptive_quad_rows", rows)
+    monkeypatch.setattr(casimir_core, "gauss_rows", w_rows)
     return sizes
 
 
@@ -1125,6 +1137,63 @@ def test_failed_row_past_the_stop_is_not_read():
         matsubara_reduce(blocks(l_used), 2.0, quad, first)
 
 
+# ------------------------------------------------- tilted rows: Gauss ladder in w
+
+
+def test_gauss_row_past_the_stop_is_not_read():
+    # as test_failed_row_past_the_stop_is_not_read, with tilted rows: the sum
+    # stops inside the first block and never reads a failed row past the stop
+    quad = QuadratureSpec()
+
+    def blocks(nan_from: int):
+        def block(l0: int, count: int):
+            ls = np.arange(l0, l0 + count)
+
+            def f(v, row):
+                return np.where(ls[row] == nan_from, np.nan, 100.0 ** -ls[row] * np.exp(-v))
+            return (val for val, _ in gauss_rows(f, np.zeros(count), 1.0, (46, 35),
+                                                 quad.rel_tol * 0.1))
+        return block
+
+    first = casimir_core._first_block(math.log(100.0), quad.rel_tol)
+    total, l_used, _ = matsubara_reduce(blocks(10**6), 2.0, quad, first)
+    assert l_used == 7 < first
+    assert matsubara_reduce(blocks(l_used + 1), 2.0, quad, first)[:2] == (total, l_used)
+    with pytest.raises(ConvergenceError, match=f"row {l_used - 1}"):
+        matsubara_reduce(blocks(l_used), 2.0, quad, first)
+
+
+# (model, a in nm, A, T in K, observable, value and l_used of the adaptive K15
+# rows that the Gauss rows replaced), at rel_tol 1e-12: rows here climb past
+# rung 1, the low-zeta rows at 30 K and, at A = 0.99, rows on the kernel's
+# roundoff
+_CLIMBING = (
+    ("drude", 100.0, 0.5, 30.0, "gradient", "0x1.905ce886f84a9p-3", 2280),
+    ("dielectric", 2000.0, 0.99, 300.0, "gradient", "0x1.f2d1d090e0854p-4", 852),
+)
+
+
+@pytest.mark.parametrize("name,a_nm,a_theta,temperature,which,value,l_used", _CLIMBING)
+def test_climbing_tilted_rows_keep_the_adaptive_value(monkeypatch, name, a_nm, a_theta,
+                                                      temperature, which, value, l_used):
+    nodes = []
+
+    def w_rows(f, zetas, span, counts, rel_tol):
+        def counted(v, row):
+            nodes.append(v.size // np.unique(row).size)
+            return f(v, row)
+        nodes.append(sum(counts))
+        return gauss_rows(counted, zetas, span, counts, rel_tol)
+    monkeypatch.setattr(casimir_core, "gauss_rows", w_rows)
+    geom = geometry_at(a_nm)
+    fn = tilted_force if which == "force" else tilted_gradient
+    res = fn(geom, ThermalState(temperature), MODELS[name], TiltParams(a_theta),
+             QuadratureSpec(1e-12))
+    assert max(nodes) > nodes[0]  # past rung 1
+    assert res.l_used == l_used
+    assert abs(res.value / float.fromhex(value) - 1.0) <= 1e-12
+
+
 # The sum stops once three terms in a row fall below rel_tol |sum|.  Where
 # the terms decay slowly, as exp(-tau l (1 - A)) at a steep tilt or a low T,
 # that leaves a tail of about 1/(tau (1 - A)) terms which truncation_estimate
@@ -1191,21 +1260,22 @@ _PINNED = (
      "0x1.4adfd19e26670p-8", 68, "0x1.2e508099767fep-29"),
     # every tilted row from here on but the ideal gradient at 150 nm re-recorded
     # when the tilted kernel took mu -+ A v in place of v (1 -+ A) - ln r^2
-    # (last bits of value or estimate)
+    # (last bits of value or estimate), and every tilted row again when the
+    # tilted rows became a Gauss ladder in w (up to 27 ulp of value and estimate)
     ("drude", "force", 100.0, 0.5,
-     "-0x1.3fd24befb2111p-28", 162, "0x1.5c5fac4440d19p-29"),
+     "-0x1.3fd24befb2120p-28", 162, "0x1.5c5fac4440d1bp-29"),
     ("dielectric", "gradient", 100.0, 0.5,
-     "0x1.873b18b44eca8p-3", 265, "0x1.7b44ddd61384ep-29"),
+     "0x1.873b18b44ecbcp-3", 265, "0x1.7b44ddd613842p-29"),
     # recorded before the equal-channel kernel and the small-batch expansion:
     # ideal-metal channels equal, flat and tilted, and a slight plasma tilt
     ("ideal", "force", 300.0, 0.1,
-     "-0x1.139e61f2a7ec1p-33", 52, "0x1.da778719bc341p-30"),
+     "-0x1.139e61f2a7ecfp-33", 52, "0x1.da778719bc34ap-30"),
     ("ideal", "gradient", 150.0, 0.5,
-     "0x1.a1829f298c6ccp-4", 181, "0x1.6a43a7298bfcbp-29"),
+     "0x1.a1829f298c6dfp-4", 181, "0x1.6a43a7298bfc4p-29"),
     ("ideal", "force", 2000.0, 0.0,
      "-0x1.80f007a1b506dp-43", 10, "0x1.fe69df3f1e860p-32"),
     ("plasma", "force", 700.0, 0.01,
-     "-0x1.82888f7db835cp-38", 23, "0x1.0075678aa72bdp-31"),
+     "-0x1.82888f7db8377p-38", 23, "0x1.0075678aa72bdp-31"),
 )
 
 

@@ -29,7 +29,7 @@ from casimir_cyl import (Dielectric, Geometry, IdealMetal, PlasmaOscillators,
 from casimir_cyl.constants import HBAR_C_EV_NM
 from casimir_cyl.dielectric import (Drude, OpticalTable, _drude_tail_integral, kk_transform,
                                     zero_frequency_character)
-from casimir_cyl.quadrature import adaptive_quad_rows
+from casimir_cyl.quadrature import adaptive_quad_rows, gauss_rows
 from casimir_cyl.reflection import log_r2_pair
 from casimir_cyl.specfun import polylog_exp_neg
 
@@ -232,17 +232,26 @@ def _force_term(zeta: float, eps_of, a_theta: float):
 
 @pytest.mark.parametrize("name, a_theta", [("ideal", 0.0), ("drude", 0.0), ("plasma", 0.0),
                                            ("dielectric", 0.0), ("drude", 0.5),
-                                           ("tabulated", 0.0)])
+                                           ("tabulated", 0.0), ("ideal", 0.9),
+                                           ("plasma", 0.5)])
 def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
     # the engine's rows l = 1 and l = 10 of a 300 K force at 150 nm, captured
-    # as the lockstep quadrature returns them
+    # as the lockstep adaptive quadrature (untilted) or the Gauss ladder in w
+    # (tilted) returns them
     seen = []
 
-    def rows(f, a, b, **kw):
-        for zeta, row in zip(np.asarray(a).tolist(), adaptive_quad_rows(f, a, b, **kw)):
+    def capture(zetas, rows):
+        for zeta, row in zip(np.asarray(zetas).tolist(), rows):
             seen.append((zeta, row))
             yield row
+
+    def rows(f, a, b, **kw):
+        return capture(a, adaptive_quad_rows(f, a, b, **kw))
+
+    def w_rows(f, zetas, *args):
+        return capture(zetas, gauss_rows(f, zetas, *args))
     monkeypatch.setattr(casimir_core, "adaptive_quad_rows", rows)
+    monkeypatch.setattr(casimir_core, "gauss_rows", w_rows)
     model, eps_of = TERM_MODELS[name]
     geom = Geometry(a=TERM_A_NM * 1e-9, R=100e-6, L=100e-6)
     thermal = ThermalState.at(300.0, geom)

@@ -7,7 +7,7 @@ import pytest
 
 from casimir_cyl import quadrature
 from casimir_cyl.quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
-                                   adaptive_quad_rows, gauss_legendre)
+                                   adaptive_quad_rows, gauss_legendre, gauss_rows)
 
 
 def test_gamma_integral():
@@ -251,3 +251,45 @@ def test_gauss_legendre_is_exact_to_degree_2n_minus_1():
     assert gauss_legendre(12) is gauss_legendre(12)
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+# ------------------------------------------------- Gauss rows in w
+
+
+def _exp_rows(bad_row: int, bad):
+    """f(v, row) = (row + 1) exp(-v), but bad(v) in row ``bad_row``."""
+    def f(v, row):
+        return np.where(row == bad_row, bad(v), (row + 1.0) * np.exp(-v))
+    return f
+
+
+@pytest.mark.parametrize("bad", [lambda v: np.full(v.shape, np.nan),
+                                 lambda v: np.exp(-v) * (1.0 + 1e-3 * np.sin(200.0 * v))],
+                         ids=["non-finite", "over-target-at-cap"])
+def test_gauss_rows_raise_naming_the_row_only_when_read(monkeypatch, bad):
+    # row 2 is NaN, or oscillates past what 1 000 nodes resolve: the rows
+    # before it are read, each within its estimate of the closed form, and
+    # the failure is raised, naming row 2, only when the iterator reaches it
+    monkeypatch.setattr(quadrature, "_ROW_MAX_NODES", 1000)
+    zetas, span, rel_tol = np.array([0.5, 1.0, 1.5, 2.0]), 90.0, 1e-10
+    rows = gauss_rows(_exp_rows(2, bad), zetas, span, (46, 35), rel_tol)
+    for i in range(2):
+        val, err = next(rows)
+        want = (i + 1.0) * (math.exp(-zetas[i]) - math.exp(-zetas[i] - span))
+        assert abs(val - want) <= err <= rel_tol * abs(val), i
+    with pytest.raises(ConvergenceError, match="row 2"):
+        next(rows)
+
+
+def test_gauss_rows_climb_only_where_they_miss():
+    # a row whose rung-1 rule misses runs again with both counts doubled,
+    # alone; the others keep their rung-1 values and are not recomputed
+    calls = []
+
+    def f(v, row):
+        calls.append(np.unique(row).tolist())
+        return np.where(row == 1, 1.0 / (0.01 + v), np.exp(-v))
+    got = list(gauss_rows(f, np.zeros(3), 4.0, (16, 12), 1e-10))
+    assert calls[0] == [0, 1, 2] and all(c == [1] for c in calls[1:]) and len(calls) > 1
+    assert abs(got[1][0] - math.log(4.01 / 0.01)) <= got[1][1]
+    assert got[0] == got[2]
