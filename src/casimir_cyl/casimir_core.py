@@ -22,18 +22,18 @@ all pending panels of the block in one kernel call per refinement level;
 tilted (A > 0), a ladder of Gauss rules in w, v = zeta_l + w**2
 (:func:`casimir_cyl.quadrature.gauss_rows`).  The untilted terms keep the
 adaptive panels until the full-bit golden of an untilted sweep is regenerated.
-The first block is sized from the decay exp(-tau l (1 - A)) of the terms, later
-ones from the last two; at most 64 rows each, as a block's kernel arrays set
-the peak memory.  The sum still adds the terms one at a time in ascending l
-and stops on the same rule, and each term is summed on its own, so the block
-sizes decide only how many terms are computed.  T = 0 replaces the primed sum
-tau sum' I(tau l) by the integral of I(zeta) over zeta = u**4, with v = w**2
-inside: one tensor Gauss-Legendre rule in (u, w) and a coarser companion, all
-nodes in one kernel call, whose difference is the error estimate.  The node
-counts of the first rule grow with the digits that rel_tol asks for.  Where
-its estimate misses rel_tol, the same rule runs again with every node count
-doubled, rung by rung, until one meets it or the next would pass a cap on the
-abscissae of one kernel call.
+The first block is sized from the decay exp(-tau l (1 - A)) of the terms, and
+the three more that the stop rule reads, later ones from the last two; at most
+64 rows each, as a block's kernel arrays set the peak memory.  The sum still
+adds the terms one at a time in ascending l and stops on the same rule, and
+each term is summed on its own, so the block sizes decide only how many terms
+are computed.  T = 0 replaces the primed sum tau sum' I(tau l) by the integral
+of I(zeta) over zeta = u**4, with v = w**2 inside: one tensor Gauss-Legendre
+rule in (u, w) and a coarser companion, all nodes in one kernel call, whose
+difference is the error estimate.  The node counts of the first rule grow
+with the digits that rel_tol asks for.  Where its estimate misses rel_tol,
+the same rule runs again with every node count doubled, rung by rung, until
+one meets it or the next would pass a cap on the abscissae of one kernel call.
 
 Three bounded caches serve a sweep.  The l = 0 term depends on the behavior,
 the kernel, the tilt and rel_tol but not on a, so it is computed once per
@@ -274,8 +274,9 @@ def _span(rel_tol: float, a_theta: float) -> float:
 def _first_block(decay: float, rel_tol: float) -> int:
     """Size of the first block for terms falling as exp(-decay l): 1.2 times
     the ln(1/(rel_tol decay))/decay terms until they drop to rel_tol of their
-    sum, about 1/decay times the first, within [_FIRST_BLOCK, _MAX_BLOCK]."""
-    steps = 1.2 * (-math.log(rel_tol) - math.log(decay)) / decay
+    sum, about 1/decay times the first, and the _CONSECUTIVE_BELOW read after
+    them by the stop rule, within [_FIRST_BLOCK, _MAX_BLOCK]."""
+    steps = 1.2 * (-math.log(rel_tol) - math.log(decay)) / decay + _CONSECUTIVE_BELOW
     return max(_FIRST_BLOCK, math.ceil(min(steps, _MAX_BLOCK)))
 
 
@@ -299,8 +300,8 @@ def _next_block(recent: deque, target: float) -> int:
 
 
 def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
-                     zero_integral: float, quad: QuadratureSpec,
-                     first_block: int = _FIRST_BLOCK) -> tuple[float, int, float]:
+                     zero_integral: float, quad: QuadratureSpec, first_block: int = _FIRST_BLOCK,
+                     tau: float | None = None) -> tuple[float, int, float]:
     """Primed Matsubara sum: 0.5 * zero_integral + sum_{l>=1} I(tau l).
 
     ``block_integrals(l0, count)`` returns the v-integrals of l0, ...,
@@ -310,8 +311,9 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
     successive l, and the rest of that block is not read.  The first block
     has ``first_block`` terms (:func:`_first_block` sizes it from the decay);
     later ones are sized by :func:`_next_block`, at most ``_MAX_BLOCK``, and
-    never reach past ``_MAX_TERMS``.  The block sizes decide only how
-    many terms are computed, never the sum, ``l_used`` or the estimate.
+    never reach past ``_MAX_TERMS``.  The block sizes decide only how many
+    terms are computed, never the sum, ``l_used`` or the estimate; a term's
+    ConvergenceError is raised again led by l (and zeta_l, given ``tau``).
 
     Returns
     -------
@@ -327,14 +329,18 @@ def matsubara_reduce(block_integrals: Callable[[int, int], Iterable[float]],
         if count == 0:
             raise ConvergenceError(
                 f"Matsubara sum not converged after {_MAX_TERMS} terms")
-        for term in block_integrals(l + 1, count):
-            l += 1
-            total += term
-            recent.append(abs(term))
-            below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
-            if below >= _CONSECUTIVE_BELOW:
-                trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
-                return total, l, trunc
+        try:
+            for term in block_integrals(l + 1, count):
+                l += 1
+                total += term
+                recent.append(abs(term))
+                below = below + 1 if abs(term) < quad.rel_tol * abs(total) else 0
+                if below >= _CONSECUTIVE_BELOW:
+                    trunc = sum(recent) / abs(total) if total != 0.0 else 0.0
+                    return total, l, trunc
+        except ConvergenceError as exc:
+            zeta = "" if tau is None else f", zeta_l = {tau * (l + 1):.6g}"
+            raise ConvergenceError(f"Matsubara term l = {l + 1}{zeta}: {exc}") from exc
         count = _next_block(recent, quad.rel_tol * abs(total))
 
 
@@ -576,10 +582,12 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
                                       rel_tol=quad.rel_tol * _V_TOL_SHARE, initial_panels=4)
         return (val for val, _ in rows)
 
-    zero = _zero_freq_term(zero_frequency_character(model, a), p, s, a_theta,
-                           quad.rel_tol)
+    try:
+        zero = _zero_freq_term(zero_frequency_character(model, a), p, s, a_theta, quad.rel_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"Matsubara term l = 0, zeta_l = 0: {exc}") from exc
     return matsubara_reduce(block, zero, quad,
-                            _first_block(tau * (1.0 - a_theta), quad.rel_tol))
+                            _first_block(tau * (1.0 - a_theta), quad.rel_tol), tau)
 
 
 def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,

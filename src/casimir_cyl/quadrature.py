@@ -6,7 +6,8 @@ of every pending panel as one ndarray, which keeps the polylogarithm
 evaluations vectorized.  Many integrals, each over its own interval, run in
 lockstep (:func:`adaptive_quad_rows`): they share only the integrand call of
 each refinement level, and each keeps its own panels and returns the bits of
-a lone :func:`adaptive_quad` call.
+a lone :func:`adaptive_quad` call.  The row integrators call ``f(x, row)``
+with ``x`` of shape (k, m), a panel or row per row, and ``row`` (k, 1).
 
 The engine integrates the l = 0 Matsubara term and the untilted terms l >= 1
 here.  Its tilted terms l >= 1 run :func:`gauss_rows`: per row a Gauss rule
@@ -16,8 +17,8 @@ One driver, :func:`_refine`, advances the panels of all integrals, held in
 flat arrays, a whole level at a time.  A BLAS product or a pairwise sum over
 the panels of several integrals concatenated is not bit-stable, so integrals
 with equal panel counts are stacked and reduced together, one group per
-distinct count.  A level costs one integrand call and about 60 numpy calls
-whatever its size: 7 to place the abscissae, 8 for the K15 and G7 products
+distinct count.  A level costs one integrand call and about 58 numpy calls
+whatever its size: 5 to place the abscissae, 7 for the K15 and G7 products
 (written in place into the new panels' rows) and the panel values and errors,
 5 to merge the new panels into the table, 4 for the totals, 17 to decide
 which panels to bisect and about 20 to bisect them.  Each further distinct
@@ -158,15 +159,16 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int
     share of its budget, which one with a finite error sum always has.  The
     panels live in one table (rows lo, hi, value, error), each integral's
     contiguous: kept, left halves, right halves.  Each level is one call
-    ``f(x, owner)`` and a fixed number of numpy calls, plus one stack per
-    distinct pending and total panel count.
+    ``f(x, owner)``, shapes (panels, 15) and (panels, 1), and a fixed number
+    of numpy calls, plus one stack per distinct pending and total panel count.
 
     Returns the totals stacked on the error estimates, shape ``(2, len(a))``.
     """
-    edges = np.linspace(a, b, initial_panels + 1, axis=1)
+    # np.linspace(a, b, initial_panels + 1, axis=1) spelled out: its bits unless b - a underflows
+    edges = np.arange(initial_panels + 1.0) * ((b - a) / initial_panels)[:, None] + a[:, None]
+    edges[:, -1] = b
     new = np.empty((4, a.size * initial_panels))  # pending panels: lo, hi, value, error
-    new[0] = edges[:, :-1].ravel()
-    new[1] = edges[:, 1:].ravel()
+    new[:2] = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     pend_owner = np.repeat(np.arange(a.size), initial_panels)
     # per live integral: its pending panels, and its panels in the table
     pend_count = count = np.full(a.size, initial_panels)
@@ -175,9 +177,8 @@ def _refine(f, a: np.ndarray, b: np.ndarray, rel_tol: float, initial_panels: int
     for level in range(_MAX_REFINEMENTS + 1):
         half = 0.5 * (new[1] - new[0])
         center = 0.5 * (new[0] + new[1])
-        out = f((center[:, None] + half[:, None] * _XK).ravel(),
-                np.repeat(pend_owner, _XK.size))
-        _kg_sums(np.reshape(out, (half.size, _XK.size)), pend_count, new[2:])
+        out = f(center[:, None] + half[:, None] * _XK, pend_owner[:, None])
+        _kg_sums(out, pend_count, new[2:])
         new[2:] *= half
         np.subtract(new[2], new[3], out=new[3])
         np.abs(new[3], out=new[3])
@@ -247,7 +248,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if b <= a:
         return 0.0, 0.0
-    return next(adaptive_quad_rows(lambda x, _: f(x), [a], [b], rel_tol, initial_panels))
+    return next(adaptive_quad_rows(lambda x, _: np.reshape(f(x.ravel()), x.shape), [a], [b],
+                                   rel_tol, initial_panels))
 
 
 def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
@@ -259,9 +261,10 @@ def adaptive_quad_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     error budget and bisection decisions, so its value and error estimate
     carry the bits of a lone call.  What the rows share is the integrand
     call: at each refinement level the pending panels of every unfinished row
-    go to ``f`` together, as ``f(x, row)`` with the 1-D abscissae ``x`` and,
-    per abscissa, the index ``row`` of its integral.  ``f`` returns one value
-    per abscissa.  The limits must be finite with ``b > a`` in every row, else
+    go to ``f`` together, as ``f(x, row)``: ``x`` of shape (k, 15) holds the
+    Kronrod abscissae of the k pending panels, one panel per row, ``row`` of
+    shape (k, 1) the index of each panel's integral, and ``f`` returns ``x``'s
+    shape.  The limits must be finite with ``b > a`` in every row, else
     ValueError naming the first row that breaks this.
 
     Returns an iterator of (value, error_estimate) float pairs in row order.
@@ -354,8 +357,8 @@ def gauss_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], zetas: np.ndar
     """Integrate row i over [zetas[i], zetas[i] + span] by a ladder of Gauss rules in w.
 
     Rung 1 is the rule of ``counts[0]`` nodes in w, v = zetas[i] + w**2 over
-    [0, sqrt(span)], and its companion of ``counts[1]``, all nodes in one
-    call ``f(v, row)`` as for :func:`adaptive_quad_rows`.  A row's estimate is
+    [0, sqrt(span)], and its companion of ``counts[1]``, in calls ``f(v, row)``
+    as for :func:`adaptive_quad_rows`, ``v`` (rows, nodes).  A row's estimate is
     max(|rule - companion|, 100 ulp of the rule); the rows over ``rel_tol``
     of their value run again with both counts doubled.  Each row is summed on
     its own, so its bits do not depend on the other rows.  Returns an
@@ -373,8 +376,7 @@ def gauss_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], zetas: np.ndar
         per_call = max(1, _ROW_CALL_ABSCISSAE // w2.size)
         for start in range(0, todo.size, per_call):
             rows = todo[start:start + per_call]
-            vals = f((zetas[rows, None] + w2).ravel(), np.repeat(rows, w2.size))
-            terms = np.reshape(vals, (rows.size, w2.size)) * wt
+            terms = f(zetas[rows, None] + w2, rows[:, None]) * wt
             # a row-wise pairwise sum: a product with the weights would give
             # a row other bits in a block of 1 or 3 rows
             fine = np.add.reduce(terms[:, :counts[0]], axis=1)
@@ -388,11 +390,11 @@ def gauss_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], zetas: np.ndar
 
 
 def _met(value: np.ndarray, err: np.ndarray, rel_tol: float) -> Iterator[tuple[float, float]]:
-    """(value, estimate) per row; ConvergenceError at the first row whose value
-    or estimate is not finite or whose estimate is over rel_tol |value|."""
+    """(value, estimate) per row; ConvergenceError, saying which, at the first row
+    whose value or estimate is not finite or whose estimate is over rel_tol |value|."""
     for i, (val, e) in enumerate(zip(value.tolist(), err.tolist())):
         if not (math.isfinite(val) and e <= rel_tol * abs(val)):
-            raise ConvergenceError(f"Gauss row {i}: estimate {e:.3e} on integral {val:.3e}, "
-                                   f"not finite or over {rel_tol:.1e} of it at the cap of "
-                                   f"{_ROW_MAX_NODES} nodes")
+            why = (f"over {rel_tol:.1e} of it at the cap of {_ROW_MAX_NODES} nodes"
+                   if math.isfinite(val) and math.isfinite(e) else "not finite")
+            raise ConvergenceError(f"Gauss row {i}: estimate {e:.3e} on integral {val:.3e}, {why}")
         yield val, e

@@ -1069,7 +1069,7 @@ def test_block_schedule_changes_no_bits(monkeypatch, name, a_nm, a_theta):
 
 
 @pytest.mark.parametrize("a_nm", [100.0, 500.0, 2000.0])
-@pytest.mark.parametrize("name", ["ideal", "drude"])
+@pytest.mark.parametrize("name", ["ideal", "drude", "dielectric"])
 def test_block_work_is_bounded(monkeypatch, name, a_nm):
     cap = casimir_core._MAX_BLOCK
     sizes = _block_sizes(monkeypatch)
@@ -1087,7 +1087,11 @@ def test_block_work_is_bounded(monkeypatch, name, a_nm):
                             TiltParams.from_a_theta(a_theta, geom)).l_used
             case = (which, a_theta, l_used, sizes)
             assert max(sizes) <= cap, case
-            assert len(sizes) <= math.ceil(l_used / cap) + 1, case
+            # the first block holds the predicted terms and the three the stop
+            # rule reads after them, so a sum of at most one block's terms
+            # runs one block here, and a longer one at most one more than its
+            # terms fill
+            assert len(sizes) <= math.ceil(l_used / cap) + (l_used > cap), case
             assert 0 <= sum(sizes) - l_used < cap, case
 
 
@@ -1135,6 +1139,30 @@ def test_failed_row_past_the_stop_is_not_read():
     assert matsubara_reduce(blocks(l_used + 1), 2.0, quad, first)[:2] == (total, l_used)
     with pytest.raises(ConvergenceError, match=f"row {l_used - 1}"):
         matsubara_reduce(blocks(l_used), 2.0, quad, first)
+
+
+def test_failed_term_is_named_by_l_and_zeta():
+    # term l integrates 100**-l exp(-v) over [0, 1] but is NaN at l = 5, which
+    # the sum reads before it would stop at l = 7: the failure names l = 5 and
+    # zeta_5 = 5 tau before the row within its block
+    quad = QuadratureSpec()
+
+    def block(l0: int, count: int):
+        ls = np.arange(l0, l0 + count)
+
+        def f(v, row):
+            return np.where(ls[row] == 5, np.nan, 100.0 ** -ls[row] * np.exp(-v))
+        return (val for val, _ in adaptive_quad_rows(
+            f, np.zeros(count), np.ones(count), rel_tol=quad.rel_tol * 0.1))
+
+    with pytest.raises(ConvergenceError,
+                       match=r"^Matsubara term l = 5, zeta_l = 1\.25: quadrature stalled "
+                             r"\(row 4\)"):
+        matsubara_reduce(block, 2.0, quad, 16, tau=0.25)
+    # in a second block l = 5 is row 1; without tau the prefix names l alone
+    with pytest.raises(ConvergenceError,
+                       match=r"^Matsubara term l = 5: quadrature stalled \(row 1\)"):
+        matsubara_reduce(block, 2.0, quad, 3)
 
 
 # ------------------------------------------------- tilted rows: Gauss ladder in w
@@ -1408,7 +1436,7 @@ def test_failed_zero_term_raises_on_every_call(monkeypatch):
     casimir_core._zero_freq_term.cache_clear()
     geom = geometry_at(500.0)
     for _ in range(2):
-        with pytest.raises(ConvergenceError, match="stalled"):
+        with pytest.raises(ConvergenceError, match="^Matsubara term l = 0, zeta_l = 0: stalled$"):
             cylinder_force(geom, ThermalState.at(300.0, geom), AU)
     assert casimir_core._zero_freq_term.cache_info().currsize == 0
 

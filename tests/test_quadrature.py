@@ -167,10 +167,11 @@ def test_lockstep_mixed_rows_match_lone_calls_bit_for_bit(monkeypatch):
     calls = []
 
     def f(v, row):
-        calls.append(np.bincount(row, minlength=len(funcs)) // 15)
+        # one panel per row of v: its 15 abscissae, and its integral in row[:, 0]
+        calls.append(np.bincount(row[:, 0], minlength=len(funcs)))
         out = np.empty_like(v)
         for i, g in enumerate(funcs):
-            out[row == i] = g(v[row == i])
+            out[row[:, 0] == i] = g(v[row[:, 0] == i])
         return out
     total, err = quadrature._refine(f, a, b, **kw)
     pending = np.array(calls)  # pending panels per row and level
@@ -212,6 +213,27 @@ def test_lockstep_failed_row_raises_naming_it(bad_row, monkeypatch):
         assert val == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
     with pytest.raises(ConvergenceError, match="row 2"):
         next(rows)
+
+
+def test_integrands_get_row_shaped_or_flat_abscissae():
+    # the row integrators hand f an x of shape (k, m), one panel or Gauss row
+    # per row of x, and its integral's index in row, of shape (k, 1);
+    # adaptive_quad hands its scalar f a 1-D x
+    seen = []
+
+    def f(x, row):
+        seen.append((x.shape, row.shape, row[:, 0].tolist()))
+        return np.where(row == 1, np.exp(-x), np.sqrt(x))
+    rows = list(adaptive_quad_rows(f, np.zeros(3), np.full(3, 40.0), rel_tol=1e-12))
+    assert all(len(xs) == 2 and xs[1] == 15 and rs == (xs[0], 1) for xs, rs, _ in seen)
+    assert seen[0][2] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert rows[0] == rows[2] == adaptive_quad(np.sqrt, 0.0, 40.0, rel_tol=1e-12)
+    seen.clear()
+    list(gauss_rows(f, np.zeros(3), 4.0, (16, 12), 1e-10))
+    assert seen[0] == ((3, 28), (3, 1), [0, 1, 2])
+    ndims = []
+    adaptive_quad(lambda x: ndims.append(x.ndim) or np.sqrt(x), 0.0, 40.0)
+    assert len(ndims) > 1 and set(ndims) == {1}
 
 
 def test_lockstep_zero_rows_never_calls_the_integrand():
@@ -263,13 +285,17 @@ def _exp_rows(bad_row: int, bad):
     return f
 
 
-@pytest.mark.parametrize("bad", [lambda v: np.full(v.shape, np.nan),
-                                 lambda v: np.exp(-v) * (1.0 + 1e-3 * np.sin(200.0 * v))],
+@pytest.mark.parametrize("bad, why", [
+    (lambda v: np.full(v.shape, np.nan), r"nan, not finite$"),
+    (lambda v: np.exp(-v) * (1.0 + 1e-3 * np.sin(200.0 * v)),
+     r"over 1\.0e-10 of it at the cap of 1000 nodes$")],
                          ids=["non-finite", "over-target-at-cap"])
-def test_gauss_rows_raise_naming_the_row_only_when_read(monkeypatch, bad):
+def test_gauss_rows_raise_naming_the_row_only_when_read(monkeypatch, bad, why):
     # row 2 is NaN, or oscillates past what 1 000 nodes resolve: the rows
     # before it are read, each within its estimate of the closed form, and
-    # the failure is raised, naming row 2, only when the iterator reaches it
+    # the failure is raised, naming row 2 and which of the two it is, only
+    # when the iterator reaches it.  The NaN row left at rung 1, so its
+    # message names no cap
     monkeypatch.setattr(quadrature, "_ROW_MAX_NODES", 1000)
     zetas, span, rel_tol = np.array([0.5, 1.0, 1.5, 2.0]), 90.0, 1e-10
     rows = gauss_rows(_exp_rows(2, bad), zetas, span, (46, 35), rel_tol)
@@ -277,7 +303,7 @@ def test_gauss_rows_raise_naming_the_row_only_when_read(monkeypatch, bad):
         val, err = next(rows)
         want = (i + 1.0) * (math.exp(-zetas[i]) - math.exp(-zetas[i] - span))
         assert abs(val - want) <= err <= rel_tol * abs(val), i
-    with pytest.raises(ConvergenceError, match="row 2"):
+    with pytest.raises(ConvergenceError, match="^Gauss row 2: .*" + why):
         next(rows)
 
 
