@@ -23,8 +23,10 @@ tilted (A > 0), a ladder of Gauss rules in w, v = zeta_l + w**2
 (:func:`casimir_cyl.quadrature.gauss_rows`).  The untilted terms keep the
 adaptive panels until the full-bit golden of an untilted sweep is regenerated.
 The first block is sized from the decay exp(-tau l (1 - A)) of the terms, and
-the three more that the stop rule reads, later ones from the last two; at most
-64 rows each, as a block's kernel arrays set the peak memory.  The sum still
+the three more that the stop rule reads, later ones from the last three (their
+ratio and its drift); at most 64 rows each, as a block's kernel arrays set the
+peak memory.  A sum predicted to need far more than the 100 000 terms it may
+take is refused before its first row.  The sum still
 adds the terms one at a time in ascending l and stops on the same rule, and
 each term is summed on its own, so the block sizes decide only how many terms
 are computed.  T = 0 replaces the primed sum tau sum' I(tau l) by the integral
@@ -35,18 +37,26 @@ with the digits that rel_tol asks for.  Where its estimate misses rel_tol,
 the same rule runs again with every node count doubled, rung by rung, until
 one meets it or the next would pass a cap on the abscissae of one kernel call.
 
-Three bounded caches serve a sweep.  The l = 0 term depends on the behavior,
+Four bounded caches serve a sweep.  The l = 0 term depends on the behavior,
 the kernel, the tilt and rel_tol but not on a, so it is computed once per
-(behavior, observable, tilt, rel_tol), in at most 256 entries, and a
-separation sweep reuses it; only plasma's behavior, alpha = delta_0/(2a),
-changes with a.  Where eps(i xi) does not depend on xi (the ideal metal and a
-static dielectric), neither does the T = 0 integral depend on a, so it is
-computed once per (model, observable, tilt, rel_tol), in at most 256 entries,
-and every separation and every X(0) of a thermal correction scales it by its
-prefactor.  The nodes and weights of a T = 0 rule depend only on the span and
-the node counts, so each rule of up to 2**14 abscissae is built once and
-kept, in at most 12 entries (about 4.8 MB full); force, gradient, every
-separation and every X(0) at one tilt and rel_tol share it.
+(behavior, observable, tilt, rel_tol), in at most 256 entries (about 80 kB
+full), and a separation sweep reuses it; only plasma's behavior, alpha =
+delta_0/(2a), changes with a.  Where eps(i xi) does not depend on xi (the
+ideal metal and a static dielectric), neither does the T = 0 integral depend
+on a, so it is computed once per (model, observable, tilt, rel_tol), in at
+most 256 entries (about 50 kB full), and every separation and every X(0) of a
+thermal correction scales it by its prefactor.  For those models each
+Matsubara row I(zeta) is a function of zeta alone, so the rows l >= 1 are
+read from pieces of ln I, one per binary exponent of zeta and per (model,
+observable, tilt, rel_tol), each integrated at 24 Chebyshev nodes by the row
+integrators and kept only where two probe rows meet the interpolant within
+their target; a binade without a piece is integrated row by row.  At most
+1 024 pieces are kept (about 1 MB full; every tracemalloc figure here was
+measured so); the sweeps of the benchmark hold about 150.  The nodes and
+weights of a T = 0 rule depend only on the span and the node counts, so each
+rule of up to 2**14 abscissae is built once and kept, in at most 12 entries
+(about 4.8 MB full); force, gradient, every separation and every X(0) at one
+tilt and rel_tol share it.
 
 Force and gradient are two rows of one observable table: they differ only in
 the kernel powers, the sign and the SI prefactor.  One function,
@@ -68,8 +78,9 @@ import numpy as np
 
 from .constants import (BOLTZMANN_J_PER_K, HBAR_C_EV_NM, HBAR_C_J_M, HBAR_J_S,
                         SPEED_OF_LIGHT_M_S, SQRT_PI)
-from .dielectric import (PermittivityModel, ZeroFreqBehavior, eps_imag_axis,
-                         static_permittivity, zero_frequency_character)
+from .dielectric import (_NODE_F, _PIECE_POINTS, PermittivityModel, ZeroFreqBehavior,
+                         barycentric_read, eps_imag_axis, static_permittivity,
+                         zero_frequency_character)
 from .quadrature import (ConvergenceError, QuadratureSpec, adaptive_quad,
                          adaptive_quad_rows, gauss_legendre, gauss_rows)
 from .reflection import log_r2_pair, zero_frequency_mu_terms
@@ -161,7 +172,9 @@ class ForceResult:
     ``truncation_estimate`` is relative to the value: at finite T the
     magnitude of the last few terms, a same-order estimate of the neglected
     tail (each term is held to a tenth of ``rel_tol``: by adaptive panels
-    for l = 0 and untilted, by a Gauss ladder in w for l >= 1 tilted);
+    for l = 0 and untilted, by a Gauss ladder in w for l >= 1 tilted; the
+    ideal metal and the static dielectric interpolate their terms l >= 1
+    from rows so held, within that tenth at the probe rows of each piece);
     at T = 0 the difference of the product rule from its coarser
     companion, at least 100 ulp, on the first rung of the node-doubling
     ladder that meets ``rel_tol``.  Rung 1 is sized from the digits of
@@ -261,6 +274,12 @@ _V_TOL_SHARE = 0.1  # of rel_tol, per v-integral of the sum: the l = 0 term and 
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 64
 _MAX_TERMS = 100_000  # Matsubara terms before a sum is declared not converged
+# A sum is refused before its first row where _predicted_terms, or the
+# 1/rel_tol + _CONSECUTIVE_BELOW by which a sum of nonincreasing positive
+# terms always stops, passes this many times _MAX_TERMS.  The prediction
+# overestimates where eps(i xi) falls off above the plasma frequency: the
+# most it exceeded l_used by is 84x (Drude, 20 nm, A = 0.9, rel_tol 1e-6, 1 K)
+_REFUSE_MARGIN = 1000.0
 
 
 def _span(rel_tol: float, a_theta: float) -> float:
@@ -271,22 +290,31 @@ def _span(rel_tol: float, a_theta: float) -> float:
     return max(45.0, -math.log(rel_tol) + 25.0) / (1.0 - a_theta)
 
 
+def _predicted_terms(decay: float, rel_tol: float) -> float:
+    """Terms of a sum falling as exp(-decay l): 1.2 times the
+    ln(1/(rel_tol decay))/decay terms until they drop to rel_tol of their sum,
+    about 1/decay times the first, and the _CONSECUTIVE_BELOW read after them
+    by the stop rule."""
+    return 1.2 * (-math.log(rel_tol) - math.log(decay)) / decay + _CONSECUTIVE_BELOW
+
+
 def _first_block(decay: float, rel_tol: float) -> int:
-    """Size of the first block for terms falling as exp(-decay l): 1.2 times
-    the ln(1/(rel_tol decay))/decay terms until they drop to rel_tol of their
-    sum, about 1/decay times the first, and the _CONSECUTIVE_BELOW read after
-    them by the stop rule, within [_FIRST_BLOCK, _MAX_BLOCK]."""
-    steps = 1.2 * (-math.log(rel_tol) - math.log(decay)) / decay + _CONSECUTIVE_BELOW
-    return max(_FIRST_BLOCK, math.ceil(min(steps, _MAX_BLOCK)))
+    """Size of the first block: the predicted terms, within [_FIRST_BLOCK,
+    _MAX_BLOCK]."""
+    return max(_FIRST_BLOCK, math.ceil(min(_predicted_terms(decay, rel_tol), _MAX_BLOCK)))
 
 
 def _next_block(recent: deque, target: float) -> int:
-    """Terms left until the stop rule holds, if they keep the last ratio.
+    """Terms left until the stop rule holds, if the decay keeps its trend.
 
-    The terms decay geometrically, so the ratio q of the last two predicts
-    how many more fall below ``target`` (``rel_tol * |sum|``), plus the
-    ``_CONSECUTIVE_BELOW`` that must follow; capped, like every block, at
-    ``_MAX_BLOCK`` rows, which bounds the kernel arrays and so peak memory.
+    The log-ratio d of the last two terms predicts how many more fall below
+    ``target`` (``rel_tol * |sum|``).  Where d has risen since the ratio
+    before it, by ``drift``, the terms decay slower than geometrically (a
+    power law times the exponential, as above the plasma frequency), so n
+    more terms are taken to fall by n d + drift n (n + 1) / 2: the least n
+    that reaches ln(target / last), plus the ``_CONSECUTIVE_BELOW`` that must
+    follow; capped, like every block, at ``_MAX_BLOCK`` rows, which bounds
+    the kernel arrays and so peak memory.
     """
     if len(recent) < 2:
         return _MAX_BLOCK
@@ -295,7 +323,14 @@ def _next_block(recent: deque, target: float) -> int:
         return _MAX_BLOCK
     if last <= target:
         return _CONSECUTIVE_BELOW
-    steps = math.log(target / last) / math.log(last / prev)
+    d, goal = math.log(last / prev), math.log(target / last)
+    drift = max(0.0, d - math.log(prev / recent[0])) if recent[0] > prev else 0.0
+    b = d + 0.5 * drift
+    disc = b * b + 2.0 * drift * goal
+    if b >= 0.0 or disc < 0.0:  # the trend never reaches the target
+        return _MAX_BLOCK
+    # the smaller root of (drift/2) n**2 + b n - goal = 0, free of cancellation
+    steps = -2.0 * goal / (math.sqrt(disc) - b)
     return min(_MAX_BLOCK, math.ceil(steps) + _CONSECUTIVE_BELOW)
 
 
@@ -546,6 +581,94 @@ def _static_t0_integral(model: PermittivityModel, p: float, s: float, a_theta: f
                                    _span(rel_tol, a_theta), QuadratureSpec(rel_tol))
 
 
+def _row_integrals(kernel_rows, zetas: np.ndarray, span: float, a_theta: float,
+                   rel_tol: float) -> Iterator[float]:
+    """I(zeta) of each Matsubara row, each held to _V_TOL_SHARE of rel_tol:
+    one lockstep adaptive quadrature untilted, the Gauss ladder in w tilted.
+    Each row is the lone term's integral, bit for bit; a failed row raises
+    when the iterator reaches it."""
+    if a_theta > 0.0:
+        rows = gauss_rows(kernel_rows(zetas), zetas, span, _row_counts(span, rel_tol),
+                          rel_tol * _V_TOL_SHARE)
+    else:
+        rows = adaptive_quad_rows(kernel_rows(zetas), zetas, zetas + span,
+                                  rel_tol=rel_tol * _V_TOL_SHARE, initial_panels=4)
+    return (val for val, _ in rows)
+
+
+# Pieces of ln I(zeta) for a static model, one per binary exponent e of
+# zeta = f 2**e, at the nodes f_j 2**e of the pieces of eps(i xi)
+# (:mod:`casimir_cyl.dielectric`).  I(zeta) has its branch point at zeta = 0,
+# u = -3 on every binade, so the interpolant converges like (3 + 2 sqrt 2)**-n.
+# A piece is checked at two probe rows: u = -1, the end nearest the branch
+# point, and u = 0, midway between the middle nodes.  Each entry holds 48
+# floats; a sweep over 100-2000 nm at 300 K touches about nine exponents per
+# (model, kernel, tilt, rel_tol), and the bound keeps a temperature scan from
+# growing the cache for the life of the process
+_PROBE_F = np.array([0.5, 0.75])
+_ROW_PIECE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_ROW_PIECE_CACHE_SIZE)
+def _row_piece(model: PermittivityModel, p: float, s: float, a_theta: float,
+               rel_tol: float, exponent: int) -> np.ndarray | None:
+    """I and ln I at the nodes of the piece of zeta = f 2**exponent, a
+    read-only (2, _PIECE_POINTS) array, or None where that binade's rows are
+    integrated directly: a node or probe row failed, is not finite and
+    positive, or a probe row is off the interpolant by more than a row's
+    target, _V_TOL_SHARE of rel_tol.  eps ignores the frequency scale, so
+    any positive one (1 eV) serves every separation."""
+    zetas = np.ldexp(np.concatenate((_NODE_F, _PROBE_F)), exponent)
+    try:
+        rows = np.fromiter(_row_integrals(_kernel_rows(model, 1.0, p, s, a_theta), zetas,
+                                          _span(rel_tol, a_theta), a_theta, rel_tol),
+                           float, zetas.size)
+    except ConvergenceError:
+        return None
+    if not np.all((rows > 0.0) & (rows < math.inf)):
+        return None
+    piece = np.stack((rows[:_PIECE_POINTS], np.log(rows[:_PIECE_POINTS])))
+    probes = rows[_PIECE_POINTS:]
+    if not np.all(np.abs(_read_piece(piece, _PROBE_F) - probes)
+                  <= rel_tol * _V_TOL_SHARE * probes):
+        return None
+    piece.flags.writeable = False
+    return piece
+
+
+def _read_piece(piece: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """I at zeta = f 2**e from the piece of e: exp of the barycentric read of
+    ln I, and the stored I at a node."""
+    log_rows, at_node = barycentric_read(piece[1], f)
+    rows = np.exp(log_rows)
+    hit = np.isnan(rows)
+    rows[hit] = np.broadcast_to(piece[0], at_node.shape)[at_node]
+    return rows
+
+
+def _static_rows(model: PermittivityModel, p: float, s: float, a_theta: float,
+                 rel_tol: float, zetas: np.ndarray) -> Iterator[float]:
+    """I(zeta) of each row for a model of frequency-independent eps: read
+    from the piece of its binary exponent (:func:`_row_piece`), or where that
+    binade has none integrated as :func:`_row_integrals` does, those rows in
+    one call, a failed one raising when the iterator reaches it."""
+    f, e = np.frexp(zetas)
+    rows = np.empty(zetas.size)
+    direct = np.zeros(zetas.size, dtype=bool)
+    for exponent in dict.fromkeys(e.tolist()):
+        at = e == exponent
+        piece = _row_piece(model, p, s, a_theta, rel_tol, exponent)
+        if piece is None:
+            direct |= at
+        else:
+            rows[at] = _read_piece(piece, f[at])
+    late = iter(())
+    if direct.any():
+        late = _row_integrals(_kernel_rows(model, 1.0, p, s, a_theta), zetas[direct],
+                              _span(rel_tol, a_theta), a_theta, rel_tol)
+    return (next(late) if d else row for d, row in zip(direct.tolist(), rows.tolist()))
+
+
 def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
             quad: QuadratureSpec, a_theta: float = 0.0) -> tuple[float, int, float]:
     """Matsubara sum (tau > 0) or T = 0 integral of the kernel ``v**p Li_s``.
@@ -554,10 +677,12 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
     (behavior, p, s, a_theta, rel_tol) by :func:`_zero_freq_term`, so a
     separation sweep reuses it, except for plasma, whose behavior carries
     alpha = delta_0/(2a).  So is the T = 0 integral of the ideal metal and of
-    a static dielectric, by :func:`_static_t0_integral`.  Returns (total,
-    l_used, error estimate).
+    a static dielectric, by :func:`_static_t0_integral`, and their rows l >= 1
+    are read from pieces of ln I(zeta) (:func:`_static_rows`).  Returns
+    (total, l_used, error estimate).
     """
-    if tau == 0.0 and static_permittivity(model) is not None:
+    static = static_permittivity(model) is not None
+    if tau == 0.0 and static:
         total, rel = _static_t0_integral(model, p, s, a_theta, quad.rel_tol)
         return total, 0, rel
     kernel_rows = _kernel_rows(model, HBAR_C_EV_NM / (2.0 * (a * 1e9)), p, s, a_theta)
@@ -567,27 +692,26 @@ def _reduce(p: float, s: float, model: PermittivityModel, a: float, tau: float,
         return total, 0, rel
 
     def block(l0: int, count: int) -> Iterator[float]:
-        # one lockstep quadrature: each row is the lone term's integral, bit for bit
         zetas = tau * np.arange(l0, l0 + count)
-        ends = zetas + span
-        if np.any(ends <= zetas):
+        if np.any(zetas + span <= zetas):
             raise ValueError(f"separation a = {a} m at T = {tau / _tau(1.0, a):.6g} K gives "
                              f"tau = {tau:.6g}, so large that zeta_l + {span:.3g} rounds "
                              "to zeta_l")
-        if a_theta > 0.0:
-            rows = gauss_rows(kernel_rows(zetas), zetas, span, _row_counts(span, quad.rel_tol),
-                              quad.rel_tol * _V_TOL_SHARE)
-        else:
-            rows = adaptive_quad_rows(kernel_rows(zetas), zetas, ends,
-                                      rel_tol=quad.rel_tol * _V_TOL_SHARE, initial_panels=4)
-        return (val for val, _ in rows)
+        if static:
+            return _static_rows(model, p, s, a_theta, quad.rel_tol, zetas)
+        return _row_integrals(kernel_rows, zetas, span, a_theta, quad.rel_tol)
 
+    decay = tau * (1.0 - a_theta)
+    terms = min(_predicted_terms(decay, quad.rel_tol), 1.0 / quad.rel_tol + _CONSECUTIVE_BELOW)
+    if terms > _REFUSE_MARGIN * _MAX_TERMS:
+        raise ConvergenceError(
+            f"Matsubara sum would not converge after {_MAX_TERMS} terms: about {terms:.3g} "
+            f"are predicted at tau (1 - A) = {decay:.6g}")
     try:
         zero = _zero_freq_term(zero_frequency_character(model, a), p, s, a_theta, quad.rel_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(f"Matsubara term l = 0, zeta_l = 0: {exc}") from exc
-    return matsubara_reduce(block, zero, quad,
-                            _first_block(tau * (1.0 - a_theta), quad.rel_tol), tau)
+    return matsubara_reduce(block, zero, quad, _first_block(decay, quad.rel_tol), tau)
 
 
 def _evaluate(obs: _Observable, geometry: Geometry, thermal: ThermalState,
@@ -647,7 +771,8 @@ def cylinder_force(geometry: Geometry, thermal: ThermalState,
     At T = 0 this is :func:`zero_temperature_force`; otherwise it runs the
     primed Matsubara sum of polylogarithm v-integrals.  Temperatures so low
     that the sum cannot truncate within 100 000 terms raise
-    ConvergenceError; the T = 0 limit should be requested exactly.
+    ConvergenceError, before any term where over 1 000 times that many are
+    predicted; the T = 0 limit should be requested exactly.
     """
     return _evaluate(_FORCE, geometry, thermal, model, quad)
 

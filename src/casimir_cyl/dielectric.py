@@ -443,15 +443,27 @@ def kk_transform(table: OpticalTable, tail: Drude, xi):
     xi = _checked_xi(xi)
     f, e = np.frexp(xi.ravel())
     values = table._piece_values(tail, e - _PIECE_LO)
+    # values relative to the first node's, so that no product in the read overflows
+    rel, at_node = barycentric_read((values - values[:, :1]) / values[:, :1], f)
+    result = values[:, 0] + values[:, 0] * rel
+    hit = np.isnan(result)
+    result[hit] = values[hit][at_node[hit]]
+    return float(result[0]) if xi.ndim == 0 else result.reshape(xi.shape)
+
+
+def barycentric_read(values, f):
+    """Pieces read at u = 4 f - 3, one row per element of ``f``, by the
+    barycentric formula with the pieces' first-kind Chebyshev weights.
+
+    ``values`` holds the node values, shape (f.size, _PIECE_POINTS) or one
+    piece's (_PIECE_POINTS,) for every f.  Returns the reads, NaN at an
+    exact node hit, and the (f.size, _PIECE_POINTS) mask of the node each
+    row hits, so that the caller returns its stored value there.
+    """
     dist = np.subtract.outer(4.0 * f - 3.0, _NODE_U)
     with np.errstate(divide="ignore", invalid="ignore"):  # an exact node hit gives nan
         c = _BARY_W / dist
-        # values relative to the first node's, so that no product with c overflows
-        rel = (c * ((values - values[:, :1]) / values[:, :1])).sum(axis=1) / c.sum(axis=1)
-    result = values[:, 0] + values[:, 0] * rel
-    hit = np.isnan(result)
-    result[hit] = values[hit][dist[hit] == 0.0]
-    return float(result[0]) if xi.ndim == 0 else result.reshape(xi.shape)
+        return (c * values).sum(axis=1) / c.sum(axis=1), dist == 0.0
 
 
 def zero_frequency_character(model: PermittivityModel, a: float) -> ZeroFreqBehavior:

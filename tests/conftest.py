@@ -29,10 +29,12 @@ def pytest_report_header(config):
 
 
 @pytest.fixture(autouse=True)
-def _cold_static_t0_cache():
-    """Each test starts without a cached T = 0 integral of a static model, so
-    a test that counts or patches the T = 0 rule sees it run."""
+def _cold_static_caches():
+    """Each test starts without a cached T = 0 integral or piece of ln I of a
+    static model, so a test that counts or patches the T = 0 rule or the row
+    integrators sees them run."""
     casimir_core._static_t0_integral.cache_clear()
+    casimir_core._row_piece.cache_clear()
 
 
 @pytest.fixture(scope="module")

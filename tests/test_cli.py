@@ -276,6 +276,19 @@ def test_convergence_failure_exits_3(capsys, monkeypatch):
     assert "convergence" in err.lower()
 
 
+def test_hopeless_low_temperature_exits_3_at_once(capsys, monkeypatch):
+    # at 1e-9 K the Matsubara sum is refused before any row is integrated
+    import casimir_cyl.casimir_core as core
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a row was integrated")
+
+    monkeypatch.setattr(core, "adaptive_quad_rows", unreached)
+    code, _, err = run_cli(capsys, "force", "--a", "500", "--T", "1e-9")
+    assert code == EXIT_CONVERGENCE
+    assert "would not converge after 100000 terms" in err and "predicted" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "force.csv"
     code, out, _ = run_cli(capsys, "force", "--a", "300", "--model", "ideal",

@@ -7,8 +7,11 @@ dielectric reuse the whole T = 0 integral, in X(0) of a thermal correction
 too).  Its rows must equal, byte for byte, those of one fresh process per
 separation, header lines aside.
 
-The ideal metal, flat or tilted, runs its one r^2 = 1 channel, doubled, with
-no eps and no ln r^2.  Tilted plasma (its TE l = 0 channel depends on v) and
+The ideal metal and the static dielectric read their finite-T rows l >= 1
+from pieces of ln I(zeta), one per binary exponent of zeta, built by the
+first separation that touches it; a fresh process at any one separation must
+read the same rows.  The ideal metal, flat or tilted, runs its one r^2 = 1
+channel, doubled, with no eps and no ln r^2.  Tilted plasma (its TE l = 0 channel depends on v) and
 dielectric sweeps run the tilted kernel on every channel.  A sweep shares one
 ThermalState and one --a-theta TiltParams over its separations, while --theta
 builds the tilt of each separation.  A tabulated sweep builds pieces of
@@ -34,6 +37,7 @@ CASES = [(f"force --model {model}", T)
     ("force --model ideal --a-theta 0.5", "300"),
     ("gradient --model dielectric --eps0 11.7 --a-theta 0.3", "300"),
     ("gradient --model ideal", "300"),
+    ("gradient --model ideal", "30"),
     ("thermal-correction --model drude", "300"),
     ("force --model drude --theta 1e-4", "300"),
     ("thermal-correction --model ideal", "300"),

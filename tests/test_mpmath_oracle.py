@@ -237,7 +237,9 @@ def _force_term(zeta: float, eps_of, a_theta: float):
 def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
     # the engine's rows l = 1 and l = 10 of a 300 K force at 150 nm, captured
     # as the lockstep adaptive quadrature (untilted) or the Gauss ladder in w
-    # (tilted) returns them
+    # (tilted) returns them; the ideal metal and the dielectric integrate
+    # these rows directly only where their pieces of ln I are refused
+    monkeypatch.setattr(casimir_core, "_row_piece", lambda *args: None)
     seen = []
 
     def capture(zetas, rows):
@@ -268,6 +270,31 @@ def test_matsubara_term_matches_mpmath(monkeypatch, name, a_theta):
         # the row's own estimate covers its error, and the error is inside
         # the 0.1 rel_tol that each row is held to
         assert true_err <= err, (l, true_err, err)
+        assert true_err <= 0.1 * quad.rel_tol * float(want), (l, true_err)
+
+
+@pytest.mark.parametrize("name, a_theta", [("ideal", 0.0), ("dielectric", 0.0),
+                                           ("ideal", 0.9), ("dielectric", 0.5)])
+def test_piece_rows_match_mpmath(monkeypatch, name, a_theta):
+    # rows l = 1 and l = 10 of the same force, read from pieces of ln I, are
+    # inside the 0.1 rel_tol each integrated row is held to
+    seen = []
+    reduce = casimir_core.matsubara_reduce
+
+    def observed(block_integrals, *args):
+        def block(l0, count):
+            rows = list(block_integrals(l0, count))
+            seen.extend(rows)
+            return rows
+        return reduce(block, *args)
+    monkeypatch.setattr(casimir_core, "matsubara_reduce", observed)
+    model, eps_of = TERM_MODELS[name]
+    geom = Geometry(a=TERM_A_NM * 1e-9, R=100e-6, L=100e-6)
+    quad = QuadratureSpec()
+    tilted_force(geom, ThermalState.at(300.0, geom), model, TiltParams(a_theta), quad)
+    for l in (1, 10):
+        want = _force_term(casimir_core._tau(300.0, geom.a) * l, eps_of, a_theta)
+        true_err = float(abs(mpmath.mpf(seen[l - 1]) - want))
         assert true_err <= 0.1 * quad.rel_tol * float(want), (l, true_err)
 
 
